@@ -11,7 +11,7 @@ from .errors import ParameterError
 from .quadrature import (C0, SincGrid, build_grid, eval_r, eval_sq_sum,
                          sup_error_E1, sup_error_E2)
 from .gaussian import (GaussianTarget, OracleTape, ScoreOracle, lambda_norm,
-                       target_from_json, target_to_json)
+                       target_from_dict, target_from_json, target_to_json)
 from .quantizer import (QuantizerConfig, decode_vector, quantize_scalar,
                         quantize_vector, smallest_bit_depth)
 from .samplers import (QuantizedParams, SampleReport, estimate_mean,

@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-10
+# Cap on m * d, the entries of one trial's random codebook in the binary
+# subchannel experiment (2**22 int64 entries, 32 MiB per trial).
+SUBCHANNEL_MAX_ENTRIES = 2**22
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +381,8 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
     Messages are floor(2**(rate*d)) i.i.d. fair-bit vectors b; coordinate i of
     the output is N(0, 1/kappa) when b_i = 0 and N(0, 1) when b_i = 1.
     Decoding is exact maximum likelihood via per-coordinate log-density sums.
+    Sizes with m * d > ``SUBCHANNEL_MAX_ENTRIES`` are rejected before any
+    codebook is drawn.
     """
     if not rate > 0.0:
         raise ParameterError(f"rate must be positive, got {rate}")
@@ -385,7 +390,12 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
         raise ParameterError(f"kappa must exceed 1, got {kappa}")
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    m_code = int(math.floor(2.0 ** (rate * d)))
+    # The min keeps 2**(rate*d) finite; any exponent that large is over the cap.
+    m_code = int(math.floor(2.0 ** min(rate * d, 1023.0)))
+    if m_code * d > SUBCHANNEL_MAX_ENTRIES:
+        raise ParameterError(
+            f"codebook of {m_code} x {d} entries exceeds the cap of "
+            f"{SUBCHANNEL_MAX_ENTRIES}; lower rate or d")
     if m_code < 1:
         raise ParameterError("codebook is empty; increase rate or d")
     rng = np.random.default_rng(rng)

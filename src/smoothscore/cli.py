@@ -23,8 +23,9 @@ import numpy as np
 
 from . import channel, diagnostics, samplers
 from .errors import ParameterError
-from .gaussian import ScoreOracle, lambda_norm, target_from_json
+from .gaussian import ScoreOracle, lambda_norm, target_from_dict, target_from_json
 from .quadrature import build_grid, sup_error_E1, sup_error_E2
+from .quantizer import MAX_BITS
 from .samplers import estimate_mean
 
 __all__ = ["main"]
@@ -101,6 +102,11 @@ def _sample_certificate(algorithm: str, target, delta_tv: float) -> float:
         grid = build_grid(samplers.independent_accuracy(d, delta_tv), target.kappa)
         return diagnostics.tv_bound(diagnostics.law_of_alg2(target, grid))
     params = samplers.quantized_params(d, target.kappa, delta_tv)
+    # The sampler's quantizer cannot represent B > 52: refuse before any run.
+    if params.bits > MAX_BITS:
+        raise ParameterError(
+            f"quantized sampling needs B={params.bits} bits per coordinate; "
+            f"the quantizer supports at most {MAX_BITS}")
     return diagnostics.tv_bound(
         diagnostics.law_of_alg3_ideal(target, params.grid, params.sigma2))
 
@@ -116,7 +122,7 @@ def _cmd_sample(args) -> int:
     missing = {"target", "delta_tv", "seed"} - cfg.keys()
     if missing:
         raise ParameterError(f"run descriptor lacks keys: {sorted(missing)}")
-    target = target_from_json(json.dumps(cfg["target"]))
+    target = target_from_dict(cfg["target"])
     runs = int(cfg.get("runs", 1))
     if runs < 0:
         raise ParameterError(f"runs must be >= 0, got {runs}")

@@ -23,6 +23,7 @@ __all__ = [
     "OracleTape",
     "ScoreOracle",
     "lambda_norm",
+    "target_from_dict",
     "target_from_json",
     "target_to_json",
 ]
@@ -53,8 +54,10 @@ class GaussianTarget:
         if lam.ndim != 1 or lam.size == 0:
             raise ParameterError("eigvals must be a nonempty 1-d array")
         kappa = float(self.kappa)
-        if kappa < 1.0:
-            raise ParameterError(f"kappa must be >= 1, got {kappa}")
+        if not (np.isfinite(kappa) and kappa >= 1.0):
+            raise ParameterError(f"kappa must be finite and >= 1, got {kappa}")
+        if not np.all(np.isfinite(lam)):
+            raise ParameterError("eigvals must be finite")
         if np.any(lam < 1.0 - _SPEC_SLACK) or np.any(lam > kappa * (1.0 + _SPEC_SLACK)):
             raise ParameterError(
                 f"precision eigenvalues must lie in [1, kappa={kappa}], "
@@ -63,11 +66,15 @@ class GaussianTarget:
         mean = np.zeros(d) if self.mean is None else np.asarray(self.mean, dtype=np.float64)
         if mean.shape != (d,):
             raise ParameterError(f"mean must have shape ({d},), got {mean.shape}")
+        if not np.all(np.isfinite(mean)):
+            raise ParameterError("mean must be finite")
         basis = self.basis
         if basis is not None:
             basis = np.asarray(basis, dtype=np.float64)
             if basis.shape != (d, d):
                 raise ParameterError(f"basis must be {d}x{d}, got {basis.shape}")
+            if not np.all(np.isfinite(basis)):
+                raise ParameterError("basis must be finite")
             resid = np.max(np.abs(basis.T @ basis - np.eye(d)))
             if resid > _ORTHO_TOL:
                 raise ParameterError(
@@ -154,12 +161,17 @@ class ScoreOracle:
         self._cov = target.cov_eigvals
         self._plain = target.basis is None and target.is_centered
 
-    def _score(self, tau: float, y: np.ndarray) -> np.ndarray:
+    def _score(self, tau, y: np.ndarray) -> np.ndarray:
+        # tau is a scalar with y of shape (d,), or a (q, 1) column with y of
+        # shape (d,) or (q, d), giving one row per shift.  Rows are points and
+        # the basis acts on columns, hence the transposes (no-ops in 1-d), so
+        # q shifts cost one rotation in and one dense product back.
+        y = np.asarray(y, dtype=np.float64)
         if self._plain:
-            return np.asarray(y, dtype=np.float64) / -(self._cov + tau)
+            return y / -(self._cov + tau)
         t = self.target
-        w = t.to_eigenbasis(np.asarray(y, dtype=np.float64) - t.mean)
-        return t.from_eigenbasis(-w / (self._cov + tau))
+        w = t.to_eigenbasis((y - t.mean).T).T
+        return t.from_eigenbasis((-w / (self._cov + tau)).T).T
 
     def smoothed_score(self, tau: float, y: np.ndarray) -> np.ndarray:
         """Exact query: returns -(Sigma + tau I)^{-1} (y - mu), records it."""
@@ -167,6 +179,27 @@ class ScoreOracle:
             raise ParameterError(f"tau must be positive, got {tau}")
         g = self._score(tau, y)
         self.tape.record(tau, y)
+        return g
+
+    def smoothed_scores(self, taus, y: np.ndarray) -> np.ndarray:
+        """q exact queries answered in one call: row j is s_{tau_j}(y_j).
+
+        ``y`` is one point of shape (d,) shared by every shift, or one point
+        per shift of shape (q, d).  The tape records the q queries
+        (tau_j, y_j) in index order, exactly as q calls of
+        :meth:`smoothed_score` would.
+        """
+        taus = np.asarray(taus, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if taus.ndim != 1 or not np.all(taus > 0.0):
+            raise ParameterError(f"taus must be a 1-d array of positive levels, got {taus}")
+        d = self.target.dim
+        if y.shape not in ((d,), (taus.size, d)):
+            raise ParameterError(
+                f"y must have shape ({d},) or ({taus.size}, {d}), got {y.shape}")
+        g = self._score(taus[:, None], y)
+        for tau, point in zip(taus, y if y.ndim == 2 else [y] * taus.size):
+            self.tape.record(tau, point)
         return g
 
     def resolvent_transform(self, tau: float, z: np.ndarray) -> np.ndarray:
@@ -211,12 +244,17 @@ def target_to_json(target: GaussianTarget) -> str:
 
 def target_from_json(text: str) -> GaussianTarget:
     """Parse and validate the JSON target descriptor."""
-    doc = json.loads(text)
+    return target_from_dict(json.loads(text))
+
+
+def target_from_dict(doc) -> GaussianTarget:
+    """Validate an already parsed target descriptor: the object that
+    :func:`target_from_json` reads from its text."""
     try:
         d = int(doc["dim"])
         kappa = float(doc["kappa"])
         eigvals = np.asarray(doc["eigvals"], dtype=np.float64)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed target descriptor: {exc}") from exc
     if eigvals.shape != (d,):
         raise ParameterError(f"descriptor dim={d} but {eigvals.size} eigvals given")

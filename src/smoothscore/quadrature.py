@@ -14,6 +14,7 @@ which is everything the downstream samplers rely on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,10 @@ __all__ = [
 # Kept as an expression, never a decimal literal, so the stored constant is
 # bit-identical to the defining formula.
 C0 = 12.0 / (1.0 - math.exp(-1.0))
+
+# Largest shift exponent 2jh: exp(x), exp(-x) and 1/exp(-x) stay finite and
+# nonzero in float64 (one unit of margin below log of the largest float).
+_MAX_EXPONENT = math.log(sys.float_info.max) - 1.0
 
 
 @dataclass(frozen=True)
@@ -67,20 +72,26 @@ def build_grid(eta: float, kappa: float) -> SincGrid:
     eta : float
         Target uniform accuracy, must lie strictly inside (0, 1/2).
     kappa : float
-        Right endpoint of the approximation interval, must be >= 1.
-        ``kappa == 1`` is allowed; the interval degenerates to {1}.
+        Right endpoint of the approximation interval, must be finite and
+        >= 1.  ``kappa == 1`` is allowed; the interval degenerates to {1}.
+
+    Shifts exp(2jh) outside the float64 range (roughly 2 log(C0/eta) +
+    log(kappa) > 708) are rejected up front, never returned as 0 or inf.
     """
     eta = float(eta)
     kappa = float(kappa)
     if not (0.0 < eta < 0.5):
         raise ParameterError(f"eta must lie in (0, 1/2), got {eta}")
-    if not kappa >= 1.0:
-        raise ParameterError(f"kappa must be >= 1, got {kappa}")
+    if not 1.0 <= kappa < math.inf:
+        raise ParameterError(f"kappa must be finite and >= 1, got {kappa}")
 
     log_ratio = math.log(C0 / eta)
     h = math.pi**2 / log_ratio
     M = math.ceil(log_ratio / h)
     N = math.ceil((0.5 * math.log(kappa) + log_ratio) / h)
+    if 2.0 * h * max(M, N) > _MAX_EXPONENT:
+        raise ParameterError(
+            f"grid shifts exp(2jh) leave the float64 range at eta={eta}, kappa={kappa}")
 
     j = np.arange(-M, N + 1, dtype=np.float64)
     alphas = np.exp(2.0 * j * h)

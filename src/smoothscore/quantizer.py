@@ -25,6 +25,10 @@ __all__ = [
     "smallest_bit_depth",
 ]
 
+# Level indices are computed in float64, where ceil(x - 1/2) is exact only
+# while the index stays below 2**52.
+MAX_BITS = 52
+
 
 @dataclass(frozen=True)
 class QuantizerConfig:
@@ -32,8 +36,8 @@ class QuantizerConfig:
     clip_radius: float
 
     def __post_init__(self):
-        if int(self.bits) < 1:
-            raise ParameterError(f"bits must be >= 1, got {self.bits}")
+        if not 1 <= int(self.bits) <= MAX_BITS:
+            raise ParameterError(f"bits must lie in [1, {MAX_BITS}], got {self.bits}")
         if not self.clip_radius > 0.0:
             raise ParameterError(f"clip_radius must be positive, got {self.clip_radius}")
         object.__setattr__(self, "bits", int(self.bits))

@@ -10,9 +10,13 @@ Each public sampler derives its full parameter tuple internally from
 (delta_tv, kappa, d); the ``*_with_grid`` variants bypass those choices for
 experimentation and carry no accuracy guarantee.
 
+The q shifts of one sample are fixed before any query, so the exact-query
+samplers ask all of them in one batched oracle call; the tape still records
+q queries.
+
 Randomness contract: one generator per run, draws in a fixed order (Z first,
-then the dither G; per-shift vectors Z_j in index order), so runs are
-bit-reproducible from the seed.
+then the dither G; per-shift vectors Z_j in index order, drawn as one (q, d)
+array), so runs are bit-reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -124,13 +128,44 @@ def _grid_params(grid: SincGrid, **extra) -> dict:
     return params
 
 
-def _rational_combine(query, grid: SincGrid, z: np.ndarray) -> np.ndarray:
-    """Sum c_j * (tau_j z + tau_j^2 s_{tau_j}(z)) over the grid, tau_j = 1/alpha_j."""
-    out = np.zeros_like(z)
-    for alpha, c in zip(grid.alphas, grid.coeffs):
-        tau = 1.0 / alpha
-        out += c * (tau * z + tau**2 * query(tau, z))
-    return out
+# The transform tau z + tau^2 s_tau(z) cancels down to the resolvent, so the
+# combined output carries a float64 roundoff of about eps * sum_j c_j tau_j
+# (~ eps * C0 / eta) relative to |z|.  A grid whose roundoff would exceed a
+# tenth of its own accuracy eta is rejected: its output would no longer be
+# the r(Lambda) Z that the certificates describe.  This puts a floor of about
+# 2e-7 under eta, i.e. delta_tv >~ 8e-7 sqrt(d) for the one-point sampler.
+_ROUNDOFF_PER_ETA = 10.0 * np.finfo(np.float64).eps
+
+
+def _rational_combine(oracle: ScoreOracle, grid: SincGrid, z: np.ndarray,
+                      shift: np.ndarray | None = None) -> np.ndarray:
+    """Sum c_j * (tau_j z_j + tau_j^2 s_{tau_j}(z_j + shift)) over the grid,
+    tau_j = 1/alpha_j, with all q queries answered in one oracle call.
+
+    ``z`` is one point of shape (d,) for every shift or one per shift, shape
+    (q, d).  The terms are added over j in index order, as a loop over the
+    shifts would add them (for d = 1 numpy pairs the single column's terms up
+    instead).  Regrouping the sum, e.g. as (sum_j c_j tau_j) z + ..., would
+    change the roundoff of the cancellation.
+    """
+    taus = 1.0 / grid.alphas
+    if _ROUNDOFF_PER_ETA * float(np.sum(grid.coeffs * taus)) > grid.eta:
+        raise ParameterError(
+            f"eta={grid.eta:.3g} lies below the float64 roundoff floor of the "
+            "resolvent transform; increase delta_tv")
+    g = oracle.smoothed_scores(taus, z if shift is None else z + shift)
+    t = taus[:, None]
+    return np.sum(grid.coeffs[:, None] * (t * z + t**2 * g), axis=0)
+
+
+def _one_point_report(oracle: ScoreOracle, grid: SincGrid, y: np.ndarray,
+                      params: dict) -> SampleReport:
+    return SampleReport(output=y,
+                        query_count=oracle.tape.query_count,
+                        bits_total=oracle.tape.bits_sent,
+                        clip_overflow=False,
+                        params=params,
+                        noise_levels=1.0 / grid.alphas)
 
 
 def sample_exact_with_grid(target: GaussianTarget, grid: SincGrid,
@@ -139,13 +174,8 @@ def sample_exact_with_grid(target: GaussianTarget, grid: SincGrid,
     _require_centered(target)
     oracle = ScoreOracle(target)
     z = rng.standard_normal(target.dim)
-    y = _rational_combine(oracle.smoothed_score, grid, z)
-    return SampleReport(output=y,
-                        query_count=oracle.tape.query_count,
-                        bits_total=oracle.tape.bits_sent,
-                        clip_overflow=False,
-                        params=_grid_params(grid),
-                        noise_levels=1.0 / grid.alphas)
+    y = _rational_combine(oracle, grid, z)
+    return _one_point_report(oracle, grid, y, _grid_params(grid))
 
 
 def sample_exact(target: GaussianTarget, delta_tv: float,
@@ -168,18 +198,9 @@ def sample_independent_with_grid(target: GaussianTarget, grid: SincGrid,
     """Independent-query variant on a caller-supplied grid (no TV guarantee)."""
     _require_centered(target)
     oracle = ScoreOracle(target)
-    acc = np.zeros(target.dim)
-    for alpha, c in zip(grid.alphas, grid.coeffs):
-        tau = 1.0 / alpha
-        zj = rng.standard_normal(target.dim)
-        acc += c * (tau * zj + tau**2 * oracle.smoothed_score(tau, zj))
-    y = acc / math.sqrt(grid.L_h)
-    return SampleReport(output=y,
-                        query_count=oracle.tape.query_count,
-                        bits_total=oracle.tape.bits_sent,
-                        clip_overflow=False,
-                        params=_grid_params(grid),
-                        noise_levels=1.0 / grid.alphas)
+    z = rng.standard_normal((grid.query_budget, target.dim))
+    y = _rational_combine(oracle, grid, z) / math.sqrt(grid.L_h)
+    return _one_point_report(oracle, grid, y, _grid_params(grid))
 
 
 def sample_independent(target: GaussianTarget, delta_tv: float,
@@ -283,18 +304,8 @@ def sample_uncentered(target: GaussianTarget, delta_tv: float, delta_mu: float,
 
     oracle = ScoreOracle(target)
     mu_hat = estimate_mean(target, delta_mu, oracle=oracle)
-
-    def recentered(tau, y):
-        return oracle.smoothed_score(tau, y + mu_hat)
-
     z = rng.standard_normal(target.dim)
-    y = _rational_combine(recentered, grid, z) + mu_hat
-
-    run_params = _grid_params(grid, delta_tv=delta_tv, delta_mu=float(delta_mu),
-                              mu_hat=mu_hat)
-    return SampleReport(output=y,
-                        query_count=oracle.tape.query_count,
-                        bits_total=oracle.tape.bits_sent,
-                        clip_overflow=False,
-                        params=run_params,
-                        noise_levels=1.0 / grid.alphas)
+    y = _rational_combine(oracle, grid, z, shift=mu_hat) + mu_hat
+    return _one_point_report(oracle, grid, y,
+                             _grid_params(grid, delta_tv=delta_tv,
+                                          delta_mu=float(delta_mu), mu_hat=mu_hat))

@@ -276,6 +276,12 @@ class TestBinarySubchannel:
         with pytest.raises(ParameterError):
             binary_subchannel_experiment(8, 4.0, -0.1, 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("d, rate", [(64, 0.5), (64, 100.0), (2**21, 0.5)])
+    def test_codebook_size_capped_before_allocation(self, d, rate):
+        # (64, 0.5) alone would draw a 2**32 x 64 codebook (2 TiB) per trial.
+        with pytest.raises(ParameterError):
+            binary_subchannel_experiment(d, 16.0, rate, 1, np.random.default_rng(0))
+
 
 class TestGoodEvent:
     def test_half_two_constants_hold_at_desk_scales(self):

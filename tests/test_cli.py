@@ -94,6 +94,12 @@ class TestSample:
         {"delta_tv": 1.5},
         {"algorithm": "nonsense"},
         {"runs": -1},
+        {"delta_tv": 1e-80},
+        {"target": {"dim": 2, "kappa": 100.0, "eigvals": [float("nan"), 100.0]}},
+        {"algorithm": "quantized",
+         "target": {"dim": 2, "kappa": 1e100, "eigvals": [1.0, 1e100]}},
+        {"algorithm": "quantized", "runs": 0,
+         "target": {"dim": 2, "kappa": 1e100, "eigvals": [1.0, 1e100]}},
     ])
     def test_domain_errors_exit_2(self, tmp_path, run_config, mutate):
         path, cfg = run_config
@@ -127,6 +133,12 @@ class TestScaling:
         # equal decade steps in kappa: q_exact increments agree within +/-1
         q = [int(r.split(",")[2]) for r in rows1[1:]]
         assert abs((q[2] - q[1]) - (q[1] - q[0])) <= 1
+
+    def test_budgets_reported_beyond_the_quantizer_ceiling(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["scaling", "--kappas", "1e100", "--delta-tv", "0.1", "--d", "4",
+                     "--output", str(out)]) == 0
+        assert int(data_rows(out)[1].split(",")[5]) == 182  # B > 52: sampling refuses
 
     def test_domain_error_exit_2(self, tmp_path):
         assert main(["scaling", "--kappas", "0.5", "--delta-tv", "0.1", "--d", "2",

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from smoothscore import (GaussianTarget, ParameterError, ScoreOracle,
-                         lambda_norm, target_from_json, target_to_json)
+                         lambda_norm, target_from_dict, target_from_json,
+                         target_to_json)
+
+EPS = np.finfo(np.float64).eps
 
 
 def random_rotation(d, rng):
@@ -30,6 +33,17 @@ class TestTargetValidation:
         bad = np.array([[1.0, 0.1], [0.0, 1.0]])
         with pytest.raises(ParameterError):
             GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0, basis=bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("eigvals", [float("nan"), 2.0]), ("eigvals", [1.0, float("inf")]),
+        ("kappa", float("nan")), ("kappa", float("inf")),
+        ("mean", [0.0, float("nan")]), ("mean", [float("-inf"), 0.0]),
+        ("basis", [[float("nan"), 0.0], [0.0, 1.0]]),
+    ])
+    def test_non_finite_inputs_rejected(self, field, value):
+        args = {"eigvals": [1.0, 2.0], "kappa": 4.0, field: value}
+        with pytest.raises(ParameterError):
+            GaussianTarget(**args)
 
     def test_covariance_spectrum_contract(self):
         t = GaussianTarget(eigvals=[1.0, 3.0, 9.0], kappa=9.0)
@@ -88,6 +102,63 @@ class TestSmoothedScore:
             o.smoothed_score(0.0, np.array([1.0]))
         with pytest.raises(ParameterError):
             o.resolvent_transform(-1.0, np.array([1.0]))
+
+
+def per_query_scores(oracle, taus, y):
+    """Reference: one smoothed_score call per shift."""
+    points = y if np.ndim(y) == 2 else [y] * len(taus)
+    return np.array([oracle.smoothed_score(tau, p) for tau, p in zip(taus, points)])
+
+
+class TestSmoothedScores:
+    TAUS = np.array([3e-4, 0.02, 0.5, 1.0, 7.0, 250.0])
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("centered", [True, False])
+    @pytest.mark.parametrize("per_shift", [False, True])
+    def test_matches_per_query_loop(self, rotated, centered, per_shift):
+        rng = np.random.default_rng(11)
+        d, q = 7, self.TAUS.size
+        t = GaussianTarget(eigvals=np.geomspace(1.0, 1e3, d), kappa=1e3,
+                           mean=None if centered else rng.standard_normal(d),
+                           basis=random_rotation(d, rng) if rotated else None)
+        y = rng.standard_normal((q, d) if per_shift else d)
+        got = ScoreOracle(t).smoothed_scores(self.TAUS, y)
+        want = per_query_scores(ScoreOracle(t), self.TAUS, y)
+        assert got.shape == (q, d)
+        if rotated:
+            # The batch rotates back with one dense product instead of q
+            # matvecs: a different summation order over d terms.
+            assert np.max(np.abs(got - want)) <= 4 * d * EPS * np.max(np.abs(want))
+        else:
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("per_shift", [False, True])
+    def test_tape_records_each_shift_in_order(self, per_shift):
+        t = GaussianTarget(eigvals=[1.0, 2.0, 4.0], kappa=4.0)
+        o = ScoreOracle(t)
+        y = np.arange(3.0 * (self.TAUS.size if per_shift else 1)).reshape(-1, 3)
+        y = y if per_shift else y[0]
+        o.smoothed_scores(self.TAUS, y)
+        assert o.tape.query_count == self.TAUS.size
+        assert o.tape.bits_sent == 0
+        assert [tau for tau, _ in o.tape.queries] == list(self.TAUS)
+        for j, (_, point) in enumerate(o.tape.queries):
+            assert np.array_equal(point, y[j] if per_shift else y)
+
+    @pytest.mark.parametrize("taus", [[1.0, 0.0], [-1.0], [1.0, float("nan")], [[1.0]]])
+    def test_rejects_nonpositive_or_malformed_taus(self, taus):
+        o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0))
+        with pytest.raises(ParameterError):
+            o.smoothed_scores(taus, np.zeros(2))
+        assert o.tape.query_count == 0
+
+    def test_rejects_point_shape(self):
+        o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0))
+        with pytest.raises(ParameterError):
+            o.smoothed_scores([1.0, 2.0], np.zeros((3, 2)))
+        with pytest.raises(ParameterError):
+            o.smoothed_scores([1.0, 2.0], np.zeros(3))
 
 
 class TestResolventTransform:
@@ -179,6 +250,16 @@ class TestJsonDescriptor:
         doc = {"dim": 1, "kappa": 2.0, "eigvals": [5.0], "mean": [0.0]}
         with pytest.raises(ParameterError):
             target_from_json(json.dumps(doc))
+
+    def test_dict_reader_matches_text_reader(self):
+        doc = {"dim": 2, "kappa": 3.0, "eigvals": [1.0, 3.0], "mean": [0.5, -1.0],
+               "basis": [0.0, 1.0, 1.0, 0.0]}
+        a, b = target_from_dict(doc), target_from_json(json.dumps(doc))
+        for field in ("eigvals", "mean", "basis"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert a.kappa == b.kappa
+        with pytest.raises(ParameterError):
+            target_from_dict({"dim": "two", "kappa": 3.0, "eigvals": [1.0, 3.0]})
 
     def test_reader_accepts_minimal_descriptor(self):
         doc = {"dim": 2, "kappa": 3.0, "eigvals": [1.0, 3.0]}

@@ -47,7 +47,8 @@ class TestBuildGrid:
         assert np.all(g.coeffs > 0)
 
     @pytest.mark.parametrize("eta,kappa", [(0.0, 10.0), (0.5, 10.0), (-0.1, 10.0),
-                                           (0.6, 10.0), (0.1, 0.5), (0.1, -1.0)])
+                                           (0.6, 10.0), (0.1, 0.5), (0.1, -1.0),
+                                           (0.1, math.inf), (1e-300, 10.0)])
     def test_domain_rejection(self, eta, kappa):
         with pytest.raises(ParameterError):
             build_grid(eta, kappa)

@@ -21,6 +21,16 @@ class TestConfig:
             QuantizerConfig(bits=0, clip_radius=1.0)
         with pytest.raises(ParameterError):
             QuantizerConfig(bits=3, clip_radius=0.0)
+        for bits in (53, 70):
+            with pytest.raises(ParameterError):
+                QuantizerConfig(bits=bits, clip_radius=1.0)
+
+    def test_widest_bit_depth_is_exact(self):
+        cfg = QuantizerConfig(bits=52, clip_radius=1.0)
+        w = np.array([0.3, -1.0, 1.0, -0.7])
+        values, message = quantize_vector(cfg, w)
+        assert np.max(np.abs(values - w)) <= cfg.step / 2
+        assert np.array_equal(decode_vector(cfg, message), values)
 
     def test_json_roundtrip(self, cfg23):
         back = QuantizerConfig.from_json(cfg23.to_json())

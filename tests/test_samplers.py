@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,18 @@ class FixedNormals:
     def standard_normal(self, d):
         assert d == self.z.size
         return self.z.copy()
+
+
+def loop_combine(query, grid, points):
+    """The per-shift loop the batched combine replaced: one query per shift,
+    accumulated over j in index order.  ``points(j)`` is the j-th Z_j."""
+    out = None
+    for j, (alpha, c) in enumerate(zip(grid.alphas, grid.coeffs)):
+        tau = 1.0 / alpha
+        z = points(j)
+        term = c * (tau * z + tau**2 * query(tau, z))
+        out = term if out is None else out + term
+    return out
 
 
 def empty_grid():
@@ -110,6 +123,72 @@ class TestSampleExact:
             sample_exact(shifted, 0.2, np.random.default_rng(0))
 
 
+class TestRationalCombine:
+    # Diagonal targets: the batched combine keeps the loop's arithmetic, so
+    # outputs stay bit-identical to it (d >= 2; numpy sums a lone column pairwise).
+    TARGETS = [GaussianTarget(eigvals=[1.0, 10.0, 100.0], kappa=100.0),
+               GaussianTarget(eigvals=np.geomspace(1.0, 1e8, 9), kappa=1e8)]
+
+    @pytest.mark.parametrize("t", TARGETS)
+    def test_exact_matches_loop_bit_for_bit(self, t):
+        for seed in range(5):
+            got = sample_exact(t, 0.1, np.random.default_rng(seed))
+            grid = build_grid(exact_accuracy(t.dim, 0.1), t.kappa)
+            z = np.random.default_rng(seed).standard_normal(t.dim)
+            want = loop_combine(ScoreOracle(t).smoothed_score, grid, lambda j: z)
+            assert np.array_equal(got.output, want)
+
+    @pytest.mark.parametrize("t", TARGETS)
+    def test_independent_matches_loop_bit_for_bit(self, t):
+        for seed in range(5):
+            got = sample_independent(t, 0.1, np.random.default_rng(seed))
+            grid = build_grid(independent_accuracy(t.dim, 0.1), t.kappa)
+            rng = np.random.default_rng(seed)
+            zs = [rng.standard_normal(t.dim) for _ in range(grid.query_budget)]
+            want = loop_combine(ScoreOracle(t).smoothed_score, grid, lambda j: zs[j])
+            assert np.array_equal(got.output, want / math.sqrt(grid.L_h))
+
+    @pytest.mark.parametrize("t", TARGETS)
+    def test_uncentered_matches_loop_bit_for_bit(self, t):
+        shifted = GaussianTarget(eigvals=t.eigvals, kappa=t.kappa,
+                                 mean=np.linspace(-2.0, 3.0, t.dim))
+        for seed in range(5):
+            got = sample_uncentered(shifted, 0.1, 1e-3, np.random.default_rng(seed))
+            mu_hat = got.params["mu_hat"]
+            oracle = ScoreOracle(shifted)
+            grid = build_grid(exact_accuracy(t.dim, 0.1), t.kappa)
+            z = np.random.default_rng(seed).standard_normal(t.dim)
+            want = loop_combine(lambda tau, y: oracle.smoothed_score(tau, y + mu_hat),
+                                grid, lambda j: z) + mu_hat
+            assert np.array_equal(got.output, want)
+            assert got.query_count == grid.query_budget + 2
+
+    @pytest.mark.parametrize("delta_tv", [1e-8, 1e-60, 1e-80])
+    def test_roundoff_floor_rejected_without_warnings(self, delta_tv):
+        # Below the floor the transform's cancellation loses more than eta:
+        # at 1e-8 the output drifts 1e-6 off r(Lambda) Z against eta = 1.8e-9,
+        # at 1e-60 it is +-1e44 and at 1e-80 +-inf.
+        t = GaussianTarget(eigvals=[1.0, 4.0], kappa=4.0)
+        shifted = GaussianTarget(eigvals=[1.0, 4.0], kappa=4.0, mean=[1.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (lambda rng: sample_exact(t, delta_tv, rng),
+                        lambda rng: sample_independent(t, delta_tv, rng),
+                        lambda rng: sample_uncentered(shifted, delta_tv, 0.1, rng)):
+                with pytest.raises(ParameterError):
+                    run(np.random.default_rng(0))
+
+    def test_output_within_a_tenth_of_eta_above_the_floor(self):
+        t = GaussianTarget(eigvals=[1.0, 4.0], kappa=4.0)
+        eta = exact_accuracy(2, 1e-5)
+        grid = build_grid(eta, 4.0)
+        for seed in range(20):
+            y = sample_exact(t, 1e-5, np.random.default_rng(seed)).output
+            z = np.random.default_rng(seed).standard_normal(2)
+            want = eval_r(grid, t.eigvals) * z
+            assert np.max(np.abs(y - want)) <= 0.1 * eta * np.max(np.abs(z))
+
+
 class TestSampleIndependent:
     def test_ratio_deviation_bound(self):
         d, kap, dtv = 4, 1e4, 0.2
@@ -177,6 +256,13 @@ class TestSampleQuantized:
                 seen_no_clip += 1
                 assert rep.quant_error_norm <= sigma * 0.3
         assert seen_no_clip > 0
+
+    def test_bit_depth_above_52_rejected_but_budget_reported(self):
+        lam = [1.0, 1e33, 1e66, 1e100]
+        assert quantized_params(4, 1e100, 0.1).bits > 52
+        with pytest.raises(ParameterError):
+            sample_quantized(GaussianTarget(eigvals=lam, kappa=1e100), 0.1,
+                             np.random.default_rng(0))
 
     def test_reproducible_from_seed(self):
         t = GaussianTarget(eigvals=[1.0, 10.0], kappa=10.0)
