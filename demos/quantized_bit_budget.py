@@ -12,16 +12,16 @@ import math
 
 import numpy as np
 
-from smoothscore import GaussianTarget, quantized_params, sample_quantized
-from smoothscore.diagnostics import law_of_alg3_ideal, summary
+from smoothscore import GaussianTarget, sample_quantized, sampler_params
+from smoothscore.diagnostics import summary
 
 d, delta_tv = 4, 0.2
 
 print("=== bit budget across condition numbers ===")
 print(f"{'kappa':>10} {'q':>4} {'B':>4} {'R_clip':>8} {'sigma':>10} {'Q=dBq':>7}")
 for kappa in (1e2, 1e3, 1e4, 1e6, 1e8):
-    p = quantized_params(d, kappa, delta_tv)
-    print(f"{kappa:10.0f} {p.query_budget:4d} {p.bits:4d} {p.r_clip:8.4f} "
+    p = sampler_params("quantized", d, kappa, delta_tv)
+    print(f"{kappa:10.0f} {p.grid.query_budget:4d} {p.bits:4d} {p.r_clip:8.4f} "
           f"{math.sqrt(p.sigma2):10.3e} {p.total_bits(d):7d}")
 print("squaring kappa multiplies Q by well under 4.5x (log^2 growth).")
 
@@ -29,7 +29,7 @@ print()
 print("=== one run in detail (d=4, kappa=100, delta_tv=0.3) ===")
 kappa, delta_tv = 100.0, 0.3
 target = GaussianTarget(eigvals=[1.0, 100.0, 1.0, 100.0], kappa=kappa)
-p = quantized_params(d, kappa, delta_tv)
+p = sampler_params("quantized", d, kappa, delta_tv)
 rep = sample_quantized(target, delta_tv, np.random.default_rng(7))
 print(f"sample: {np.array_str(rep.output, precision=4)}")
 print(f"queries q={rep.query_count}, bits/coordinate B={rep.params['bits']}, "
@@ -37,7 +37,7 @@ print(f"queries q={rep.query_count}, bits/coordinate B={rep.params['bits']}, "
 print(f"any coordinate clipped: {rep.clip_overflow}")
 print(f"carried quantization error |sum(What_j - W_j)| = {rep.quant_error_norm:.2e} "
       f"(budget sigma*delta_tv = {math.sqrt(p.sigma2) * delta_tv:.2e})")
-cert = summary(law_of_alg3_ideal(target, p.grid, p.sigma2))
+cert = summary(p.law(target))
 print(f"ideal dithered-law certificate: tv_bound={cert['tv_bound']:.4f} "
       f"<= delta_tv/6={delta_tv / 6:.4f}")
 

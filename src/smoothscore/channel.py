@@ -210,11 +210,6 @@ class SubspaceCode:
     def m_code(self) -> int:
         return self.bases.shape[0]
 
-    @property
-    def codebook(self) -> np.ndarray:
-        """Stack of orthonormal bases, shape (m_code, dim, rank)."""
-        return self.bases
-
     def basis(self, m: int) -> np.ndarray:
         return self.bases[m]
 
@@ -277,9 +272,8 @@ def decode_nearest(code: SubspaceCode, y: np.ndarray) -> int:
     norm = np.linalg.norm(y)
     if norm == 0.0:
         raise ParameterError("cannot decode the zero vector")
-    bases = code.codebook
-    coords = np.einsum("mdr,d->mr", bases, y)
-    residual = y[None, :] - np.einsum("mdr,mr->md", bases, coords)
+    coords = np.einsum("mdr,d->mr", code.bases, y)
+    residual = y[None, :] - np.einsum("mdr,mr->md", code.bases, coords)
     return int(np.argmin(np.linalg.norm(residual, axis=1) / norm))
 
 

@@ -25,7 +25,7 @@ from . import channel, diagnostics, samplers
 from .errors import ParameterError
 from .gaussian import ScoreOracle, lambda_norm, target_from_dict, target_from_json
 from .quadrature import build_grid, sup_error_E1, sup_error_E2
-from .quantizer import MAX_BITS
+from .quantizer import QuantizerConfig
 from .samplers import estimate_mean
 
 __all__ = ["main"]
@@ -94,29 +94,17 @@ _SAMPLE_DISPATCH = {
 
 
 def _sample_certificate(algorithm: str, target, delta_tv: float) -> float:
-    d = target.dim
-    if algorithm in ("exact", "uncentered"):
-        grid = build_grid(samplers.exact_accuracy(d, delta_tv), target.kappa)
-        return diagnostics.tv_bound(diagnostics.law_of_alg1(target, grid))
-    if algorithm == "independent":
-        grid = build_grid(samplers.independent_accuracy(d, delta_tv), target.kappa)
-        return diagnostics.tv_bound(diagnostics.law_of_alg2(target, grid))
-    params = samplers.quantized_params(d, target.kappa, delta_tv)
-    # The sampler's quantizer cannot represent B > 52: refuse before any run.
-    if params.bits > MAX_BITS:
-        raise ParameterError(
-            f"quantized sampling needs B={params.bits} bits per coordinate; "
-            f"the quantizer supports at most {MAX_BITS}")
-    return diagnostics.tv_bound(
-        diagnostics.law_of_alg3_ideal(target, params.grid, params.sigma2))
+    spec = samplers.sampler_params(algorithm, target.dim, target.kappa, delta_tv)
+    if spec.bits is not None:
+        # Refuse a bit depth the sampler's quantizer rejects before any run.
+        QuantizerConfig(bits=spec.bits, clip_radius=spec.r_clip)
+    return diagnostics.tv_bound(spec.law(target))
 
 
 def _cmd_sample(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
     algorithm = cfg.get("algorithm")
-    if algorithm not in _SAMPLE_DISPATCH:
-        raise ParameterError(f"unknown algorithm {algorithm!r}")
     if algorithm == "uncentered" and "delta_mu" not in cfg:
         raise ParameterError("uncentered sampling requires delta_mu")
     missing = {"target", "delta_tv", "seed"} - cfg.keys()
@@ -146,11 +134,10 @@ def _cmd_scaling(args) -> int:
     d = args.d
     rows = []
     for kappa in kappas:
-        q_exact = build_grid(samplers.exact_accuracy(d, args.delta_tv), kappa).query_budget
-        q_indep = build_grid(samplers.independent_accuracy(d, args.delta_tv), kappa).query_budget
-        params = samplers.quantized_params(d, kappa, args.delta_tv)
-        rows.append((kappa, d, q_exact, q_indep, params.total_bits(d),
-                     params.bits, params.r_clip, params.sigma2))
+        exact, indep, quant = (samplers.sampler_params(alg, d, kappa, args.delta_tv)
+                               for alg in ("exact", "independent", "quantized"))
+        rows.append((kappa, d, exact.grid.query_budget, indep.grid.query_budget,
+                     quant.total_bits(d), quant.bits, quant.r_clip, quant.sigma2))
     _write_csv(args.output,
                ["kappa", "d", "q_exact", "q_independent", "Q_quantized",
                 "B", "R_clip", "sigma2"], rows)

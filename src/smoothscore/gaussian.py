@@ -181,14 +181,8 @@ class ScoreOracle:
         self.tape.record(tau, y)
         return g
 
-    def smoothed_scores(self, taus, y: np.ndarray) -> np.ndarray:
-        """q exact queries answered in one call: row j is s_{tau_j}(y_j).
-
-        ``y`` is one point of shape (d,) shared by every shift, or one point
-        per shift of shape (q, d).  The tape records the q queries
-        (tau_j, y_j) in index order, exactly as q calls of
-        :meth:`smoothed_score` would.
-        """
+    def _scores(self, taus, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Checked batch (taus, y) and its (q, d) scores, not yet recorded.
         taus = np.asarray(taus, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if taus.ndim != 1 or not np.all(taus > 0.0):
@@ -197,30 +191,40 @@ class ScoreOracle:
         if y.shape not in ((d,), (taus.size, d)):
             raise ParameterError(
                 f"y must have shape ({d},) or ({taus.size}, {d}), got {y.shape}")
-        g = self._score(taus[:, None], y)
+        return taus, y, self._score(taus[:, None], y)
+
+    def _record(self, taus: np.ndarray, y: np.ndarray, bits: int = 0) -> None:
         for tau, point in zip(taus, y if y.ndim == 2 else [y] * taus.size):
-            self.tape.record(tau, point)
+            self.tape.record(tau, point, bits=bits)
+
+    def smoothed_scores(self, taus, y: np.ndarray) -> np.ndarray:
+        """q exact queries answered in one call: row j is s_{tau_j}(y_j).
+
+        ``y`` is one point of shape (d,) shared by every shift, or one point
+        per shift of shape (q, d).  The tape records the q queries
+        (tau_j, y_j) in index order, exactly as q calls of
+        :meth:`smoothed_score` would.
+        """
+        taus, y, g = self._scores(taus, y)
+        self._record(taus, y)
         return g
 
-    def resolvent_transform(self, tau: float, z: np.ndarray) -> np.ndarray:
-        """One query giving tau*z + tau^2*s_tau(z) = (Lambda + I/tau)^{-1} z
-        for centered targets."""
-        z = np.asarray(z, dtype=np.float64)
-        return tau * z + tau**2 * self.smoothed_score(tau, z)
-
-    def finite_bit_query(self, tau: float, y: np.ndarray, encoder, bits: int) -> str:
-        """Finite-bit query: the oracle computes s_tau(y) but transmits only
-        encoder(s_tau(y)), a '0'/'1' string of the declared length ``bits``."""
-        if not tau > 0.0:
-            raise ParameterError(f"tau must be positive, got {tau}")
-        if bits < 0:
-            raise ParameterError("bit budget must be nonnegative")
-        message = encoder(self._score(tau, y))
-        if len(message) != bits or (message and set(message) - {"0", "1"}):
+    def finite_bit_query(self, taus, y: np.ndarray, encoder, bits: int):
+        """q finite-bit queries in one call: the oracle computes the (q, d)
+        scores s_{tau_j}(y_j), ``y`` shaped as in :meth:`smoothed_scores`,
+        and returns ``encoder(scores)``, a pair ``(kept, messages)``.  Only
+        ``messages``, one '0'/'1' string of the declared length ``bits`` per
+        shift, crosses the channel: the tape records q queries of ``bits``
+        bits in index order.  ``kept`` is handed back for the caller's report.
+        """
+        taus, y, g = self._scores(taus, y)
+        kept, messages = encoder(g)
+        if len(messages) != taus.size or any(
+                len(m) != bits or set(m) - {"0", "1"} for m in messages):
             raise ParameterError(
-                f"encoder must return a bitstring of declared length {bits}")
-        self.tape.record(tau, y, bits=bits)
-        return message
+                f"encoder must return {taus.size} bitstrings of declared length {bits}")
+        self._record(taus, y, bits)
+        return kept, messages
 
 
 def lambda_norm(target: GaussianTarget, v: np.ndarray) -> float:

@@ -4,7 +4,8 @@ The grid has 2**bits points spanning [-clip_radius, +clip_radius] at both
 endpoints.  Inputs are clipped first, then mapped to the nearest grid point;
 exact midpoints round toward the smaller grid value so runs are reproducible
 across platforms.  The wire format packs each coordinate's level index as
-``bits`` characters, least significant bit first, coordinate 0 first.
+``bits`` characters, least significant bit first, coordinate 0 first; a
+batch of rows is one such bitstring per row.
 """
 
 from __future__ import annotations
@@ -98,15 +99,17 @@ def _unpack(message: str, bits: int) -> np.ndarray:
     return np.asarray(levels, dtype=np.int64)
 
 
-def quantize_vector(cfg: QuantizerConfig, w: np.ndarray) -> tuple[np.ndarray, str]:
+def quantize_vector(cfg: QuantizerConfig, w: np.ndarray) -> tuple[np.ndarray, str | list[str]]:
     """Coordinatewise quantization plus the packed level-index bitstring.
 
-    The bitstring has length d * bits; decoding it reproduces the quantized
-    vector bit-exactly.
+    A vector of shape (d,) gives one bitstring of length d * bits; rows of
+    shape (q, d) give q such bitstrings, which joined are the bitstring of
+    the flattened rows.  Decoding reproduces the quantized values exactly.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
     levels = _level_index(cfg, w)
-    return cfg.level_value(levels), _pack(levels, cfg.bits)
+    message = _pack(levels, cfg.bits) if w.ndim == 1 else [_pack(row, cfg.bits) for row in levels]
+    return cfg.level_value(levels), message
 
 
 def decode_vector(cfg: QuantizerConfig, message: str) -> np.ndarray:

@@ -1,18 +1,19 @@
 """Rational samplers driven by smoothed-score queries.
 
-Three samplers share one mechanism: a smoothed-score query at noise level
+All four samplers share one mechanism: a smoothed-score query at noise level
 tau = 1/alpha_j, transformed as tau*z + tau^2*s_tau(z), applies the resolvent
 (Lambda + alpha_j I)^{-1} to z.  Summing resolvents against the quadrature
 coefficients applies the rational approximant r(Lambda), so the output of the
-one-point sampler is exactly r(Lambda) Z with Z standard normal.
+one-point sampler is exactly r(Lambda) Z with Z standard normal.  The
+quantized sampler quantizes each resolvent term before the sum.
 
-Each public sampler derives its full parameter tuple internally from
-(delta_tv, kappa, d); the ``*_with_grid`` variants bypass those choices for
-experimentation and carry no accuracy guarantee.
+Each public sampler derives its full parameter tuple and output law from
+(delta_tv, kappa, d) through :func:`sampler_params`; the ``*_with_grid``
+variants bypass those choices for experimentation and carry no guarantee.
 
-The q shifts of one sample are fixed before any query, so the exact-query
-samplers ask all of them in one batched oracle call; the tape still records
-q queries.
+The q shifts of one sample are fixed before any query, so every sampler asks
+all of them in one batched oracle call (one finite-bit call for the quantized
+sampler); the tape still records q queries.
 
 Randomness contract: one generator per run, draws in a fixed order (Z first,
 then the dither G; per-shift vectors Z_j in index order, drawn as one (q, d)
@@ -23,9 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from . import diagnostics
 from .errors import ParameterError
 from .gaussian import GaussianTarget, ScoreOracle
 from .quadrature import C0, SincGrid, build_grid
@@ -33,10 +36,10 @@ from .quantizer import QuantizerConfig, decode_vector, quantize_vector, smallest
 
 __all__ = [
     "SampleReport",
-    "QuantizedParams",
+    "SamplerParams",
     "exact_accuracy",
     "independent_accuracy",
-    "quantized_params",
+    "sampler_params",
     "sample_exact",
     "sample_independent",
     "sample_quantized",
@@ -87,85 +90,115 @@ def independent_accuracy(dim: int, delta_tv: float) -> float:
 
 
 @dataclass(frozen=True)
-class QuantizedParams:
-    """Realized parameter tuple of the quantized sampler."""
+class SamplerParams:
+    """Realized parameter tuple of one sampler: its quadrature grid (which
+    carries the accuracy eta) and, for the quantized sampler only, the dither
+    variance sigma^2, clip radius R_clip and bit depth B."""
 
-    eta: float
+    algorithm: str
     grid: SincGrid
-    sigma2: float
-    r_clip: float
-    bits: int
-
-    @property
-    def query_budget(self) -> int:
-        return self.grid.query_budget
+    sigma2: float | None = None
+    r_clip: float | None = None
+    bits: int | None = None
 
     def total_bits(self, dim: int) -> int:
-        return dim * self.bits * self.query_budget
+        """Q = d*B*q, zero for the exact-query samplers."""
+        return dim * (self.bits or 0) * self.grid.query_budget
+
+    def law(self, target: GaussianTarget) -> diagnostics.CoDiagonalLawPair:
+        """Output law on ``target`` whose tv_bound certifies a run (for the
+        quantized sampler the ideal dithered law)."""
+        if self.algorithm == "independent":
+            return diagnostics.law_of_alg2(target, self.grid)
+        if self.algorithm == "quantized":
+            return diagnostics.law_of_alg3_ideal(target, self.grid, self.sigma2)
+        return diagnostics.law_of_alg1(target, self.grid)
 
 
-def quantized_params(dim: int, kappa: float, delta_tv: float) -> QuantizedParams:
-    """Derive (eta, grid, sigma^2, R_clip, B) for the quantized sampler.
+def sampler_params(algorithm: str, dim: int, kappa: float, delta_tv: float) -> SamplerParams:
+    """Derive the parameter tuple of ``algorithm`` ("exact", "independent",
+    "quantized" or "uncentered") from (delta_tv, kappa, d).
 
-    q is fixed by the grid before the clip radius and bit depth are chosen,
-    so there is no circularity even though both formulas mention q.
+    For the quantized sampler q is fixed by the grid before the clip radius
+    and bit depth are chosen, so there is no circularity even though both
+    formulas mention q.  B is reported as derived, also above the 52 bits
+    that :class:`QuantizerConfig` accepts.
     """
+    if algorithm in ("exact", "uncentered"):
+        return SamplerParams(algorithm, build_grid(exact_accuracy(dim, delta_tv), kappa))
+    if algorithm == "independent":
+        return SamplerParams(algorithm, build_grid(independent_accuracy(dim, delta_tv), kappa))
+    if algorithm != "quantized":
+        raise ParameterError(f"unknown algorithm {algorithm!r}")
     delta_tv = _check_delta(delta_tv)
     rd = math.sqrt(dim)
-    eta = delta_tv / (12.0 * rd)
-    grid = build_grid(eta, kappa)
+    grid = build_grid(delta_tv / (12.0 * rd), kappa)
     q = grid.query_budget
     sigma2 = delta_tv / (12.0 * kappa * rd)
     r_clip = (grid.h / math.pi) * math.sqrt(2.0 * math.log(6.0 * dim * q / delta_tv))
     bits = smallest_bit_depth(q * rd * r_clip / (math.sqrt(sigma2) * delta_tv))
-    return QuantizedParams(eta=eta, grid=grid, sigma2=sigma2, r_clip=r_clip, bits=bits)
-
-
-def _grid_params(grid: SincGrid, **extra) -> dict:
-    params = {"eta": grid.eta, "h": grid.h, "M": grid.M, "N": grid.N,
-              "sigma2": None, "r_clip": None, "bits": None}
-    params.update(extra)
-    return params
+    return SamplerParams(algorithm, grid, sigma2=sigma2, r_clip=r_clip, bits=bits)
 
 
 # The transform tau z + tau^2 s_tau(z) cancels down to the resolvent, so the
 # combined output carries a float64 roundoff of about eps * sum_j c_j tau_j
-# (~ eps * C0 / eta) relative to |z|.  A grid whose roundoff would exceed a
-# tenth of its own accuracy eta is rejected: its output would no longer be
-# the r(Lambda) Z that the certificates describe.  This puts a floor of about
-# 2e-7 under eta, i.e. delta_tv >~ 8e-7 sqrt(d) for the one-point sampler.
+# (~ eps * C0 / eta) relative to the query point.  A grid whose roundoff would
+# exceed a tenth of its own accuracy eta is rejected: its output would no
+# longer be the r(Lambda) Z that the certificates describe.  At unit scale
+# this puts a floor of about 2e-7 under eta, i.e. delta_tv >~ 8e-7 sqrt(d) for
+# the one-point sampler.
 _ROUNDOFF_PER_ETA = 10.0 * np.finfo(np.float64).eps
+
+
+def _shift_levels(grid: SincGrid, scale: float = 1.0) -> np.ndarray:
+    """tau_j = 1/alpha_j, once the grid passes the roundoff floor for query
+    points of sup-norm up to ``scale`` (at least 1)."""
+    taus = 1.0 / grid.alphas
+    if _ROUNDOFF_PER_ETA * scale * float(np.sum(grid.coeffs * taus)) > grid.eta:
+        raise ParameterError(
+            f"eta={grid.eta:.3g} lies below the float64 roundoff floor of the "
+            f"resolvent transform at query points of size {scale:.3g}; "
+            "increase delta_tv")
+    return taus
+
+
+def _resolvent_terms(grid: SincGrid, z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row j is c_j * (tau_j z_j + tau_j^2 g_j), the j-th resolvent term;
+    ``z`` has shape (d,) or one row per shift, ``g`` holds the (q, d) scores.
+
+    Summing the rows over j in index order adds them as a loop over the
+    shifts would (for d = 1 numpy pairs the single column's terms up
+    instead).  Regrouping the sum, e.g. as (sum_j c_j tau_j) z + ..., would
+    change the roundoff of the cancellation.
+    """
+    t = (1.0 / grid.alphas)[:, None]
+    return grid.coeffs[:, None] * (t * z + t**2 * g)
 
 
 def _rational_combine(oracle: ScoreOracle, grid: SincGrid, z: np.ndarray,
                       shift: np.ndarray | None = None) -> np.ndarray:
     """Sum c_j * (tau_j z_j + tau_j^2 s_{tau_j}(z_j + shift)) over the grid,
-    tau_j = 1/alpha_j, with all q queries answered in one oracle call.
-
-    ``z`` is one point of shape (d,) for every shift or one per shift, shape
-    (q, d).  The terms are added over j in index order, as a loop over the
-    shifts would add them (for d = 1 numpy pairs the single column's terms up
-    instead).  Regrouping the sum, e.g. as (sum_j c_j tau_j) z + ..., would
-    change the roundoff of the cancellation.
-    """
-    taus = 1.0 / grid.alphas
-    if _ROUNDOFF_PER_ETA * float(np.sum(grid.coeffs * taus)) > grid.eta:
-        raise ParameterError(
-            f"eta={grid.eta:.3g} lies below the float64 roundoff floor of the "
-            "resolvent transform; increase delta_tv")
+    with all q queries answered in one oracle call.  The roundoff floor
+    scales with the shift, since the queries are made at z + shift."""
+    scale = 1.0 if shift is None else max(1.0, float(np.abs(shift).max()))
+    taus = _shift_levels(grid, scale)
     g = oracle.smoothed_scores(taus, z if shift is None else z + shift)
-    t = taus[:, None]
-    return np.sum(grid.coeffs[:, None] * (t * z + t**2 * g), axis=0)
+    return np.sum(_resolvent_terms(grid, z, g), axis=0)
 
 
-def _one_point_report(oracle: ScoreOracle, grid: SincGrid, y: np.ndarray,
-                      params: dict) -> SampleReport:
+def _report(oracle: ScoreOracle, spec: SamplerParams, y: np.ndarray,
+            clip_overflow: bool = False, quant_error_norm: float | None = None,
+            **extra) -> SampleReport:
+    g = spec.grid
     return SampleReport(output=y,
                         query_count=oracle.tape.query_count,
                         bits_total=oracle.tape.bits_sent,
-                        clip_overflow=False,
-                        params=params,
-                        noise_levels=1.0 / grid.alphas)
+                        clip_overflow=clip_overflow,
+                        params={"eta": g.eta, "h": g.h, "M": g.M, "N": g.N,
+                                "sigma2": spec.sigma2, "r_clip": spec.r_clip,
+                                "bits": spec.bits, **extra},
+                        noise_levels=1.0 / g.alphas,
+                        quant_error_norm=quant_error_norm)
 
 
 def sample_exact_with_grid(target: GaussianTarget, grid: SincGrid,
@@ -175,7 +208,7 @@ def sample_exact_with_grid(target: GaussianTarget, grid: SincGrid,
     oracle = ScoreOracle(target)
     z = rng.standard_normal(target.dim)
     y = _rational_combine(oracle, grid, z)
-    return _one_point_report(oracle, grid, y, _grid_params(grid))
+    return _report(oracle, SamplerParams("exact", grid), y)
 
 
 def sample_exact(target: GaussianTarget, delta_tv: float,
@@ -186,9 +219,8 @@ def sample_exact(target: GaussianTarget, delta_tv: float,
     The output is exactly r(Lambda) Z, so its law is N(0, r(Lambda)^2); the
     TV guarantee is the KL->Pinsker certificate on those variance ratios.
     """
-    eta = exact_accuracy(target.dim, delta_tv)
-    grid = build_grid(eta, target.kappa)
-    report = sample_exact_with_grid(target, grid, rng)
+    spec = sampler_params("exact", target.dim, target.kappa, delta_tv)
+    report = sample_exact_with_grid(target, spec.grid, rng)
     report.params["delta_tv"] = float(delta_tv)
     return report
 
@@ -200,7 +232,7 @@ def sample_independent_with_grid(target: GaussianTarget, grid: SincGrid,
     oracle = ScoreOracle(target)
     z = rng.standard_normal((grid.query_budget, target.dim))
     y = _rational_combine(oracle, grid, z) / math.sqrt(grid.L_h)
-    return _one_point_report(oracle, grid, y, _grid_params(grid))
+    return _report(oracle, SamplerParams("independent", grid), y)
 
 
 def sample_independent(target: GaussianTarget, delta_tv: float,
@@ -209,11 +241,17 @@ def sample_independent(target: GaussianTarget, delta_tv: float,
 
     Output law is N(0, (1/L_h) sum_j c_j^2 (Lambda + alpha_j I)^{-2}).
     """
-    eta = independent_accuracy(target.dim, delta_tv)
-    grid = build_grid(eta, target.kappa)
-    report = sample_independent_with_grid(target, grid, rng)
+    spec = sampler_params("independent", target.dim, target.kappa, delta_tv)
+    report = sample_independent_with_grid(target, spec.grid, rng)
     report.params["delta_tv"] = float(delta_tv)
     return report
+
+
+def _encode_terms(cfg: QuantizerConfig, grid: SincGrid, z: np.ndarray, g: np.ndarray):
+    """Finite-bit encoder: the resolvent terms W_j, quantized into one message
+    per shift.  W itself stays off the channel, kept for the run report."""
+    w = _resolvent_terms(grid, z, g)
+    return w, quantize_vector(cfg, w)[1]
 
 
 def sample_quantized(target: GaussianTarget, delta_tv: float,
@@ -225,47 +263,19 @@ def sample_quantized(target: GaussianTarget, delta_tv: float,
     Clipping is reported, never raised: the TV budget already pays for it.
     """
     _require_centered(target)
-    params = quantized_params(target.dim, target.kappa, delta_tv)
-    grid = params.grid
-    cfg = QuantizerConfig(bits=params.bits, clip_radius=params.r_clip)
-    sigma = math.sqrt(params.sigma2)
-    d = target.dim
-
+    spec = sampler_params("quantized", target.dim, target.kappa, delta_tv)
+    cfg = QuantizerConfig(bits=spec.bits, clip_radius=spec.r_clip)
+    taus = _shift_levels(spec.grid)
     oracle = ScoreOracle(target)
-    z = rng.standard_normal(d)
-
-    y_hat = np.zeros(d)
-    quant_error = np.zeros(d)
-    clipped = False
-    for alpha, c in zip(grid.alphas, grid.coeffs):
-        tau = 1.0 / alpha
-        sent = {}
-
-        def encode(g, _tau=tau, _c=c, _sent=sent):
-            w = _c * (_tau * z + _tau**2 * g)
-            _sent["w"] = w
-            _, message = quantize_vector(cfg, w)
-            return message
-
-        message = oracle.finite_bit_query(tau, z, encode, d * cfg.bits)
-        w_hat = decode_vector(cfg, message)
-        w = sent["w"]
-        clipped = clipped or bool(np.any(np.abs(w) > cfg.clip_radius))
-        y_hat += w_hat
-        quant_error += w_hat - w
-
-    g_dither = rng.standard_normal(d)
-    y = y_hat + sigma * g_dither
-
-    run_params = _grid_params(grid, sigma2=params.sigma2, r_clip=params.r_clip,
-                              bits=params.bits, delta_tv=float(delta_tv))
-    return SampleReport(output=y,
-                        query_count=oracle.tape.query_count,
-                        bits_total=oracle.tape.bits_sent,
-                        clip_overflow=clipped,
-                        params=run_params,
-                        noise_levels=1.0 / grid.alphas,
-                        quant_error_norm=float(np.linalg.norm(quant_error)))
+    z = rng.standard_normal(target.dim)
+    w, messages = oracle.finite_bit_query(taus, z, partial(_encode_terms, cfg, spec.grid, z),
+                                          target.dim * cfg.bits)
+    w_hat = decode_vector(cfg, "".join(messages)).reshape(w.shape)
+    y = np.sum(w_hat, axis=0) + math.sqrt(spec.sigma2) * rng.standard_normal(target.dim)
+    return _report(oracle, spec, y,
+                   clip_overflow=bool(np.any(np.abs(w) > cfg.clip_radius)),
+                   quant_error_norm=float(np.linalg.norm(np.sum(w_hat - w, axis=0))),
+                   delta_tv=float(delta_tv))
 
 
 def estimate_mean(target: GaussianTarget, delta_mu: float,
@@ -275,7 +285,9 @@ def estimate_mean(target: GaussianTarget, delta_mu: float,
     Two exact queries at the origin: b = s_1(0) bounds ||mu|| <= 2||b||, and
     mu_hat = tau_mu * s_{tau_mu}(0) with tau_mu = 2||b||/delta_mu.  If b = 0
     the mean is exactly zero and one query suffices.  Pass an oracle to share
-    its tape with a surrounding run.
+    its tape with a surrounding run.  A mean so large that ||b|| or tau_mu
+    overflows float64 (||b|| is formed as sqrt(b.b), so ||mu|| ~ 1e154) is
+    rejected.
     """
     if not delta_mu > 0.0:
         raise ParameterError(f"delta_mu must be positive, got {delta_mu}")
@@ -285,7 +297,10 @@ def estimate_mean(target: GaussianTarget, delta_mu: float,
     b = oracle.smoothed_score(1.0, origin)
     if not np.any(b):
         return origin
-    tau_mu = 2.0 * float(np.linalg.norm(b)) / delta_mu
+    with np.errstate(over="ignore"):
+        tau_mu = 2.0 * float(np.linalg.norm(b)) / delta_mu
+    if not math.isfinite(tau_mu):
+        raise ParameterError("mean too large to estimate: ||b|| or tau_mu overflows float64")
     return tau_mu * oracle.smoothed_score(tau_mu, origin)
 
 
@@ -298,14 +313,10 @@ def sample_uncentered(target: GaussianTarget, delta_tv: float, delta_mu: float,
     closed form; the mean certificate ||mu_hat - mu||_Lambda <= delta_mu is
     reported separately rather than folded into a combined TV claim.
     """
-    delta_tv = _check_delta(delta_tv)
-    eta = exact_accuracy(target.dim, delta_tv)
-    grid = build_grid(eta, target.kappa)
-
+    spec = sampler_params("uncentered", target.dim, target.kappa, delta_tv)
     oracle = ScoreOracle(target)
     mu_hat = estimate_mean(target, delta_mu, oracle=oracle)
     z = rng.standard_normal(target.dim)
-    y = _rational_combine(oracle, grid, z, shift=mu_hat) + mu_hat
-    return _one_point_report(oracle, grid, y,
-                             _grid_params(grid, delta_tv=delta_tv,
-                                          delta_mu=float(delta_mu), mu_hat=mu_hat))
+    y = _rational_combine(oracle, spec.grid, z, shift=mu_hat) + mu_hat
+    return _report(oracle, spec, y, delta_tv=float(delta_tv),
+                   delta_mu=float(delta_mu), mu_hat=mu_hat)

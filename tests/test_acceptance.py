@@ -85,7 +85,7 @@ def test_criterion_03_independent_sampler_certificate():
 def test_criterion_04_quantized_sampler_decomposition():
     d, kap, dtv = 4, 100.0, 0.3
     target = adversarial_target(d, kap)
-    params = ss.quantized_params(d, kap, dtv)
+    params = ss.sampler_params("quantized", d, kap, dtv)
     sigma = math.sqrt(params.sigma2)
 
     tv_ideal = dg.tv_bound(dg.law_of_alg3_ideal(target, params.grid, params.sigma2))
@@ -144,8 +144,8 @@ def test_criterion_06_bit_scaling():
     ok = True
     detail = ""
     for kap in (1e2, 1e3, 1e4):
-        q_lo = ss.quantized_params(d, kap, dtv).total_bits(d)
-        q_hi = ss.quantized_params(d, kap**2, dtv).total_bits(d)
+        q_lo = ss.sampler_params("quantized", d, kap, dtv).total_bits(d)
+        q_hi = ss.sampler_params("quantized", d, kap**2, dtv).total_bits(d)
         if q_hi / q_lo > 4.5:
             ok = False
             detail = f"kappa={kap}: Q ratio {q_hi / q_lo}"

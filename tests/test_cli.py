@@ -1,9 +1,14 @@
 import json
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
+from smoothscore import (build_grid, law_of_alg1, law_of_alg2, law_of_alg3_ideal,
+                         sample_exact, sample_independent, sample_quantized,
+                         sample_uncentered, target_from_dict, tv_bound)
 from smoothscore.cli import main
 
 
@@ -121,6 +126,33 @@ class TestSample:
             assert cols[5] in ("true", "false")
 
 
+    @pytest.mark.parametrize("algorithm", ["exact", "independent", "quantized", "uncentered"])
+    def test_certificate_is_the_law_of_the_reported_grid(self, tmp_path, run_config, algorithm):
+        path, cfg = run_config
+        cfg.update(algorithm=algorithm, delta_mu=0.1, runs=1)
+        if algorithm == "uncentered":
+            cfg["target"]["mean"] = [1.0, -2.0]
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--config", str(path), "--output", str(out)]) == 0
+        certificate = float(data_rows(out)[1].split(",")[-1])
+
+        target = target_from_dict(cfg["target"])
+        rng = np.random.default_rng(0)
+        report = {"exact": lambda: sample_exact(target, 0.2, rng),
+                  "independent": lambda: sample_independent(target, 0.2, rng),
+                  "quantized": lambda: sample_quantized(target, 0.2, rng),
+                  "uncentered": lambda: sample_uncentered(target, 0.2, 0.1, rng)}[algorithm]()
+        p = report.params
+        grid = build_grid(p["eta"], target.kappa)
+        assert (grid.h, grid.M, grid.N) == (p["h"], p["M"], p["N"])
+        law = {"exact": lambda: law_of_alg1(target, grid),
+               "independent": lambda: law_of_alg2(target, grid),
+               "quantized": lambda: law_of_alg3_ideal(target, grid, p["sigma2"]),
+               "uncentered": lambda: law_of_alg1(target, grid)}[algorithm]()
+        assert certificate == tv_bound(law)
+
+
 class TestScaling:
     def test_columns_and_determinism(self, tmp_path):
         def build(out):
@@ -205,6 +237,15 @@ class TestMeanEst:
         cols = rows[1].split(",")
         assert int(cols[1]) == 2
         assert float(cols[2]) <= 0.1
+
+    def test_overflowing_mean_exit_2(self, tmp_path):
+        tgt = tmp_path / "t.json"
+        tgt.write_text(json.dumps({"dim": 2, "kappa": 2.0, "eigvals": [1.0, 2.0],
+                                   "mean": [1e308, 1e308]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mean-est", "--target", str(tgt), "--delta-mu", "0.1",
+                         "--output", str(tmp_path / "x.csv")]) == 2
 
     def test_bad_delta_exit_2(self, tmp_path):
         tgt = tmp_path / "t.json"

@@ -7,7 +7,7 @@ from smoothscore import (CoDiagonalLawPair, GaussianTarget, ParameterError,
                          build_grid, empirical_covariance, eval_sq_sum,
                          exact_accuracy, independent_accuracy, kl_codiagonal,
                          law_of_alg1, law_of_alg2, law_of_alg3_ideal,
-                         quantized_params, tv_bound, tv_gaussians_1d)
+                         sampler_params, tv_bound, tv_gaussians_1d)
 from smoothscore.diagnostics import ratio_rows, summary
 from smoothscore.quadrature import SincGrid
 
@@ -144,10 +144,10 @@ class TestLawConstructors:
 
     def test_alg3_deviation_bound_and_parameter_identity(self):
         d, kap, dtv = 4, 100.0, 0.3
-        p = quantized_params(d, kap, dtv)
+        p = sampler_params("quantized", d, kap, dtv)
         t = GaussianTarget(eigvals=[1.0, kap, 1.0, kap], kappa=kap)
         pair = law_of_alg3_ideal(t, p.grid, p.sigma2)
-        budget = 3 * p.eta + kap * p.sigma2
+        budget = 3 * p.grid.eta + kap * p.sigma2
         assert pair.max_deviation <= budget
         assert budget == pytest.approx(dtv / (3 * math.sqrt(d)), rel=1e-12)
 

@@ -101,7 +101,7 @@ class TestSmoothedScore:
         with pytest.raises(ParameterError):
             o.smoothed_score(0.0, np.array([1.0]))
         with pytest.raises(ParameterError):
-            o.resolvent_transform(-1.0, np.array([1.0]))
+            o.finite_bit_query([-1.0], np.array([1.0]), lambda g: (None, [""]), 0)
 
 
 def per_query_scores(oracle, taus, y):
@@ -161,15 +161,21 @@ class TestSmoothedScores:
             o.smoothed_scores([1.0, 2.0], np.zeros(3))
 
 
+def resolvent_transform(oracle, tau, z):
+    """One query giving tau*z + tau^2*s_tau(z) = (Lambda + I/tau)^{-1} z for
+    centered targets, the identity the samplers' shared core relies on."""
+    return tau * z + tau**2 * oracle.smoothed_score(tau, z)
+
+
 class TestResolventTransform:
     def test_scalar_identity(self):
         o = ScoreOracle(GaussianTarget(eigvals=[1.0], kappa=1.0))
-        assert o.resolvent_transform(1.0, np.array([2.0]))[0] == pytest.approx(1.0)
+        assert resolvent_transform(o, 1.0, np.array([2.0]))[0] == pytest.approx(1.0)
 
     def test_scalar_at_kappa(self):
         kap = 37.0
         o = ScoreOracle(GaussianTarget(eigvals=[kap], kappa=kap))
-        out = o.resolvent_transform(1.0 / kap, np.array([1.0]))[0]
+        out = resolvent_transform(o, 1.0 / kap, np.array([1.0]))[0]
         assert out == pytest.approx(1.0 / (2.0 * kap), rel=1e-14)
 
     def test_matches_direct_resolvent_on_random_targets(self):
@@ -183,7 +189,7 @@ class TestResolventTransform:
             t = GaussianTarget(eigvals=lam, kappa=kap, basis=basis)
             tau = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e2))))
             z = rng.standard_normal(d)
-            got = ScoreOracle(t).resolvent_transform(tau, z)
+            got = resolvent_transform(ScoreOracle(t), tau, z)
             ze = t.to_eigenbasis(z)
             want = t.from_eigenbasis(ze / (t.eigvals + 1.0 / tau))
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -200,34 +206,47 @@ class TestTapeAccounting:
 
     def test_zero_bit_encoder_counts_query_only(self):
         o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0))
-        msg = o.finite_bit_query(1.0, np.zeros(2), lambda g: "", 0)
-        assert msg == ""
+        kept, msgs = o.finite_bit_query([1.0], np.zeros(2), lambda g: (g, [""]), 0)
+        assert msgs == [""]
+        assert kept.shape == (1, 2)
         assert o.tape.query_count == 1
         assert o.tape.bits_sent == 0
 
     def test_bit_budgets_add(self):
         o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0))
-        o.finite_bit_query(1.0, np.zeros(2), lambda g: "010", 3)
-        o.finite_bit_query(2.0, np.zeros(2), lambda g: "10110", 5)
-        assert o.tape.bits_sent == 8
-        assert o.tape.query_count == 2
+        o.finite_bit_query([1.0], np.zeros(2), lambda g: (None, ["010"]), 3)
+        o.finite_bit_query([2.0, 3.0], np.zeros(2), lambda g: (None, ["10110", "00000"]), 5)
+        assert o.tape.bits_sent == 13
+        assert o.tape.query_count == 3
 
     def test_encoder_length_contract_enforced(self):
+        # Wrong length, wrong alphabet, one short message among two, and a
+        # message count other than q all raise before the tape records.
         o = ScoreOracle(GaussianTarget(eigvals=[1.0], kappa=1.0))
-        with pytest.raises(ParameterError):
-            o.finite_bit_query(1.0, np.zeros(1), lambda g: "01", 3)
-        with pytest.raises(ParameterError):
-            o.finite_bit_query(1.0, np.zeros(1), lambda g: "0x", 2)
+        for taus, messages, bits in [([1.0], ["01"], 3), ([1.0], ["0x"], 2),
+                                     ([1.0, 2.0], ["011", "01"], 3),
+                                     ([1.0, 2.0], ["011"] * 3, 3)]:
+            with pytest.raises(ParameterError):
+                o.finite_bit_query(taus, np.zeros(1), lambda g: (None, messages), bits)
+        assert o.tape.query_count == 0
 
     def test_quantizer_encoder_sends_d_times_b_bits(self):
         from smoothscore import QuantizerConfig, quantize_vector
         d, bits = 3, 5
         cfg = QuantizerConfig(bits=bits, clip_radius=2.0)
         o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0, 4.0], kappa=4.0))
-        msg = o.finite_bit_query(0.5, np.array([0.4, -1.0, 2.0]),
-                                 lambda g: quantize_vector(cfg, g)[1], d * bits)
-        assert len(msg) == d * bits
-        assert o.tape.bits_sent == d * bits
+        taus = [0.5, 2.0]
+        _, msgs = o.finite_bit_query(taus, np.array([0.4, -1.0, 2.0]),
+                                     lambda g: quantize_vector(cfg, g), d * bits)
+        assert [len(m) for m in msgs] == [d * bits] * 2
+        assert o.tape.bits_sent == 2 * d * bits
+        assert [tau for tau, _ in o.tape.queries] == taus
+
+    def test_finite_bit_scores_match_exact_queries(self):
+        t = GaussianTarget(eigvals=[1.0, 2.0, 4.0], kappa=4.0, mean=[0.5, 0.0, -1.0])
+        y = np.arange(6.0).reshape(2, 3)
+        g, _ = ScoreOracle(t).finite_bit_query([0.5, 2.0], y, lambda g: (g, ["", ""]), 0)
+        assert np.array_equal(g, ScoreOracle(t).smoothed_scores([0.5, 2.0], y))
 
 
 class TestJsonDescriptor:

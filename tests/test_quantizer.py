@@ -106,6 +106,15 @@ class TestQuantizeVector:
         _, msg = quantize_vector(cfg, np.array([0.4, 5.0, -7.0, 0.0]))
         assert msg == "01" + "11" + "00" + "10"
 
+    def test_rows_encode_one_bitstring_per_row(self):
+        cfg = QuantizerConfig(bits=7, clip_radius=2.0)
+        rows = np.random.default_rng(4).standard_normal((5, 3)) * 2.5
+        values, msgs = quantize_vector(cfg, rows)
+        per_row = [quantize_vector(cfg, row) for row in rows]
+        assert msgs == [m for _, m in per_row]
+        assert np.array_equal(values, np.array([v for v, _ in per_row]))
+        assert np.array_equal(decode_vector(cfg, "".join(msgs)), values.ravel())
+
     def test_decode_rejects_ragged_message(self, cfg23):
         with pytest.raises(ParameterError):
             decode_vector(cfg23, "010")

@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from smoothscore import (GaussianTarget, ParameterError, ScoreOracle, SincGrid,
-                         build_grid, estimate_mean, eval_r, exact_accuracy,
-                         independent_accuracy, lambda_norm, quantized_params,
+from smoothscore import (GaussianTarget, ParameterError, QuantizerConfig,
+                         ScoreOracle, SincGrid, build_grid, decode_vector,
+                         estimate_mean, eval_r, exact_accuracy,
+                         independent_accuracy, lambda_norm, quantize_vector,
                          sample_exact, sample_exact_with_grid,
                          sample_independent, sample_independent_with_grid,
-                         sample_quantized, sample_uncentered)
+                         sample_quantized, sample_uncentered, sampler_params)
 
 
 class FixedNormals:
@@ -33,6 +34,28 @@ def loop_combine(query, grid, points):
         term = c * (tau * z + tau**2 * query(tau, z))
         out = term if out is None else out + term
     return out
+
+
+def loop_quantized(target, delta_tv, rng):
+    """The per-shift loop the batched quantized sampler replaced: one
+    finite-bit query per shift, each term quantized and decoded on its own.
+    Returns (output, clip_overflow, quant_error_norm)."""
+    p = sampler_params("quantized", target.dim, target.kappa, delta_tv)
+    cfg = QuantizerConfig(bits=p.bits, clip_radius=p.r_clip)
+    oracle = ScoreOracle(target)
+    z = rng.standard_normal(target.dim)
+    y_hat = np.zeros(target.dim)
+    quant_error = np.zeros(target.dim)
+    clipped = False
+    for alpha, c in zip(p.grid.alphas, p.grid.coeffs):
+        tau = 1.0 / alpha
+        w = c * (tau * z + tau**2 * oracle.smoothed_score(tau, z))
+        w_hat = decode_vector(cfg, quantize_vector(cfg, w)[1])
+        clipped = clipped or bool(np.any(np.abs(w) > cfg.clip_radius))
+        y_hat += w_hat
+        quant_error += w_hat - w
+    y = y_hat + math.sqrt(p.sigma2) * rng.standard_normal(target.dim)
+    return y, clipped, float(np.linalg.norm(quant_error))
 
 
 def empty_grid():
@@ -163,17 +186,30 @@ class TestRationalCombine:
             assert np.array_equal(got.output, want)
             assert got.query_count == grid.query_budget + 2
 
-    @pytest.mark.parametrize("delta_tv", [1e-8, 1e-60, 1e-80])
+    @pytest.mark.parametrize("t", TARGETS)
+    def test_quantized_matches_loop_bit_for_bit(self, t):
+        for seed in range(5):
+            got = sample_quantized(t, 0.1, np.random.default_rng(seed))
+            y, clipped, err = loop_quantized(t, 0.1, np.random.default_rng(seed))
+            assert np.array_equal(got.output, y)
+            assert got.clip_overflow is clipped
+            assert got.quant_error_norm == err
+
+    @pytest.mark.parametrize("delta_tv", [1e-6, 1e-8, 1e-60, 1e-80])
     def test_roundoff_floor_rejected_without_warnings(self, delta_tv):
         # Below the floor the transform's cancellation loses more than eta:
         # at 1e-8 the output drifts 1e-6 off r(Lambda) Z against eta = 1.8e-9,
-        # at 1e-60 it is +-1e44 and at 1e-80 +-inf.
+        # at 1e-60 it is +-1e44 and at 1e-80 +-inf.  The quantized terms
+        # carry a roundoff of 6.3e-10 at 1e-6 (B = 40) and 1.3e-7 at 1e-8
+        # (B = 51), against a quantization budget sigma*delta_tv of 1.2e-10
+        # and 1.2e-13; at 1e-60 and 1e-80 B exceeds 52.
         t = GaussianTarget(eigvals=[1.0, 4.0], kappa=4.0)
         shifted = GaussianTarget(eigvals=[1.0, 4.0], kappa=4.0, mean=[1.0, -1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for run in (lambda rng: sample_exact(t, delta_tv, rng),
                         lambda rng: sample_independent(t, delta_tv, rng),
+                        lambda rng: sample_quantized(t, delta_tv, rng),
                         lambda rng: sample_uncentered(shifted, delta_tv, 0.1, rng)):
                 with pytest.raises(ParameterError):
                     run(np.random.default_rng(0))
@@ -235,19 +271,19 @@ class TestSampleQuantized:
     def test_accounting_and_parameters(self):
         t = GaussianTarget(eigvals=[1.0, 100.0, 1.0, 100.0], kappa=100.0)
         rep = sample_quantized(t, 0.3, np.random.default_rng(9))
-        p = quantized_params(4, 100.0, 0.3)
-        assert rep.query_count == p.query_budget
+        p = sampler_params("quantized", 4, 100.0, 0.3)
+        assert rep.query_count == p.grid.query_budget
         assert rep.params["bits"] == p.bits >= 1
-        assert rep.bits_total == 4 * p.bits * p.query_budget == p.total_bits(4)
+        assert rep.bits_total == 4 * p.bits * p.grid.query_budget == p.total_bits(4)
         assert rep.quant_error_norm is not None
 
     def test_bit_depth_at_least_one_across_regimes(self):
         for d, kap, dtv in [(1, 1.0, 0.99), (2, 1e6, 0.01), (16, 1e2, 0.5)]:
-            assert quantized_params(d, kap, dtv).bits >= 1
+            assert sampler_params("quantized", d, kap, dtv).bits >= 1
 
     def test_quantization_error_bound_on_no_clip_runs(self):
         t = GaussianTarget(eigvals=[1.0, 100.0, 1.0, 100.0], kappa=100.0)
-        p = quantized_params(4, 100.0, 0.3)
+        p = sampler_params("quantized", 4, 100.0, 0.3)
         sigma = math.sqrt(p.sigma2)
         seen_no_clip = 0
         for s in np.random.default_rng(77).spawn(300):
@@ -259,7 +295,7 @@ class TestSampleQuantized:
 
     def test_bit_depth_above_52_rejected_but_budget_reported(self):
         lam = [1.0, 1e33, 1e66, 1e100]
-        assert quantized_params(4, 1e100, 0.1).bits > 52
+        assert sampler_params("quantized", 4, 1e100, 0.1).bits > 52
         with pytest.raises(ParameterError):
             sample_quantized(GaussianTarget(eigvals=lam, kappa=1e100), 0.1,
                              np.random.default_rng(0))
@@ -303,6 +339,16 @@ class TestEstimateMean:
         with pytest.raises(ParameterError):
             estimate_mean(t, 0.0)
 
+    def test_overflowing_mean_rejected_without_warnings(self):
+        # ||b|| overflows float64, which used to give mu_hat = [nan, nan].
+        t = GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0, mean=[1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                estimate_mean(t, 0.1)
+            with pytest.raises(ParameterError):
+                sample_uncentered(t, 0.1, 0.1, np.random.default_rng(0))
+
 
 class TestSampleUncentered:
     def test_zero_mean_reduces_to_exact(self):
@@ -337,3 +383,29 @@ class TestSampleUncentered:
         want = (mu_hat + t.from_eigenbasis(shift_coeff * nu_eig)
                 + t.from_eigenbasis(eval_r(grid, t.eigvals) * t.to_eigenbasis(z)))
         assert np.max(np.abs(rep.output - want)) < 1e-10
+
+    @pytest.mark.parametrize("scale", [1e10, 1e12])
+    def test_roundoff_floor_scales_with_the_mean(self, scale):
+        # Queries at z + mu_hat carry a roundoff of about
+        # eps * |mu_hat| * sum_j c_j tau_j (sum = 1400 here): unchecked, the
+        # output lay 1.3e-3 off its conditional law at mean +-1e10 and 3.6e-2
+        # at +-1e12, against eta = 0.0177.
+        t = GaussianTarget(eigvals=[1.0, 4.0], kappa=4.0, mean=[scale, -scale])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                sample_uncentered(t, 0.1, 1e-6, np.random.default_rng(0))
+
+    def test_large_mean_above_the_floor_keeps_the_conditional_law(self):
+        # At mean +-1e4 the scaled floor is still 6e5 times below eta.
+        t = GaussianTarget(eigvals=[1.0, 4.0], kappa=4.0, mean=[1e4, -1e4])
+        grid = build_grid(exact_accuracy(2, 0.1), 4.0)
+        taus = 1.0 / grid.alphas
+        shift_coeff = np.array([np.sum(grid.coeffs * taus**2 / (s + taus))
+                                for s in t.cov_eigvals])
+        for seed in range(5):
+            rep = sample_uncentered(t, 0.1, 1e-6, np.random.default_rng(seed))
+            mu_hat = rep.params["mu_hat"]
+            z = np.random.default_rng(seed).standard_normal(2)
+            want = mu_hat + shift_coeff * (t.mean - mu_hat) + eval_r(grid, t.eigvals) * z
+            assert np.max(np.abs(rep.output - want)) <= 1e-5 * grid.eta
