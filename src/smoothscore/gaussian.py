@@ -219,18 +219,31 @@ class ScoreOracle:
         """
         taus, y, g = self._scores(taus, y)
         kept, messages = encoder(g)
-        if len(messages) != taus.size or any(
-                len(m) != bits or set(m) - {"0", "1"} for m in messages):
+        if (len(messages) != taus.size
+                or any(not isinstance(m, str) or len(m) != bits for m in messages)
+                or _has_non_bit("".join(messages))):
             raise ParameterError(
                 f"encoder must return {taus.size} bitstrings of declared length {bits}")
         self._record(taus, y, bits)
         return kept, messages
 
 
+def _has_non_bit(message: str) -> bool:
+    # Non-ASCII characters encode as '?', which the byte range test rejects.
+    raw = np.frombuffer(message.encode("ascii", "replace"), dtype=np.uint8)
+    return bool(raw.min(initial=ord("0")) < ord("0") or raw.max(initial=ord("1")) > ord("1"))
+
+
 def lambda_norm(target: GaussianTarget, v: np.ndarray) -> float:
     """Precision-weighted norm ||v||_Lambda = sqrt(v^T Lambda v)."""
     w = target.to_eigenbasis(np.asarray(v, dtype=np.float64))
-    return float(np.sqrt(np.sum(target.eigvals * w**2)))
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum(target.eigvals * w**2)))
+    if np.isinf(norm) and np.all(np.isfinite(w)):
+        # w**2 overflowed; rescaling by max |w_i| keeps smaller inputs bit for bit.
+        m = float(np.max(np.abs(w)))
+        norm = m * float(np.sqrt(np.sum(target.eigvals * (w / m) ** 2)))
+    return norm
 
 
 def target_to_json(target: GaussianTarget) -> str:

@@ -29,6 +29,8 @@ __all__ = [
 # Level indices are computed in float64, where ceil(x - 1/2) is exact only
 # while the index stays below 2**52.
 MAX_BITS = 52
+# grid() materializes every level; beyond 2**22 of them (32 MiB) it refuses.
+GRID_MAX_LEVELS = 2**22
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,9 @@ class QuantizerConfig:
         return 2.0 * self.clip_radius / (self.levels - 1)
 
     def grid(self) -> np.ndarray:
+        if self.levels > GRID_MAX_LEVELS:
+            raise ParameterError(
+                f"grid of 2**{self.bits} levels exceeds GRID_MAX_LEVELS = {GRID_MAX_LEVELS}")
         return -self.clip_radius + self.step * np.arange(self.levels)
 
     def level_value(self, level) -> np.ndarray:
@@ -82,21 +87,32 @@ def quantize_scalar(cfg: QuantizerConfig, t: float) -> float:
     return float(cfg.level_value(_level_index(cfg, t)))
 
 
-def _pack(levels: np.ndarray, bits: int) -> str:
-    # Little-endian per index: format() yields MSB-first, so reverse each chunk.
-    spec = f"0{bits}b"
-    return "".join(format(int(level), spec)[::-1] for level in levels)
+def _pack_rows(levels: np.ndarray, bits: int) -> list[str]:
+    # Each int64 index of the (n, d) rows as little-endian bytes, unpacked LSB
+    # first to its low ``bits`` bits; adding ord('0') makes them '0'/'1'.
+    n, d = levels.shape
+    raw = np.ascontiguousarray(levels, dtype="<i8").view(np.uint8).reshape(n, d, 8)
+    chars = np.unpackbits(raw, axis=-1, count=bits, bitorder="little")
+    chars += ord("0")
+    return [row.tobytes().decode("ascii") for row in chars.reshape(n, d * bits)]
 
 
 def _unpack(message: str, bits: int) -> np.ndarray:
+    if not isinstance(message, str):
+        raise ParameterError(f"bitstring must be a str, got {type(message).__name__}")
     if len(message) % bits != 0:
         raise ParameterError(f"bitstring length {len(message)} is not a multiple of {bits}")
-    try:
-        levels = [int(message[pos:pos + bits][::-1], 2)
-                  for pos in range(0, len(message), bits)]
-    except ValueError as exc:
-        raise ParameterError(f"malformed bitstring: {exc}") from exc
-    return np.asarray(levels, dtype=np.int64)
+    # Non-ASCII characters become '?'; every byte but '0' and '1' then maps
+    # above 1 (uint8 wraps below ord('0')).
+    digits = np.frombuffer(message.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+    if digits.max(initial=0) > 1:
+        raise ParameterError("bitstring holds characters other than '0' and '1'")
+    # Each chunk packs LSB first into ceil(bits/8) bytes, zero-padded to the
+    # 8 little-endian bytes of its int64 index.
+    packed = np.packbits(digits.reshape(-1, bits), axis=1, bitorder="little")
+    padded = np.zeros((len(packed), 8), dtype=np.uint8)
+    padded[:, :packed.shape[1]] = packed
+    return padded.view("<i8").ravel()
 
 
 def quantize_vector(cfg: QuantizerConfig, w: np.ndarray) -> tuple[np.ndarray, str | list[str]]:
@@ -108,12 +124,14 @@ def quantize_vector(cfg: QuantizerConfig, w: np.ndarray) -> tuple[np.ndarray, st
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
     levels = _level_index(cfg, w)
-    message = _pack(levels, cfg.bits) if w.ndim == 1 else [_pack(row, cfg.bits) for row in levels]
+    messages = _pack_rows(np.atleast_2d(levels), cfg.bits)
+    message = messages[0] if w.ndim == 1 else messages
     return cfg.level_value(levels), message
 
 
 def decode_vector(cfg: QuantizerConfig, message: str) -> np.ndarray:
-    """Reconstruct grid values from a packed bitstring."""
+    """Reconstruct grid values from a packed bitstring: a str of '0' and '1'
+    whose length is a multiple of ``bits``, else ParameterError."""
     levels = _unpack(message, cfg.bits)
     if np.any(levels >= cfg.levels):
         raise ParameterError("bitstring encodes a level index out of range")

@@ -286,8 +286,7 @@ def estimate_mean(target: GaussianTarget, delta_mu: float,
     mu_hat = tau_mu * s_{tau_mu}(0) with tau_mu = 2||b||/delta_mu.  If b = 0
     the mean is exactly zero and one query suffices.  Pass an oracle to share
     its tape with a surrounding run.  A mean so large that ||b|| or tau_mu
-    overflows float64 (||b|| is formed as sqrt(b.b), so ||mu|| ~ 1e154) is
-    rejected.
+    overflows float64 is rejected.
     """
     if not delta_mu > 0.0:
         raise ParameterError(f"delta_mu must be positive, got {delta_mu}")
@@ -298,7 +297,14 @@ def estimate_mean(target: GaussianTarget, delta_mu: float,
     if not np.any(b):
         return origin
     with np.errstate(over="ignore"):
-        tau_mu = 2.0 * float(np.linalg.norm(b)) / delta_mu
+        norm_b = float(np.linalg.norm(b))
+        if not math.isfinite(norm_b):
+            # sqrt(b.b) overflows once ||b|| > ~1.3e154.  Only then is the
+            # norm rescaled by m = max |b_i|, so smaller means keep their
+            # mu_hat bit for bit.
+            m = float(np.max(np.abs(b)))
+            norm_b = m * float(np.linalg.norm(b / m))
+        tau_mu = 2.0 * norm_b / delta_mu
     if not math.isfinite(tau_mu):
         raise ParameterError("mean too large to estimate: ||b|| or tau_mu overflows float64")
     return tau_mu * oracle.smoothed_score(tau_mu, origin)

@@ -247,6 +247,22 @@ class TestMeanEst:
             assert main(["mean-est", "--target", str(tgt), "--delta-mu", "0.1",
                          "--output", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("mean", [2e154, 1e300])
+    def test_mean_beyond_squared_norm_range(self, tmp_path, mean):
+        # ||b||**2 overflows float64 for both means, which are still estimated.
+        tgt = tmp_path / "t.json"
+        tgt.write_text(json.dumps({"dim": 2, "kappa": 2.0, "eigvals": [1.0, 2.0],
+                                   "mean": [mean, mean]}))
+        out = tmp_path / "m.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["mean-est", "--target", str(tgt), "--delta-mu", "0.1",
+                         "--output", str(out)]) == 0
+        cols = [float(c) for c in data_rows(out)[1].split(",")]
+        assert cols[1] == 2
+        assert cols[2] <= 0.1
+        assert cols[3:] == [mean, mean]
+
     def test_bad_delta_exit_2(self, tmp_path):
         tgt = tmp_path / "t.json"
         tgt.write_text(json.dumps({"dim": 1, "kappa": 1.0, "eigvals": [1.0],

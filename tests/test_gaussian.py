@@ -230,6 +230,16 @@ class TestTapeAccounting:
                 o.finite_bit_query(taus, np.zeros(1), lambda g: (None, messages), bits)
         assert o.tape.query_count == 0
 
+    @pytest.mark.parametrize("messages", [[b"01"], ["0\u00e9"], ["01", b"01"],
+                                          ["1-"], ["01", " 1"]])
+    def test_non_str_non_ascii_or_sign_message_rejected(self, messages):
+        o = ScoreOracle(GaussianTarget(eigvals=[1.0], kappa=1.0))
+        with pytest.raises(ParameterError):
+            o.finite_bit_query([1.0] * len(messages), np.zeros(1),
+                               lambda g: (None, messages), 2)
+        assert o.tape.query_count == 0
+        assert o.tape.bits_sent == 0
+
     def test_quantizer_encoder_sends_d_times_b_bits(self):
         from smoothscore import QuantizerConfig, quantize_vector
         d, bits = 3, 5
@@ -301,3 +311,8 @@ class TestLambdaNorm:
         v = rng.standard_normal(4)
         direct = float(np.sqrt(v @ (q @ np.diag(lam) @ q.T) @ v))
         assert lambda_norm(t, v) == pytest.approx(direct, rel=1e-12)
+
+    def test_large_vector_without_overflow(self):
+        # v**2 overflows float64 here although the norm sqrt(73)*1e200 does not.
+        t = GaussianTarget(eigvals=[1.0, 4.0], kappa=4.0)
+        assert lambda_norm(t, np.array([3e200, 4e200])) == pytest.approx(np.sqrt(73.0) * 1e200)

@@ -3,6 +3,12 @@ import pytest
 
 from smoothscore import (ParameterError, QuantizerConfig, decode_vector,
                          quantize_scalar, quantize_vector, smallest_bit_depth)
+from smoothscore.quantizer import GRID_MAX_LEVELS, MAX_BITS
+
+
+def loop_pack(levels, bits):
+    """Reference packer: each index MSB-first from format(), reversed to LSB first."""
+    return "".join(format(int(level), f"0{bits}b")[::-1] for level in levels)
 
 
 @pytest.fixture
@@ -31,6 +37,13 @@ class TestConfig:
         values, message = quantize_vector(cfg, w)
         assert np.max(np.abs(values - w)) <= cfg.step / 2
         assert np.array_equal(decode_vector(cfg, message), values)
+
+    def test_grid_capped_before_allocation(self):
+        # 2**40 levels would ask numpy for 8 TiB.
+        cap_bits = GRID_MAX_LEVELS.bit_length() - 1
+        for bits in (cap_bits + 1, 40, MAX_BITS):
+            with pytest.raises(ParameterError):
+                QuantizerConfig(bits=bits, clip_radius=1.0).grid()
 
     def test_json_roundtrip(self, cfg23):
         back = QuantizerConfig.from_json(cfg23.to_json())
@@ -118,6 +131,35 @@ class TestQuantizeVector:
     def test_decode_rejects_ragged_message(self, cfg23):
         with pytest.raises(ParameterError):
             decode_vector(cfg23, "010")
+
+    @pytest.mark.parametrize("bits, message", [(2, "1-"), (2, " 1"), (2, "0 "), (3, "1_0"),
+                                               (2, "1+"), (2, "0\u00e9"), (2, b"01")])
+    def test_decode_rejects_characters_other_than_bits(self, bits, message):
+        # int(chunk, 2) used to accept signs, spaces and underscores: "1-"
+        # decoded to the level -1, outside [-R, R].
+        with pytest.raises(ParameterError):
+            decode_vector(QuantizerConfig(bits=bits, clip_radius=3.0), message)
+
+
+class TestWireFormatReference:
+    @pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
+    def test_matches_loop_packer(self, bits):
+        # With R = (2**B - 1)/2 the step is 1, so w = level - R quantizes to
+        # exactly ``level``, from 0 to 2**B - 1, at every bit depth.
+        cfg = QuantizerConfig(bits=bits, clip_radius=(2**bits - 1) / 2)
+        rng = np.random.default_rng(bits)
+        for d in (1, 3, 1024):
+            levels = rng.integers(0, 2**bits, size=(3, d))
+            levels[0, 0], levels[-1, -1] = 0, 2**bits - 1
+            w = levels - cfg.clip_radius
+            values, msgs = quantize_vector(cfg, w)
+            assert msgs == [loop_pack(row, bits) for row in levels]
+            assert np.array_equal(values, w)
+            assert np.array_equal(decode_vector(cfg, "".join(msgs)), w.ravel())
+            for row, want in zip(w, msgs):
+                values, msg = quantize_vector(cfg, row)
+                assert msg == want
+                assert np.array_equal(decode_vector(cfg, msg), row)
 
 
 class TestSmallestBitDepth:
