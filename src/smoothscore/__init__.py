@@ -14,11 +14,11 @@ from .gaussian import (GaussianTarget, OracleTape, ScoreOracle, lambda_norm,
                        target_from_dict, target_from_json, target_to_json)
 from .quantizer import (QuantizerConfig, decode_vector, quantize_scalar,
                         quantize_vector, smallest_bit_depth)
-from .samplers import (SampleReport, SamplerParams, estimate_mean,
+from .samplers import (SampleBlock, SampleReport, SamplerParams, estimate_mean,
                        exact_accuracy, independent_accuracy, sample_exact,
                        sample_exact_with_grid, sample_independent,
-                       sample_independent_with_grid, sample_quantized,
-                       sample_uncentered, sampler_params)
+                       sample_independent_with_grid, sample_many,
+                       sample_quantized, sample_uncentered, sampler_params)
 from .diagnostics import (CoDiagonalLawPair, empirical_covariance, kl_codiagonal,
                           law_of_alg1, law_of_alg2, law_of_alg3_ideal, tv_bound,
                           tv_gaussians_1d)

@@ -13,6 +13,7 @@ on the worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -25,7 +26,6 @@ from . import channel, diagnostics, samplers
 from .errors import ParameterError
 from .gaussian import ScoreOracle, lambda_norm, target_from_dict, target_from_json
 from .quadrature import build_grid, sup_error_E1, sup_error_E2
-from .quantizer import QuantizerConfig
 from .samplers import estimate_mean
 
 __all__ = ["main"]
@@ -44,12 +44,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_lines(path: str, header: list[str], lines) -> None:
     with open(path, "w") as fh:
         fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    _write_lines(path, header, (",".join(_fmt(v) for v in row) for row in rows))
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -84,29 +88,9 @@ def _cmd_validate_quadrature(args) -> int:
     return 0
 
 
-_SAMPLE_DISPATCH = {
-    "exact": lambda target, cfg, rng: samplers.sample_exact(target, cfg["delta_tv"], rng),
-    "independent": lambda target, cfg, rng: samplers.sample_independent(target, cfg["delta_tv"], rng),
-    "quantized": lambda target, cfg, rng: samplers.sample_quantized(target, cfg["delta_tv"], rng),
-    "uncentered": lambda target, cfg, rng: samplers.sample_uncentered(
-        target, cfg["delta_tv"], cfg["delta_mu"], rng),
-}
-
-
-def _sample_certificate(algorithm: str, target, delta_tv: float) -> float:
-    spec = samplers.sampler_params(algorithm, target.dim, target.kappa, delta_tv)
-    if spec.bits is not None:
-        # Refuse a bit depth the sampler's quantizer rejects before any run.
-        QuantizerConfig(bits=spec.bits, clip_radius=spec.r_clip)
-    return diagnostics.tv_bound(spec.law(target))
-
-
 def _cmd_sample(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
-    algorithm = cfg.get("algorithm")
-    if algorithm == "uncentered" and "delta_mu" not in cfg:
-        raise ParameterError("uncentered sampling requires delta_mu")
     missing = {"target", "delta_tv", "seed"} - cfg.keys()
     if missing:
         raise ParameterError(f"run descriptor lacks keys: {sorted(missing)}")
@@ -114,18 +98,18 @@ def _cmd_sample(args) -> int:
     runs = int(cfg.get("runs", 1))
     if runs < 0:
         raise ParameterError(f"runs must be >= 0, got {runs}")
-    certificate = _sample_certificate(algorithm, target, float(cfg["delta_tv"]))
-
-    rows = []
-    if runs > 0:
-        master = np.random.default_rng(int(cfg["seed"]))
-        for run, stream in enumerate(master.spawn(runs)):
-            report = _SAMPLE_DISPATCH[algorithm](target, cfg, stream)
-            rows.append((run, *report.output, report.query_count, report.bits_total,
-                         report.clip_overflow, certificate))
+    streams = np.random.default_rng(int(cfg["seed"])).spawn(runs) if runs else []
+    block = samplers.sample_many(cfg.get("algorithm"), target, float(cfg["delta_tv"]),
+                                 streams, delta_mu=cfg.get("delta_mu"))
+    # Written as _fmt writes them: floats by repr, flags as true/false.
+    tail = f",{diagnostics.tv_bound(block.spec.law(target))!r}"
+    lines = (",".join([str(run), *map(repr, y), str(q), str(bits), _fmt(clip)]) + tail
+             for run, (y, q, bits, clip) in enumerate(zip(
+                 block.outputs.tolist(), block.query_counts.tolist(),
+                 block.bits_totals.tolist(), block.clip_overflow.tolist())))
     header = (["run"] + [f"y{i}" for i in range(target.dim)]
               + ["q", "Q", "clip_overflow", "tv_certificate"])
-    _write_csv(args.output, header, rows)
+    _write_lines(args.output, header, lines)
     return 0
 
 
@@ -258,8 +242,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs far more than parsing; it is never mutated.
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParameterError as exc:

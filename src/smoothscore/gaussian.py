@@ -5,14 +5,15 @@ spectrum of the precision matrix Lambda = Sigma^{-1} (normalized to lie in
 [1, kappa]) and ``basis`` holds the shared orthonormal eigenvectors (columns).
 All oracle responses are then exact per-eigendirection arithmetic.
 
-Oracle handles own a tape counting queries ``q`` and transmitted bits ``Q``;
-one handle per sampling run keeps the accounting unambiguous.
+Oracle handles own a tape recording every query, its bits and the totals
+``q`` and ``Q``; a block of sampling runs shares one handle, and each run
+reads its own share off the tape.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,20 +133,49 @@ class GaussianTarget:
         return v if self.basis is None else self.basis @ v
 
 
-@dataclass
 class OracleTape:
-    """Ordered record of oracle traffic: query points, q, and bit total Q."""
+    """Columnar record of oracle traffic, one entry per query in call order:
+    its noise level tau, its query point and the bits its answer sent.
 
-    queries: list = field(default_factory=list)   # (tau, y) in call order
-    bits_sent: int = 0
+    Each oracle call appends one chunk; the columns :attr:`taus`,
+    :attr:`points` and :attr:`bits` join the chunks when read, and
+    :attr:`queries` is a read-only view of the (tau, point) pairs.
+    ``received`` holds what the last finite-bit call delivered: the ASCII
+    codes of its messages' '0'/'1' characters, one row per query.
+    """
+
+    def __init__(self):
+        self._chunks: list[tuple[np.ndarray, np.ndarray, int]] = []
+        self.query_count = 0
+        self.bits_sent = 0
+        self.received: np.ndarray | None = None
+
+    def record(self, taus, points, bits: int = 0) -> None:
+        """Append the queries (taus[i], points[i]), each sending ``bits``
+        bits; both arrays share their leading shape, points add a last axis."""
+        taus = np.asarray(taus, dtype=np.float64)
+        self._chunks.append((taus, points, bits))
+        self.query_count += taus.size
+        self.bits_sent += bits * taus.size
 
     @property
-    def query_count(self) -> int:
-        return len(self.queries)
+    def taus(self) -> np.ndarray:
+        return np.concatenate([t.ravel() for t, _, _ in self._chunks] or [np.empty(0)])
 
-    def record(self, tau: float, y: np.ndarray, bits: int = 0) -> None:
-        self.queries.append((tau, y))
-        self.bits_sent += bits
+    @property
+    def points(self) -> np.ndarray:
+        return np.concatenate([p.reshape(t.size, -1) for t, p, _ in self._chunks]
+                              or [np.empty((0, 0))])
+
+    @property
+    def bits(self) -> np.ndarray:
+        return np.concatenate([np.full(t.size, b, dtype=np.int64) for t, _, b in self._chunks]
+                              or [np.empty(0, dtype=np.int64)])
+
+    @property
+    def queries(self) -> tuple:
+        """(tau, point) per query, in call order."""
+        return tuple(zip(self.taus, self.points))
 
 
 class ScoreOracle:
@@ -162,76 +192,93 @@ class ScoreOracle:
         self._plain = target.basis is None and target.is_centered
 
     def _score(self, tau, y: np.ndarray) -> np.ndarray:
-        # tau is a scalar with y of shape (d,), or a (q, 1) column with y of
-        # shape (d,) or (q, d), giving one row per shift.  Rows are points and
-        # the basis acts on columns, hence the transposes (no-ops in 1-d), so
-        # q shifts cost one rotation in and one dense product back.
+        # tau is a scalar with y of shape (d,), or a (q, 1) column with points
+        # y of shape (..., k, d), k = 1 (one point for every shift) or q,
+        # giving (..., q, d).  Rows are points and the basis acts on columns,
+        # hence the swaps; a stacked matmul applies the basis to each run's
+        # (d, k) block with the BLAS call a single run makes, so a block of
+        # runs is answered bit for bit as the runs one at a time.
         y = np.asarray(y, dtype=np.float64)
         if self._plain:
             return y / -(self._cov + tau)
         t = self.target
-        w = t.to_eigenbasis((y - t.mean).T).T
-        return t.from_eigenbasis((-w / (self._cov + tau)).T).T
+        w = _swap(t.to_eigenbasis(_swap(y - t.mean)))
+        return _swap(t.from_eigenbasis(_swap(-w / (self._cov + tau))))
 
     def smoothed_score(self, tau: float, y: np.ndarray) -> np.ndarray:
         """Exact query: returns -(Sigma + tau I)^{-1} (y - mu), records it."""
         if not tau > 0.0:
             raise ParameterError(f"tau must be positive, got {tau}")
         g = self._score(tau, y)
-        self.tape.record(tau, y)
+        self.tape.record(tau, np.asarray(y))
         return g
 
     def _scores(self, taus, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Checked batch (taus, y) and its (q, d) scores, not yet recorded.
+        # Checked batch (taus, y) and its scores, not yet recorded.
         taus = np.asarray(taus, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if taus.ndim != 1 or not np.all(taus > 0.0):
             raise ParameterError(f"taus must be a 1-d array of positive levels, got {taus}")
-        d = self.target.dim
-        if y.shape not in ((d,), (taus.size, d)):
+        d, q = self.target.dim, taus.size
+        if not (y.shape in ((d,), (q, d)) or (y.ndim == 3 and y.shape[1:] in ((1, d), (q, d)))):
             raise ParameterError(
-                f"y must have shape ({d},) or ({taus.size}, {d}), got {y.shape}")
+                f"y must have shape ({d},), ({q}, {d}), (n, 1, {d}) or (n, {q}, {d}), "
+                f"got {y.shape}")
         return taus, y, self._score(taus[:, None], y)
 
     def _record(self, taus: np.ndarray, y: np.ndarray, bits: int = 0) -> None:
-        for tau, point in zip(taus, y if y.ndim == 2 else [y] * taus.size):
-            self.tape.record(tau, point, bits=bits)
+        # Run-major: a block of n runs records run 0's q queries first.
+        lead = y.shape[:-2] + taus.shape
+        self.tape.record(np.broadcast_to(taus, lead),
+                         np.broadcast_to(y, lead + y.shape[-1:]), bits)
 
     def smoothed_scores(self, taus, y: np.ndarray) -> np.ndarray:
         """q exact queries answered in one call: row j is s_{tau_j}(y_j).
 
         ``y`` is one point of shape (d,) shared by every shift, or one point
-        per shift of shape (q, d).  The tape records the q queries
-        (tau_j, y_j) in index order, exactly as q calls of
-        :meth:`smoothed_score` would.
+        per shift of shape (q, d), giving (q, d) scores.  A block of n runs
+        passes (n, 1, d) or (n, q, d) and gets (n, q, d).  The tape records
+        the queries (tau_j, y_j) run by run in index order, exactly as one
+        :meth:`smoothed_score` call per query would.
         """
         taus, y, g = self._scores(taus, y)
         self._record(taus, y)
         return g
 
     def finite_bit_query(self, taus, y: np.ndarray, encoder, bits: int):
-        """q finite-bit queries in one call: the oracle computes the (q, d)
-        scores s_{tau_j}(y_j), ``y`` shaped as in :meth:`smoothed_scores`,
-        and returns ``encoder(scores)``, a pair ``(kept, messages)``.  Only
+        """Finite-bit queries in one call: the oracle computes the scores
+        s_{tau_j}(y_j), ``y`` shaped as in :meth:`smoothed_scores`, and
+        returns ``encoder(scores)``, a pair ``(kept, messages)``.  Only
         ``messages``, one '0'/'1' string of the declared length ``bits`` per
-        shift, crosses the channel: the tape records q queries of ``bits``
-        bits in index order.  ``kept`` is handed back for the caller's report.
+        query in the tape's order, crosses the channel: it is checked,
+        joined and encoded once, the tape records the queries of ``bits``
+        bits and keeps the encoded characters as ``tape.received``.
+        ``kept`` is handed back for the caller's report.
         """
         taus, y, g = self._scores(taus, y)
         kept, messages = encoder(g)
-        if (len(messages) != taus.size
+        count = taus.size * (y.shape[0] if y.ndim == 3 else 1)
+        if (len(messages) != count
                 or any(not isinstance(m, str) or len(m) != bits for m in messages)
-                or _has_non_bit("".join(messages))):
+                or (received := _bit_chars("".join(messages))) is None):
             raise ParameterError(
-                f"encoder must return {taus.size} bitstrings of declared length {bits}")
+                f"encoder must return {count} bitstrings of declared length {bits}")
         self._record(taus, y, bits)
+        self.tape.received = received.reshape(count, bits)
         return kept, messages
 
 
-def _has_non_bit(message: str) -> bool:
+def _swap(a: np.ndarray) -> np.ndarray:
+    return a if a.ndim < 2 else np.swapaxes(a, -1, -2)
+
+
+def _bit_chars(message: str) -> np.ndarray | None:
+    # The message's ASCII codes, or None if one is not '0' or '1'.
     # Non-ASCII characters encode as '?', which the byte range test rejects.
     raw = np.frombuffer(message.encode("ascii", "replace"), dtype=np.uint8)
-    return bool(raw.min(initial=ord("0")) < ord("0") or raw.max(initial=ord("1")) > ord("1"))
+    if raw.min(initial=ord("0")) < ord("0") or raw.max(initial=ord("1")) > ord("1"):
+        return None
+    return raw
 
 
 def lambda_norm(target: GaussianTarget, v: np.ndarray) -> float:

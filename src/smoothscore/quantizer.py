@@ -97,14 +97,19 @@ def _pack_rows(levels: np.ndarray, bits: int) -> list[str]:
     return [row.tobytes().decode("ascii") for row in chars.reshape(n, d * bits)]
 
 
-def _unpack(message: str, bits: int) -> np.ndarray:
-    if not isinstance(message, str):
-        raise ParameterError(f"bitstring must be a str, got {type(message).__name__}")
-    if len(message) % bits != 0:
-        raise ParameterError(f"bitstring length {len(message)} is not a multiple of {bits}")
-    # Non-ASCII characters become '?'; every byte but '0' and '1' then maps
+def _unpack(message, bits: int) -> np.ndarray:
+    if isinstance(message, str):
+        raw = np.frombuffer(message.encode("ascii", "replace"), dtype=np.uint8)
+    elif isinstance(message, np.ndarray) and message.dtype == np.uint8:
+        raw = message.ravel()
+    else:
+        raise ParameterError(
+            f"bitstring must be a str or uint8 character codes, got {type(message).__name__}")
+    if raw.size % bits != 0:
+        raise ParameterError(f"bitstring length {raw.size} is not a multiple of {bits}")
+    # Non-ASCII characters became '?'; every byte but '0' and '1' then maps
     # above 1 (uint8 wraps below ord('0')).
-    digits = np.frombuffer(message.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+    digits = raw - ord("0")
     if digits.max(initial=0) > 1:
         raise ParameterError("bitstring holds characters other than '0' and '1'")
     # Each chunk packs LSB first into ceil(bits/8) bytes, zero-padded to the
@@ -129,9 +134,10 @@ def quantize_vector(cfg: QuantizerConfig, w: np.ndarray) -> tuple[np.ndarray, st
     return cfg.level_value(levels), message
 
 
-def decode_vector(cfg: QuantizerConfig, message: str) -> np.ndarray:
-    """Reconstruct grid values from a packed bitstring: a str of '0' and '1'
-    whose length is a multiple of ``bits``, else ParameterError."""
+def decode_vector(cfg: QuantizerConfig, message) -> np.ndarray:
+    """Reconstruct grid values from a packed bitstring: a str of '0' and '1',
+    or the uint8 array of its ASCII codes as ``OracleTape.received`` holds
+    it, whose length is a multiple of ``bits``, else ParameterError."""
     levels = _unpack(message, cfg.bits)
     if np.any(levels >= cfg.levels):
         raise ParameterError("bitstring encodes a level index out of range")

@@ -11,13 +11,16 @@ Each public sampler derives its full parameter tuple and output law from
 (delta_tv, kappa, d) through :func:`sampler_params`; the ``*_with_grid``
 variants bypass those choices for experimentation and carry no guarantee.
 
-The q shifts of one sample are fixed before any query, so every sampler asks
-all of them in one batched oracle call (one finite-bit call for the quantized
-sampler); the tape still records q queries.
+The q shifts of one sample are fixed before any query, so n runs on one
+target are n*q queries on one grid.  :func:`sample_many` is the one sampling
+path: it builds the spec and grid once and asks the queries of a block of
+runs in one batched oracle call (one finite-bit call for the quantized
+sampler); the tape still records every query, and each run reports its own
+q and Q.  The per-run samplers are its one-run calls.
 
 Randomness contract: one generator per run, draws in a fixed order (Z first,
 then the dither G; per-shift vectors Z_j in index order, drawn as one (q, d)
-array), so runs are bit-reproducible from the seed.
+array), so runs are bit-reproducible from the seed, alone or in a block.
 """
 
 from __future__ import annotations
@@ -35,11 +38,13 @@ from .quadrature import C0, SincGrid, build_grid
 from .quantizer import QuantizerConfig, decode_vector, quantize_vector, smallest_bit_depth
 
 __all__ = [
+    "SampleBlock",
     "SampleReport",
     "SamplerParams",
     "exact_accuracy",
     "independent_accuracy",
     "sampler_params",
+    "sample_many",
     "sample_exact",
     "sample_independent",
     "sample_quantized",
@@ -163,10 +168,11 @@ def _shift_levels(grid: SincGrid, scale: float = 1.0) -> np.ndarray:
 
 
 def _resolvent_terms(grid: SincGrid, z: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Row j is c_j * (tau_j z_j + tau_j^2 g_j), the j-th resolvent term;
-    ``z`` has shape (d,) or one row per shift, ``g`` holds the (q, d) scores.
+    """Row j of each run is c_j * (tau_j z_j + tau_j^2 g_j), the j-th
+    resolvent term; ``g`` holds the (n, q, d) scores of n runs and ``z`` the
+    points of each run, (n, 1, d) or one row per shift (n, q, d).
 
-    Summing the rows over j in index order adds them as a loop over the
+    Summing a run's rows over j in index order adds them as a loop over the
     shifts would (for d = 1 numpy pairs the single column's terms up
     instead).  Regrouping the sum, e.g. as (sum_j c_j tau_j) z + ..., would
     change the roundoff of the cancellation.
@@ -175,40 +181,136 @@ def _resolvent_terms(grid: SincGrid, z: np.ndarray, g: np.ndarray) -> np.ndarray
     return grid.coeffs[:, None] * (t * z + t**2 * g)
 
 
-def _rational_combine(oracle: ScoreOracle, grid: SincGrid, z: np.ndarray,
-                      shift: np.ndarray | None = None) -> np.ndarray:
-    """Sum c_j * (tau_j z_j + tau_j^2 s_{tau_j}(z_j + shift)) over the grid,
-    with all q queries answered in one oracle call.  The roundoff floor
-    scales with the shift, since the queries are made at z + shift."""
-    scale = 1.0 if shift is None else max(1.0, float(np.abs(shift).max()))
-    taus = _shift_levels(grid, scale)
-    g = oracle.smoothed_scores(taus, z if shift is None else z + shift)
-    return np.sum(_resolvent_terms(grid, z, g), axis=0)
+# Runs are answered in blocks of at most about this many entries (floats per
+# run, shift and coordinate, or message characters), each block by one
+# oracle handle, so memory stays bounded however many runs a call asks for.
+_BLOCK_ENTRIES = 2**17
 
 
-def _report(oracle: ScoreOracle, spec: SamplerParams, y: np.ndarray,
-            clip_overflow: bool = False, quant_error_norm: float | None = None,
-            **extra) -> SampleReport:
+def _encode_terms(cfg: QuantizerConfig, grid: SincGrid, z: np.ndarray, g: np.ndarray):
+    """Finite-bit encoder: the resolvent terms W_j of every run, quantized
+    into one message per query.  W itself stays off the channel, kept for
+    the run reports."""
+    w = _resolvent_terms(grid, z, g)
+    return w, quantize_vector(cfg, w.reshape(-1, w.shape[-1]))[1]
+
+
+@dataclass
+class SampleBlock:
+    """n runs of one sampler on one target.  Row i of ``outputs`` and entry
+    i of each per-run array belong to run i; ``spec``, ``params`` and
+    ``noise_levels`` are shared by every run."""
+
+    outputs: np.ndarray
+    query_counts: np.ndarray
+    bits_totals: np.ndarray
+    clip_overflow: np.ndarray
+    quant_error_norms: np.ndarray | None
+    spec: SamplerParams
+    params: dict
+    noise_levels: np.ndarray
+
+    def report(self, run: int) -> SampleReport:
+        """Run ``run`` as the report of a run of its own."""
+        errors = self.quant_error_norms
+        return SampleReport(output=self.outputs[run],
+                            query_count=int(self.query_counts[run]),
+                            bits_total=int(self.bits_totals[run]),
+                            clip_overflow=bool(self.clip_overflow[run]),
+                            params=self.params,
+                            noise_levels=self.noise_levels,
+                            quant_error_norm=None if errors is None else float(errors[run]))
+
+
+def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float | None, streams,
+                *, delta_mu: float | None = None, grid: SincGrid | None = None) -> SampleBlock:
+    """One run of ``algorithm`` per generator in ``streams``; the queries of
+    a block of runs, (runs, q, d), are answered by one oracle call.
+
+    The spec, the grid, the quantizer and the roundoff floor are set up
+    once.  Run i draws from ``streams[i]`` what a run of its own draws, in
+    the same order (Z, or the (q, d) Z_j, then the dither G), so it equals
+    that run bit for bit: output, q and Q (read off the tape), clip flag and
+    quantization error.  The uncentered sampler estimates the mean once for
+    the block; every run's q counts those queries, as a run of its own
+    spends them.
+
+    ``grid`` replaces the derived grid of the exact or independent sampler
+    (no TV guarantee; ``delta_tv`` is then unused).  With no streams only
+    the parameters are checked.
+    """
+    streams = list(streams)
+    n, d = len(streams), target.dim
+    if grid is None:
+        spec = sampler_params(algorithm, d, target.kappa, delta_tv)
+        extra = {"delta_tv": float(delta_tv)}
+    elif algorithm in ("exact", "independent"):
+        spec, extra = SamplerParams(algorithm, grid), {}
+    else:
+        raise ParameterError(f"the {algorithm} sampler takes no caller-supplied grid")
+    if algorithm == "uncentered" and delta_mu is None:
+        raise ParameterError("uncentered sampling requires delta_mu")
+    cfg = None if spec.bits is None else QuantizerConfig(bits=spec.bits, clip_radius=spec.r_clip)
     g = spec.grid
-    return SampleReport(output=y,
-                        query_count=oracle.tape.query_count,
-                        bits_total=oracle.tape.bits_sent,
-                        clip_overflow=clip_overflow,
-                        params={"eta": g.eta, "h": g.h, "M": g.M, "N": g.N,
-                                "sigma2": spec.sigma2, "r_clip": spec.r_clip,
-                                "bits": spec.bits, **extra},
-                        noise_levels=1.0 / g.alphas,
-                        quant_error_norm=quant_error_norm)
+    params = {"eta": g.eta, "h": g.h, "M": g.M, "N": g.N, "sigma2": spec.sigma2,
+              "r_clip": spec.r_clip, "bits": spec.bits, **extra}
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return SampleBlock(np.empty((0, d)), empty, empty, np.empty(0, dtype=bool),
+                           None if cfg is None else np.empty(0), spec, params, 1.0 / g.alphas)
+
+    shift, shared = None, 0
+    if algorithm == "uncentered":
+        mean_oracle = ScoreOracle(target)
+        shift = estimate_mean(target, delta_mu, oracle=mean_oracle)
+        shared = mean_oracle.tape.query_count
+        params.update(delta_mu=float(delta_mu), mu_hat=shift)
+    else:
+        _require_centered(target)
+    # The queries are made at z + shift, so the floor scales with it.
+    taus = _shift_levels(g, 1.0 if shift is None else max(1.0, float(np.abs(shift).max())))
+    y = np.empty((n, d))
+    query_counts = np.empty(n, dtype=np.int64)
+    bits_totals = np.empty(n, dtype=np.int64)
+    clip = np.zeros(n, dtype=bool)
+    quant_errors = None if cfg is None else np.empty(n)
+    # A quantized query also carries d*B message characters.
+    width = taus.size * d * (1 if cfg is None else cfg.bits)
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    for lo in range(0, n, step):
+        part = streams[lo:lo + step]
+        rows = slice(lo, lo + len(part))
+        if algorithm == "independent":
+            z = np.stack([s.standard_normal((taus.size, d)) for s in part])
+        else:
+            z = np.stack([s.standard_normal(d) for s in part])[:, None]
+        oracle = ScoreOracle(target)
+        if cfg is None:
+            scores = oracle.smoothed_scores(taus, z if shift is None else z + shift)
+            y[rows] = np.sum(_resolvent_terms(g, z, scores), axis=1)
+        else:
+            w, _ = oracle.finite_bit_query(taus, z, partial(_encode_terms, cfg, g, z),
+                                           d * cfg.bits)
+            w_hat = decode_vector(cfg, oracle.tape.received).reshape(w.shape)
+            dither = np.stack([s.standard_normal(d) for s in part])
+            y[rows] = np.sum(w_hat, axis=1) + math.sqrt(spec.sigma2) * dither
+            clip[rows] = np.any(np.abs(w) > cfg.clip_radius, axis=(1, 2))
+            quant_errors[rows] = [np.linalg.norm(e) for e in np.sum(w_hat - w, axis=1)]
+        run_bits = oracle.tape.bits.reshape(len(part), -1)
+        query_counts[rows] = shared + run_bits.shape[1]
+        bits_totals[rows] = run_bits.sum(axis=1)
+    if algorithm == "independent":
+        y /= math.sqrt(g.L_h)
+    if shift is not None:
+        y += shift
+    return SampleBlock(y, query_counts, bits_totals, clip, quant_errors, spec, params,
+                       1.0 / g.alphas)
 
 
 def sample_exact_with_grid(target: GaussianTarget, grid: SincGrid,
                            rng: np.random.Generator) -> SampleReport:
     """One-point rational sampler on a caller-supplied grid (no TV guarantee)."""
-    _require_centered(target)
-    oracle = ScoreOracle(target)
-    z = rng.standard_normal(target.dim)
-    y = _rational_combine(oracle, grid, z)
-    return _report(oracle, SamplerParams("exact", grid), y)
+    return sample_many("exact", target, None, [rng], grid=grid).report(0)
 
 
 def sample_exact(target: GaussianTarget, delta_tv: float,
@@ -219,20 +321,13 @@ def sample_exact(target: GaussianTarget, delta_tv: float,
     The output is exactly r(Lambda) Z, so its law is N(0, r(Lambda)^2); the
     TV guarantee is the KL->Pinsker certificate on those variance ratios.
     """
-    spec = sampler_params("exact", target.dim, target.kappa, delta_tv)
-    report = sample_exact_with_grid(target, spec.grid, rng)
-    report.params["delta_tv"] = float(delta_tv)
-    return report
+    return sample_many("exact", target, delta_tv, [rng]).report(0)
 
 
 def sample_independent_with_grid(target: GaussianTarget, grid: SincGrid,
                                  rng: np.random.Generator) -> SampleReport:
     """Independent-query variant on a caller-supplied grid (no TV guarantee)."""
-    _require_centered(target)
-    oracle = ScoreOracle(target)
-    z = rng.standard_normal((grid.query_budget, target.dim))
-    y = _rational_combine(oracle, grid, z) / math.sqrt(grid.L_h)
-    return _report(oracle, SamplerParams("independent", grid), y)
+    return sample_many("independent", target, None, [rng], grid=grid).report(0)
 
 
 def sample_independent(target: GaussianTarget, delta_tv: float,
@@ -241,17 +336,7 @@ def sample_independent(target: GaussianTarget, delta_tv: float,
 
     Output law is N(0, (1/L_h) sum_j c_j^2 (Lambda + alpha_j I)^{-2}).
     """
-    spec = sampler_params("independent", target.dim, target.kappa, delta_tv)
-    report = sample_independent_with_grid(target, spec.grid, rng)
-    report.params["delta_tv"] = float(delta_tv)
-    return report
-
-
-def _encode_terms(cfg: QuantizerConfig, grid: SincGrid, z: np.ndarray, g: np.ndarray):
-    """Finite-bit encoder: the resolvent terms W_j, quantized into one message
-    per shift.  W itself stays off the channel, kept for the run report."""
-    w = _resolvent_terms(grid, z, g)
-    return w, quantize_vector(cfg, w)[1]
+    return sample_many("independent", target, delta_tv, [rng]).report(0)
 
 
 def sample_quantized(target: GaussianTarget, delta_tv: float,
@@ -262,20 +347,17 @@ def sample_quantized(target: GaussianTarget, delta_tv: float,
 
     Clipping is reported, never raised: the TV budget already pays for it.
     """
-    _require_centered(target)
-    spec = sampler_params("quantized", target.dim, target.kappa, delta_tv)
-    cfg = QuantizerConfig(bits=spec.bits, clip_radius=spec.r_clip)
-    taus = _shift_levels(spec.grid)
-    oracle = ScoreOracle(target)
-    z = rng.standard_normal(target.dim)
-    w, messages = oracle.finite_bit_query(taus, z, partial(_encode_terms, cfg, spec.grid, z),
-                                          target.dim * cfg.bits)
-    w_hat = decode_vector(cfg, "".join(messages)).reshape(w.shape)
-    y = np.sum(w_hat, axis=0) + math.sqrt(spec.sigma2) * rng.standard_normal(target.dim)
-    return _report(oracle, spec, y,
-                   clip_overflow=bool(np.any(np.abs(w) > cfg.clip_radius)),
-                   quant_error_norm=float(np.linalg.norm(np.sum(w_hat - w, axis=0))),
-                   delta_tv=float(delta_tv))
+    return sample_many("quantized", target, delta_tv, [rng]).report(0)
+
+
+# Float64 roundoff of mu_hat in the Lambda-norm: a few roundings per
+# coordinate plus the oracle's two dense rotations, about
+# (4 + 2d) * eps * ||mu|| in the 2-norm, times sqrt(kappa), with
+# ||mu|| <= 2 ||b||.
+_MEAN_ROUNDOFF = 2.0 * np.finfo(np.float64).eps
+# From 2**53 on, tau + sigma rounds to tau for every covariance eigenvalue
+# sigma <= 1.
+_ABSORBING_TAU = 2.0**53
 
 
 def estimate_mean(target: GaussianTarget, delta_mu: float,
@@ -285,8 +367,16 @@ def estimate_mean(target: GaussianTarget, delta_mu: float,
     Two exact queries at the origin: b = s_1(0) bounds ||mu|| <= 2||b||, and
     mu_hat = tau_mu * s_{tau_mu}(0) with tau_mu = 2||b||/delta_mu.  If b = 0
     the mean is exactly zero and one query suffices.  Pass an oracle to share
-    its tape with a surrounding run.  A mean so large that ||b|| or tau_mu
-    overflows float64 is rejected.
+    its tape with a surrounding run.
+
+    Once the float64 roundoff of mu_hat, about (4 + 2d) eps sqrt(kappa)
+    2||b||, reaches delta_mu, the bound would hold only by chance, and the
+    mean is rejected with ParameterError.  Diagonal targets are the
+    exception: there tau_mu is raised to a power of two of at least 2**53,
+    against which every covariance eigenvalue vanishes, so the second answer
+    is mu / tau_mu exactly and mu_hat = mu (barring underflow, which is
+    checked).  A mean so large that ||b|| or tau_mu overflows float64 is
+    rejected too.
     """
     if not delta_mu > 0.0:
         raise ParameterError(f"delta_mu must be positive, got {delta_mu}")
@@ -307,6 +397,17 @@ def estimate_mean(target: GaussianTarget, delta_mu: float,
         tau_mu = 2.0 * norm_b / delta_mu
     if not math.isfinite(tau_mu):
         raise ParameterError("mean too large to estimate: ||b|| or tau_mu overflows float64")
+    scale = math.sqrt(target.kappa)
+    if _MEAN_ROUNDOFF * (4 + 2 * target.dim) * scale * norm_b < delta_mu:
+        return tau_mu * oracle.smoothed_score(tau_mu, origin)
+    tau_mu = math.ldexp(1.0, math.ceil(math.log2(max(tau_mu, _ABSORBING_TAU))))
+    # mu_i / tau_mu is exact unless it falls below the normal range, where
+    # its error is at most 2**-1075 before the product with tau_mu.
+    underflow = math.sqrt(target.dim) * scale * math.ldexp(tau_mu, -1075)
+    if target.basis is not None or not math.isfinite(tau_mu) or underflow >= delta_mu:
+        raise ParameterError(
+            f"mean too large for delta_mu={delta_mu:g}: the float64 roundoff of the "
+            "estimate can reach it")
     return tau_mu * oracle.smoothed_score(tau_mu, origin)
 
 
@@ -319,10 +420,4 @@ def sample_uncentered(target: GaussianTarget, delta_tv: float, delta_mu: float,
     closed form; the mean certificate ||mu_hat - mu||_Lambda <= delta_mu is
     reported separately rather than folded into a combined TV claim.
     """
-    spec = sampler_params("uncentered", target.dim, target.kappa, delta_tv)
-    oracle = ScoreOracle(target)
-    mu_hat = estimate_mean(target, delta_mu, oracle=oracle)
-    z = rng.standard_normal(target.dim)
-    y = _rational_combine(oracle, spec.grid, z, shift=mu_hat) + mu_hat
-    return _report(oracle, spec, y, delta_tv=float(delta_tv),
-                   delta_mu=float(delta_mu), mu_hat=mu_hat)
+    return sample_many("uncentered", target, delta_tv, [rng], delta_mu=delta_mu).report(0)

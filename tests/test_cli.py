@@ -8,7 +8,8 @@ import pytest
 
 from smoothscore import (build_grid, law_of_alg1, law_of_alg2, law_of_alg3_ideal,
                          sample_exact, sample_independent, sample_quantized,
-                         sample_uncentered, target_from_dict, tv_bound)
+                         sample_uncentered, sampler_params, target_from_dict, tv_bound)
+from smoothscore import cli
 from smoothscore.cli import main
 
 
@@ -153,6 +154,38 @@ class TestSample:
         assert certificate == tv_bound(law)
 
 
+    @pytest.mark.parametrize("algorithm", ["exact", "independent", "quantized", "uncentered"])
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_rows_match_a_per_run_loop(self, tmp_path, algorithm, rotated):
+        # One block call writes the rows a loop of per-run samplers on the
+        # spawned streams gives, formatted value by value with _fmt.
+        rng = np.random.default_rng(4)
+        d = 5
+        doc = {"dim": d, "kappa": 1e4, "eigvals": np.geomspace(1.0, 1e4, d).tolist(),
+               "mean": (3.0 * rng.standard_normal(d) if algorithm == "uncentered"
+                        else np.zeros(d)).tolist()}
+        if rotated:
+            doc["basis"] = np.linalg.qr(rng.standard_normal((d, d)))[0].reshape(-1).tolist()
+        cfg = {"algorithm": algorithm, "target": doc, "delta_tv": 0.1, "delta_mu": 1e-6,
+               "seed": 17, "runs": 12}
+        path, out = tmp_path / "run.json", tmp_path / "s.csv"
+        path.write_text(json.dumps(cfg))
+        assert main(["sample", "--config", str(path), "--output", str(out)]) == 0
+
+        target = target_from_dict(doc)
+        certificate = tv_bound(sampler_params(algorithm, d, 1e4, 0.1).law(target))
+        run = {"exact": lambda s: sample_exact(target, 0.1, s),
+               "independent": lambda s: sample_independent(target, 0.1, s),
+               "quantized": lambda s: sample_quantized(target, 0.1, s),
+               "uncentered": lambda s: sample_uncentered(target, 0.1, 1e-6, s)}[algorithm]
+        want = []
+        for i, s in enumerate(np.random.default_rng(17).spawn(12)):
+            rep = run(s)
+            row = (i, *rep.output, rep.query_count, rep.bits_total, rep.clip_overflow, certificate)
+            want.append(",".join(cli._fmt(v) for v in row) + "\n")
+        assert data_rows(out)[1:] == want
+
+
 class TestScaling:
     def test_columns_and_determinism(self, tmp_path):
         def build(out):
@@ -269,6 +302,49 @@ class TestMeanEst:
                                    "mean": [0.0]}))
         assert main(["mean-est", "--target", str(tgt), "--delta-mu", "-1",
                      "--output", str(tmp_path / "x.csv")]) == 2
+
+
+def test_one_parser_serves_successive_calls(tmp_path, run_config, monkeypatch):
+    # The parser is built once per process; alternating commands, and a bad
+    # argument in between, give what fresh processes give.
+    path, _ = run_config
+    assert cli._parser() is cli._parser()
+    builds = []
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda build=cli._build_parser: builds.append(1) or build())
+    calls = {
+        "sample": lambda out: ["sample", "--config", str(path), "--output", out],
+        "scaling": lambda out: ["scaling", "--kappas", "1,1e4", "--delta-tv", "0.1",
+                                "--d", "3", "--output", out],
+    }
+    fresh = {}
+    for name, argv in calls.items():
+        out = tmp_path / f"fresh-{name}.csv"
+        proc = subprocess.run([sys.executable, "-m", "smoothscore", *argv(str(out))],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        fresh[name] = data_rows(out)
+    bad = ["scaling", "--kappas", "1", "--d", "3"]
+    proc = subprocess.run([sys.executable, "-m", "smoothscore", *bad], capture_output=True)
+    assert proc.returncode == 2
+    for k in range(2):
+        for name, argv in calls.items():
+            out = tmp_path / f"{name}-{k}.csv"
+            assert main(argv(str(out))) == 0
+            assert data_rows(out) == fresh[name]
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+    assert builds == []
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test-only reference; the package and its CLI run without it.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, smoothscore.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point(tmp_path):

@@ -155,10 +155,33 @@ class TestSmoothedScores:
 
     def test_rejects_point_shape(self):
         o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0))
-        with pytest.raises(ParameterError):
-            o.smoothed_scores([1.0, 2.0], np.zeros((3, 2)))
-        with pytest.raises(ParameterError):
-            o.smoothed_scores([1.0, 2.0], np.zeros(3))
+        for y in (np.zeros((3, 2)), np.zeros(3), np.zeros((4, 3, 2)), np.zeros((4, 2, 3)),
+                  np.zeros((2, 2, 2, 2))):
+            with pytest.raises(ParameterError):
+                o.smoothed_scores([1.0, 2.0], y)
+        assert o.tape.query_count == 0
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("per_shift", [False, True])
+    def test_block_of_runs_answers_each_run_as_alone(self, rotated, per_shift):
+        # A block of n runs gets each run's scores bit for bit, and the tape
+        # holds run 0's q queries first, then run 1's.
+        rng = np.random.default_rng(3)
+        d, q, n = 4, self.TAUS.size, 3
+        t = GaussianTarget(eigvals=np.geomspace(1.0, 1e3, d), kappa=1e3,
+                           basis=random_rotation(d, rng) if rotated else None)
+        y = rng.standard_normal((n, q if per_shift else 1, d))
+        o = ScoreOracle(t)
+        g = o.smoothed_scores(self.TAUS, y)
+        assert g.shape == (n, q, d)
+        for i in range(n):
+            alone = ScoreOracle(t).smoothed_scores(self.TAUS, y[i] if per_shift else y[i, 0])
+            assert g[i].tobytes() == alone.tobytes()
+        assert o.tape.query_count == n * q
+        assert np.array_equal(o.tape.taus, np.tile(self.TAUS, n))
+        assert np.array_equal(o.tape.points, np.broadcast_to(y, (n, q, d)).reshape(-1, d))
+        assert np.array_equal(o.tape.bits, np.zeros(n * q))
+        assert [tau for tau, _ in o.tape.queries] == list(np.tile(self.TAUS, n))
 
 
 def resolvent_transform(oracle, tau, z):
@@ -251,6 +274,18 @@ class TestTapeAccounting:
         assert [len(m) for m in msgs] == [d * bits] * 2
         assert o.tape.bits_sent == 2 * d * bits
         assert [tau for tau, _ in o.tape.queries] == taus
+
+    def test_tape_keeps_the_received_characters_and_bits_per_query(self):
+        o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0))
+        o.smoothed_score(1.0, np.zeros(2))
+        messages = ["010", "110", "000", "111"]
+        _, sent = o.finite_bit_query([1.0, 2.0], np.zeros((2, 1, 2)),
+                                     lambda g: (None, messages), 3)
+        assert sent is messages
+        assert o.tape.received.tobytes() == "".join(messages).encode()
+        assert o.tape.received.shape == (4, 3)
+        assert o.tape.bits.tolist() == [0, 3, 3, 3, 3]
+        assert o.tape.bits_sent == 12
 
     def test_finite_bit_scores_match_exact_queries(self):
         t = GaussianTarget(eigvals=[1.0, 2.0, 4.0], kappa=4.0, mean=[0.5, 0.0, -1.0])

@@ -128,12 +128,23 @@ class TestQuantizeVector:
         assert np.array_equal(values, np.array([v for v, _ in per_row]))
         assert np.array_equal(decode_vector(cfg, "".join(msgs)), values.ravel())
 
+    def test_decode_reads_received_character_codes(self, cfg23):
+        # The ASCII codes a finite-bit call leaves on the tape decode as the
+        # joined messages do, without building the joined str again.
+        values, msgs = quantize_vector(cfg23, np.array([[0.3, -1.2], [2.0, 0.0]]))
+        codes = np.frombuffer("".join(msgs).encode(), dtype=np.uint8).reshape(2, -1)
+        assert np.array_equal(decode_vector(cfg23, codes), values.ravel())
+        with pytest.raises(ParameterError):
+            decode_vector(cfg23, codes.ravel()[:-1])
+
     def test_decode_rejects_ragged_message(self, cfg23):
         with pytest.raises(ParameterError):
             decode_vector(cfg23, "010")
 
     @pytest.mark.parametrize("bits, message", [(2, "1-"), (2, " 1"), (2, "0 "), (3, "1_0"),
-                                               (2, "1+"), (2, "0\u00e9"), (2, b"01")])
+                                               (2, "1+"), (2, "0\u00e9"), (2, b"01"),
+                                               (2, np.frombuffer(b"0/", dtype=np.uint8)),
+                                               (2, np.array([48, 49])), (2, [48, 49])])
     def test_decode_rejects_characters_other_than_bits(self, bits, message):
         # int(chunk, 2) used to accept signs, spaces and underscores: "1-"
         # decoded to the level -1, outside [-R, R].

@@ -10,7 +10,8 @@ from smoothscore import (GaussianTarget, ParameterError, QuantizerConfig,
                          independent_accuracy, lambda_norm, quantize_vector,
                          sample_exact, sample_exact_with_grid,
                          sample_independent, sample_independent_with_grid,
-                         sample_quantized, sample_uncentered, sampler_params)
+                         sample_many, sample_quantized, sample_uncentered,
+                         sampler_params)
 
 
 class FixedNormals:
@@ -56,6 +57,18 @@ def loop_quantized(target, delta_tv, rng):
         quant_error += w_hat - w
     y = y_hat + math.sqrt(p.sigma2) * rng.standard_normal(target.dim)
     return y, clipped, float(np.linalg.norm(quant_error))
+
+
+def mc_second_moment(algorithm, target, grid, master, n, chunk=20_000):
+    """(1/n) sum_k y_k y_k^T over n runs on the streams master.spawn(n),
+    drawn in blocks of ``chunk`` runs (successive spawns continue the same
+    sequence of streams)."""
+    acc = np.zeros((target.dim, target.dim))
+    for start in range(0, n, chunk):
+        streams = master.spawn(min(chunk, n - start))
+        y = sample_many(algorithm, target, None, streams, grid=grid).outputs
+        acc += y.T @ y
+    return acc / n
 
 
 def empty_grid():
@@ -104,11 +117,7 @@ class TestSampleExact:
         t = GaussianTarget(eigvals=[1.0, 10.0, 100.0], kappa=100.0)
         grid = build_grid(exact_accuracy(3, 0.2), 100.0)
         n = 200_000
-        acc = np.zeros((3, 3))
-        for s in np.random.default_rng(123).spawn(n):
-            y = sample_exact_with_grid(t, grid, s).output
-            acc += np.outer(y, y)
-        emp = acc / n
+        emp = mc_second_moment("exact", t, grid, np.random.default_rng(123), n)
         sig = eval_r(grid, t.eigvals)
         for i in range(3):
             for j in range(3):
@@ -225,6 +234,99 @@ class TestRationalCombine:
             assert np.max(np.abs(y - want)) <= 0.1 * eta * np.max(np.abs(z))
 
 
+def block_target(d, rotated, centered=True, seed=0):
+    rng = np.random.default_rng(seed)
+    lam = np.geomspace(1.0, 1e4, d) if d > 1 else np.array([1e2])
+    basis = np.linalg.qr(rng.standard_normal((d, d)))[0] if rotated else None
+    mean = None if centered else 3.0 * rng.standard_normal(d)
+    return GaussianTarget(eigvals=lam, kappa=1e4, mean=mean, basis=basis)
+
+
+def run_block(algorithm, target, streams):
+    return sample_many(algorithm, target, 0.1, streams,
+                       delta_mu=1e-6 if algorithm == "uncentered" else None)
+
+
+class TestSampleMany:
+    ALGORITHMS = ["exact", "independent", "quantized", "uncentered"]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("runs", [0, 1, 20])
+    def test_block_equals_the_runs_one_at_a_time(self, algorithm, rotated, d, runs):
+        # The stacked rotations and the block sums repeat each run's own
+        # arithmetic, so batching the runs moves no bit, also at d = 1.
+        t = block_target(d, rotated, centered=algorithm != "uncentered", seed=d)
+        block = run_block(algorithm, t, np.random.default_rng(5).spawn(runs))
+        assert block.outputs.shape == (runs, d)
+        for i, s in enumerate(np.random.default_rng(5).spawn(runs)):
+            want = run_block(algorithm, t, [s])
+            got = block.report(i)
+            assert got.output.tobytes() == want.outputs[0].tobytes()
+            assert got.query_count == want.query_counts[0] == want.spec.grid.query_budget + (
+                2 if algorithm == "uncentered" else 0)
+            assert got.bits_total == want.bits_totals[0] == want.spec.total_bits(d)
+            assert got.clip_overflow is bool(want.clip_overflow[0])
+            if algorithm == "quantized":
+                assert got.quant_error_norm == want.quant_error_norms[0]
+            else:
+                assert got.quant_error_norm is None
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 64])
+    def test_block_matches_the_per_shift_loops(self, d):
+        # Diagonal targets, d >= 2: each run of the block equals the loop
+        # over its shifts bit for bit (see TestRationalCombine).
+        t = block_target(d, rotated=False)
+        shifted = block_target(d, rotated=False, centered=False)
+        exact_grid = build_grid(exact_accuracy(d, 0.1), t.kappa)
+        indep_grid = build_grid(independent_accuracy(d, 0.1), t.kappa)
+        streams = np.random.default_rng(9).spawn(20)
+        blocks = {alg: run_block(alg, shifted if alg == "uncentered" else t,
+                                 np.random.default_rng(9).spawn(20)) for alg in self.ALGORITHMS}
+        mu_hat = blocks["uncentered"].params["mu_hat"]
+        for i, s in enumerate(streams):
+            state = s.bit_generator.state
+            z = s.standard_normal(d)
+            want = loop_combine(ScoreOracle(t).smoothed_score, exact_grid, lambda j: z)
+            assert np.array_equal(blocks["exact"].outputs[i], want)
+            oracle = ScoreOracle(shifted)
+            want = loop_combine(lambda tau, y: oracle.smoothed_score(tau, y + mu_hat),
+                                exact_grid, lambda j: z) + mu_hat
+            assert np.array_equal(blocks["uncentered"].outputs[i], want)
+            s.bit_generator.state = state
+            zs = s.standard_normal((indep_grid.query_budget, d))
+            want = loop_combine(ScoreOracle(t).smoothed_score, indep_grid, lambda j: zs[j])
+            assert np.array_equal(blocks["independent"].outputs[i],
+                                  want / math.sqrt(indep_grid.L_h))
+            s.bit_generator.state = state
+            y, clipped, err = loop_quantized(t, 0.1, s)
+            got = blocks["quantized"].report(i)
+            assert np.array_equal(got.output, y)
+            assert got.clip_overflow is clipped
+            assert got.quant_error_norm == err
+
+    def test_tape_counts_each_run(self):
+        # q and Q per run are read off the one tape of the block.
+        t = block_target(3, rotated=True)
+        block = run_block("quantized", t, np.random.default_rng(2).spawn(4))
+        p = sampler_params("quantized", 3, t.kappa, 0.1)
+        assert block.query_counts.tolist() == [p.grid.query_budget] * 4
+        assert block.bits_totals.tolist() == [p.total_bits(3)] * 4
+
+    def test_rejects_what_the_per_run_samplers_reject(self):
+        t = block_target(2, rotated=False)
+        streams = np.random.default_rng(0).spawn(2)
+        with pytest.raises(ParameterError):
+            sample_many("nonsense", t, 0.1, streams)
+        with pytest.raises(ParameterError):
+            sample_many("uncentered", t, 0.1, streams)  # no delta_mu
+        with pytest.raises(ParameterError):
+            sample_many("quantized", t, 0.1, streams, grid=build_grid(0.1, t.kappa))
+        with pytest.raises(ParameterError):
+            sample_many("exact", block_target(2, False, centered=False), 0.1, streams)
+
+
 class TestSampleIndependent:
     def test_ratio_deviation_bound(self):
         d, kap, dtv = 4, 1e4, 0.2
@@ -249,11 +351,7 @@ class TestSampleIndependent:
         v = np.sum(grid.coeffs**2 / (t.eigvals[:, None] + grid.alphas[None, :])**2,
                    axis=1) / grid.L_h
         n = 100_000
-        acc = np.zeros((2, 2))
-        for s in np.random.default_rng(55).spawn(n):
-            y = sample_independent_with_grid(t, grid, s).output
-            acc += np.outer(y, y)
-        emp = acc / n
+        emp = mc_second_moment("independent", t, grid, np.random.default_rng(55), n)
         want = np.diag(v)
         for i in range(2):
             for j in range(2):
@@ -348,6 +446,56 @@ class TestEstimateMean:
                 estimate_mean(t, 0.1)
             with pytest.raises(ParameterError):
                 sample_uncentered(t, 0.1, 0.1, np.random.default_rng(0))
+
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("scale", [1e14, 1e15, 1e20])
+    def test_meets_delta_mu_or_rejects(self, rotated, scale):
+        # The float64 roundoff of mu_hat grows as eps * ||mu||: unchecked,
+        # ||mu_hat - mu||_Lambda exceeded delta_mu = 0.1 for 0, 8 and 20 of
+        # these 50 diagonal means (up to 2.9e5) and for 39, 50 and 50 rotated
+        # ones (up to 1.3e6).  Diagonal targets now get mu_hat = mu exactly;
+        # rotated ones are rejected.
+        rng = np.random.default_rng(int(math.log10(scale)) + 100 * rotated)
+        accepted = 0
+        for _ in range(50):
+            lam = np.clip(np.exp(rng.uniform(0.0, math.log(100.0), 4)), 1.0, 100.0)
+            basis = np.linalg.qr(rng.standard_normal((4, 4)))[0] if rotated else None
+            mu = scale * rng.standard_normal(4)
+            t = GaussianTarget(eigvals=lam, kappa=100.0, mean=mu, basis=basis)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    mu_hat = estimate_mean(t, 0.1)
+                except ParameterError:
+                    continue
+            accepted += 1
+            assert lambda_norm(t, mu_hat - mu) <= 0.1
+        assert accepted == (0 if rotated else 50)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_accepted_means_keep_the_two_query_estimate(self, rotated):
+        # Below the roundoff threshold mu_hat = tau_mu * s_{tau_mu}(0) with
+        # tau_mu = 2||b||/delta_mu, bit for bit as before the threshold existed.
+        rng = np.random.default_rng(3)
+        for scale in (1e-3, 1.0, 1e4, 1e8, 1e11):
+            basis = np.linalg.qr(rng.standard_normal((4, 4)))[0] if rotated else None
+            t = GaussianTarget(eigvals=[1.0, 3.0, 30.0, 100.0], kappa=100.0,
+                               mean=scale * rng.standard_normal(4), basis=basis)
+            oracle = ScoreOracle(t)
+            tau = 2.0 * float(np.linalg.norm(oracle.smoothed_score(1.0, np.zeros(4)))) / 0.1
+            want = tau * oracle.smoothed_score(tau, np.zeros(4))
+            assert np.array_equal(estimate_mean(t, 0.1), want)
+
+    @pytest.mark.parametrize("d, kappa, rotated", [(5, 1e4, True), (16, 1e2, False),
+                                                   (1024, 1e4, False)])
+    def test_means_of_the_benchmark_scale_accepted(self, d, kappa, rotated):
+        # 3 N(0, I) means at delta_mu = 1e-6, as the uncentered workloads use.
+        rng = np.random.default_rng(d)
+        basis = np.linalg.qr(rng.standard_normal((d, d)))[0] if rotated else None
+        t = GaussianTarget(eigvals=np.geomspace(1.0, kappa, d), kappa=kappa,
+                           mean=3.0 * rng.standard_normal(d), basis=basis)
+        assert lambda_norm(t, estimate_mean(t, 1e-6) - t.mean) <= 1e-6
 
 
 class TestSampleUncentered:
