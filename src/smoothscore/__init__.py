@@ -12,8 +12,8 @@ from .quadrature import (C0, SincGrid, build_grid, eval_r, eval_sq_sum,
                          sup_error_E1, sup_error_E2)
 from .gaussian import (GaussianTarget, OracleTape, ScoreOracle, lambda_norm,
                        target_from_dict, target_from_json, target_to_json)
-from .quantizer import (QuantizerConfig, decode_vector, quantize_scalar,
-                        quantize_vector, smallest_bit_depth)
+from .quantizer import (QuantizerConfig, decode_vector, quantize_vector,
+                        smallest_bit_depth)
 from .samplers import (SampleBlock, SampleReport, SamplerParams, estimate_mean,
                        exact_accuracy, independent_accuracy, sample_exact,
                        sample_exact_with_grid, sample_independent,

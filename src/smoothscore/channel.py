@@ -14,7 +14,13 @@ asymptotic constants.
 
 Trial-parallel contract: every trial consumes its own child stream spawned
 from the caller's generator, so error counts are reproducible and independent
-of execution order or worker count.
+of execution order, chunking or worker count.  A coding trial draws its
+codebook as one (m, d, r) normal array (unless the codebook is fixed), then
+the message index, G in R^r and H in R^d.  Trials run in chunks of about
+``CHUNK_ENTRIES`` floats: one vectorized Gram-Schmidt orthonormalizes a
+chunk's codebooks, and each output is decoded in closed form to the codeword
+maximizing ||Q^T y||.  The one-code functions are one-trial calls of the
+same code.
 """
 
 from __future__ import annotations
@@ -46,6 +52,10 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-10
+# Cap on m * d * r, the entries of one subspace codebook (32 MiB of float64).
+CODE_MAX_ENTRIES = 2**22
+# Coding trials and tube points run in chunks of about this many floats.
+CHUNK_ENTRIES = 2**17
 # Cap on m * d, the entries of one trial's random codebook in the binary
 # subchannel experiment (2**22 int64 entries, 32 MiB per trial).
 SUBCHANNEL_MAX_ENTRIES = 2**22
@@ -201,10 +211,7 @@ class SubspaceCode:
         b = self.bases
         if b.ndim != 3 or b.shape[1:] != (self.dim, self.rank):
             raise ParameterError(f"bases must stack (dim, rank) matrices, got {b.shape}")
-        gram = np.einsum("mdr,mds->mrs", b, b)
-        resid = np.max(np.abs(gram - np.eye(self.rank)))
-        if resid > _ORTHO_TOL:
-            raise ParameterError(f"codeword bases not orthonormal: residual {resid:.3e}")
+        _check_orthonormal(np.moveaxis(b, -1, 0))
 
     @property
     def m_code(self) -> int:
@@ -213,15 +220,80 @@ class SubspaceCode:
     def basis(self, m: int) -> np.ndarray:
         return self.bases[m]
 
-    def basis_perp(self, m: int) -> np.ndarray:
-        """Orthonormal basis of the codeword's orthogonal complement."""
-        full, _ = np.linalg.qr(self.bases[m], mode="complete")
-        return full[:, self.rank:]
-
     def covariance(self, m: int) -> np.ndarray:
         q = self.basis(m)
         p = q @ q.T
         return p + (np.eye(self.dim) - p) / self.kappa
+
+
+def _code_entries(d: int, r: int, m_code: int) -> int:
+    """m_code * d * r for a valid code shape, at most ``CODE_MAX_ENTRIES``."""
+    if not 1 <= r <= d:
+        raise ParameterError(f"need 1 <= r <= d, got r={r}, d={d}")
+    if m_code < 1:
+        raise ParameterError(f"m_code must be >= 1, got {m_code}")
+    if m_code * d * r > CODE_MAX_ENTRIES:
+        raise ParameterError(f"codebook of {m_code} x {d} x {r} entries exceeds the cap "
+                             f"of {CODE_MAX_ENTRIES}; lower m_code, d or r")
+    return m_code * d * r
+
+
+def _orthonormalize(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Modified Gram-Schmidt of every (d, r) matrix of the stack raw (..., d, r)
+    at once.  Returns the basis columns (r, ..., d), cols[k] holding the k-th
+    basis vector of every matrix, and a mask (...) of rank-deficient ones."""
+    cols = np.ascontiguousarray(np.moveaxis(raw, -1, 0))
+    deficient = np.zeros(raw.shape[:-2], dtype=bool)
+    for j, v in enumerate(cols):
+        for u in cols[:j]:
+            v -= np.einsum("...d,...d->...", u, v)[..., None] * u
+        norm = np.sqrt(np.einsum("...d,...d->...", v, v))
+        deficient |= norm == 0.0
+        v /= np.where(norm == 0.0, 1.0, norm)[..., None]
+    return cols, deficient
+
+
+def _check_orthonormal(cols: np.ndarray) -> None:
+    """Reject unless max |Q^T Q - I| <= _ORTHO_TOL for every basis of cols."""
+    gram = np.einsum("i...d,j...d->...ij", cols, cols)
+    resid = np.max(np.abs(gram - np.eye(len(cols))), initial=0.0)
+    if not resid <= _ORTHO_TOL:
+        raise ParameterError(f"codeword bases not orthonormal: residual {resid:.3e}")
+
+
+def _draw_codes(streams, m_code: int, d: int, r: int) -> np.ndarray:
+    """Basis columns (r, n, m_code, d) of one codebook per stream, drawn as one
+    (m_code, d, r) normal array, and drawn again while rank-deficient."""
+    raw = np.empty((len(streams), m_code, d, r))
+    for stream, out in zip(streams, raw):
+        stream.standard_normal(out=out)
+    cols, deficient = _orthonormalize(raw)
+    while (redraw := np.flatnonzero(deficient.any(axis=1))).size:
+        for i in redraw:
+            streams[i].standard_normal(out=raw[i])
+        cols[:, redraw], deficient[redraw] = _orthonormalize(raw[redraw])
+    _check_orthonormal(cols)
+    return cols
+
+
+def _channel_outputs(cols: np.ndarray, noise: np.ndarray, kappa: float) -> np.ndarray:
+    """Rows Y = Q G + kappa^{-1/2} (H - Q Q^T H) for bases cols (r, n, d) and
+    noise rows (G, H) in R^(r+d); Y ~ N(0, Q Q^T + (I - Q Q^T) / kappa)."""
+    g, h = noise[:, :len(cols)], noise[:, len(cols):]
+    scale = 1.0 / math.sqrt(kappa)
+    return np.einsum("rnd,nr->nd", cols, g - scale * np.einsum("rnd,nd->nr", cols, h)) + scale * h
+
+
+def _decode(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Nearest codeword to each row of y, ties to the smallest index, from one
+    codebook cols (r, m, d) or one per row (r, n, m, d): the argmax of
+    ||Q^T y||^2, as ||y - Q Q^T y||^2 = ||y||^2 - ||Q^T y||^2."""
+    if cols.ndim == 3:
+        r, m, d = cols.shape
+        coords = (y @ cols.reshape(r * m, d).T).reshape(len(y), r, m)
+        return np.argmax(np.einsum("nrm,nrm->nm", coords, coords), axis=1)
+    coords = np.matmul(cols, y[:, :, None])[..., 0]
+    return np.argmax(np.einsum("rnm,rnm->nm", coords, coords), axis=1)
 
 
 def build_subspace_code(d: int, r: int, m_code: int,
@@ -230,51 +302,31 @@ def build_subspace_code(d: int, r: int, m_code: int,
 
     Each basis orthonormalizes a d x r standard Gaussian matrix, the
     rotation-invariant construction; rank-deficient draws (probability zero)
-    are redrawn.  Orthonormalization runs batched over the codebook via the
-    Gram-matrix Cholesky factor, which for Gaussian draws with d >> r is
-    well-conditioned.  With the default infinite kappa the codeword
-    covariance degenerates to the pure projection; pass a finite kappa for
-    channel draws.
+    are redrawn.  m_code * d * r may not exceed ``CODE_MAX_ENTRIES``.  With
+    the default infinite kappa the codeword covariance degenerates to the
+    pure projection; pass a finite kappa for channel draws.
     """
-    if not 1 <= r <= d:
-        raise ParameterError(f"need 1 <= r <= d, got r={r}, d={d}")
-    if m_code < 1:
-        raise ParameterError(f"m_code must be >= 1, got {m_code}")
-    rng = np.random.default_rng(rng)
-    raw = rng.standard_normal((m_code, d, r))
-    while True:
-        gram = np.einsum("mdr,mds->mrs", raw, raw)
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            raw = rng.standard_normal((m_code, d, r))
-            continue
-        break
-    # bases = raw @ chol^{-T}, solved batched as chol^{-1} raw^T.
-    bases = np.linalg.solve(chol, np.transpose(raw, (0, 2, 1))).transpose(0, 2, 1)
-    return SubspaceCode(dim=d, rank=r, kappa=float(kappa), bases=bases)
+    _code_entries(d, r, m_code)
+    cols = _draw_codes([np.random.default_rng(rng)], m_code, d, r)[:, 0]
+    return SubspaceCode(dim=d, rank=r, kappa=float(kappa), bases=np.moveaxis(cols, 0, -1))
 
 
 def channel_draw(code: SubspaceCode, m: int, rng: np.random.Generator) -> np.ndarray:
-    """One channel output Y = Q G + kappa^{-1/2} Q_perp H for message m."""
+    """One channel output Y = Q G + kappa^{-1/2} (I - Q Q^T) H for message m,
+    drawing G in R^r, then H in R^d."""
     if not 0 <= m < code.m_code:
         raise ParameterError(f"message index {m} out of range")
-    rng = np.random.default_rng(rng)
-    g = rng.standard_normal(code.rank)
-    h = rng.standard_normal(code.dim - code.rank)
-    return code.basis(m) @ g + code.basis_perp(m) @ h / math.sqrt(code.kappa)
+    noise = np.random.default_rng(rng).standard_normal((1, code.rank + code.dim))
+    return _channel_outputs(code.basis(m).T[:, None], noise, code.kappa)[0]
 
 
 def decode_nearest(code: SubspaceCode, y: np.ndarray) -> int:
-    """Index of the codeword subspace minimizing ||y - Q Q^T y|| / ||y||,
-    ties broken toward the smallest index."""
+    """Index of the codeword subspace minimizing ||y - Q Q^T y||, ties broken
+    toward the smallest index; computed as the argmax of ||Q^T y||."""
     y = np.asarray(y, dtype=np.float64)
-    norm = np.linalg.norm(y)
-    if norm == 0.0:
+    if np.linalg.norm(y) == 0.0:
         raise ParameterError("cannot decode the zero vector")
-    coords = np.einsum("mdr,d->mr", code.bases, y)
-    residual = y[None, :] - np.einsum("mdr,mr->md", code.bases, coords)
-    return int(np.argmin(np.linalg.norm(residual, axis=1) / norm))
+    return int(_decode(np.moveaxis(code.bases, -1, 0), y[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +351,20 @@ class ExperimentResult:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
-def _map_trials(trial_fn, streams, workers: int | None):
+def _map_trials(chunk_fn, streams, size: int, workers: int | None) -> ExperimentResult:
+    """Pool the (messages, decoded) of ``chunk_fn`` over consecutive chunks of
+    at most ``size`` trial streams, run on up to ``workers`` threads."""
+    chunks = [streams[i:i + size] for i in range(0, len(streams), size)]
     workers = max(1, int(workers or 1))
     if workers == 1:
-        return [trial_fn(s) for s in streams]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(trial_fn, streams))
+        outcomes = [chunk_fn(chunk) for chunk in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(chunk_fn, chunks))
+    messages = np.concatenate([m for m, _ in outcomes])
+    decoded = np.concatenate([g for _, g in outcomes])
+    return ExperimentResult(trials=len(streams), errors=int(np.sum(messages != decoded)),
+                            messages=messages, decoded=decoded)
 
 
 def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int,
@@ -314,28 +374,32 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
 
     By default every trial draws a fresh random codebook (the random-coding
     average); with ``fresh_codebook=False`` one codebook is drawn up front
-    and reused, for studying a single code.
+    from ``rng`` and reused, for studying a single code.  Each trial's stream
+    draws its codebook (if fresh), the message index, G in R^r, then H in R^d.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if not kappa >= 1.0:
         raise ParameterError(f"kappa must be >= 1, got {kappa}")
+    entries = _code_entries(d, r, m_code)
     rng = np.random.default_rng(rng)
-    fixed = None if fresh_codebook else build_subspace_code(d, r, m_code, rng, kappa=kappa)
+    fixed = None if fresh_codebook else _draw_codes([rng], m_code, d, r)[:, 0]
     streams = rng.spawn(trials)
 
-    def one_trial(stream):
-        code = fixed if fixed is not None else build_subspace_code(
-            d, r, m_code, stream, kappa=kappa)
-        m = int(stream.integers(m_code))
-        y = channel_draw(code, m, stream)
-        return m, decode_nearest(code, y)
+    def chunk_trials(chunk):
+        n = len(chunk)
+        cols = fixed if fixed is not None else _draw_codes(chunk, m_code, d, r)
+        messages = np.empty(n, dtype=np.int64)
+        noise = np.empty((n, r + d))
+        for i, stream in enumerate(chunk):
+            messages[i] = stream.integers(m_code)
+            stream.standard_normal(out=noise[i])
+        sent = cols[:, messages] if fixed is not None else cols[:, np.arange(n), messages]
+        return messages, _decode(cols, _channel_outputs(sent, noise, kappa))
 
-    outcomes = _map_trials(one_trial, streams, workers)
-    messages = np.fromiter((m for m, _ in outcomes), dtype=np.int64, count=trials)
-    decoded = np.fromiter((g for _, g in outcomes), dtype=np.int64, count=trials)
-    return ExperimentResult(trials=trials, errors=int(np.sum(messages != decoded)),
-                            messages=messages, decoded=decoded)
+    # A chunk holds its fresh codebooks, or its Q^T y against the fixed one.
+    per_trial = entries if fixed is None else m_code * r
+    return _map_trials(chunk_trials, streams, max(1, CHUNK_ENTRIES // per_trial), workers)
 
 
 def subspace_distance_samples(d: int, r: int, trials: int, rng) -> np.ndarray:
@@ -352,19 +416,29 @@ def subspace_distance_samples(d: int, r: int, trials: int, rng) -> np.ndarray:
     return tail / np.sum(sq, axis=1)
 
 
-def tube_probability(d: int, r: int, theta: float, trials: int, rng) -> tuple[float, float]:
+def tube_probability(d: int, r: int, thetas, trials: int, rng):
     """Empirical and analytic probability that a uniform sphere point lies
-    within normalized distance theta of a fixed r-subspace.
-
-    The analytic value is the Beta((d-r)/2, r/2) CDF at theta^2, evaluated by
-    the in-house continued fraction; the Monte Carlo side doubles as its
-    cross-check.
+    within normalized distance theta of a fixed r-subspace: floats for one
+    theta, arrays for a sequence.  All thetas count the same points, drawn in
+    chunks as one :func:`subspace_distance_samples` call draws them.  The
+    analytic value, the Beta((d-r)/2, r/2) CDF at theta^2 by the in-house
+    continued fraction, is what the Monte Carlo side cross-checks.
     """
-    if not 0.0 < theta < 1.0:
-        raise ParameterError(f"theta must lie in (0, 1), got {theta}")
-    dist2 = subspace_distance_samples(d, r, trials, rng)
-    empirical = float(np.mean(dist2 <= theta**2))
-    analytic = float(betainc_reg((d - r) / 2.0, r / 2.0, theta**2))
+    thetas_1d = [float(theta) for theta in np.atleast_1d(thetas)]
+    if not all(0.0 < theta < 1.0 for theta in thetas_1d) or trials < 1:
+        raise ParameterError(f"need thetas in (0, 1) and trials >= 1, got {thetas}, {trials}")
+    # theta**2 in Python float arithmetic, shared by the counts and the CDF.
+    radii2 = [theta**2 for theta in thetas_1d]
+    rng = np.random.default_rng(rng)
+    counts = np.zeros(len(radii2), dtype=np.int64)
+    rows = max(1, CHUNK_ENTRIES // d)
+    for start in range(0, trials, rows):
+        dist2 = subspace_distance_samples(d, r, min(rows, trials - start), rng)
+        counts += np.count_nonzero(dist2 <= np.array(radii2)[:, None], axis=1)
+    empirical = counts / trials
+    analytic = np.array([betainc_reg((d - r) / 2.0, r / 2.0, x) for x in radii2])
+    if np.ndim(thetas) == 0:
+        return float(empirical[0]), float(analytic[0])
     return empirical, analytic
 
 
@@ -397,20 +471,20 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
     sigma0 = 1.0 / math.sqrt(kappa)
     log_kappa = math.log(kappa)
 
-    def one_trial(stream):
-        codebook = stream.integers(0, 2, size=(m_code, d))
-        m = int(stream.integers(m_code))
-        scale = np.where(codebook[m] == 1, 1.0, sigma0)
-        y = stream.standard_normal(d) * scale
-        # Log-likelihood advantage of bit 1 over bit 0 per coordinate.
-        advantage = 0.5 * (kappa - 1.0) * y**2 - 0.5 * log_kappa
-        return m, int(np.argmax(codebook @ advantage))
+    def chunk_trials(chunk):
+        messages = np.empty(len(chunk), dtype=np.int64)
+        decoded = np.empty(len(chunk), dtype=np.int64)
+        for i, stream in enumerate(chunk):
+            codebook = stream.integers(0, 2, size=(m_code, d))
+            m = messages[i] = stream.integers(m_code)
+            scale = np.where(codebook[m] == 1, 1.0, sigma0)
+            y = stream.standard_normal(d) * scale
+            # Log-likelihood advantage of bit 1 over bit 0 per coordinate.
+            advantage = 0.5 * (kappa - 1.0) * y**2 - 0.5 * log_kappa
+            decoded[i] = np.argmax(codebook @ advantage)
+        return messages, decoded
 
-    outcomes = _map_trials(one_trial, streams, workers)
-    messages = np.fromiter((m for m, _ in outcomes), dtype=np.int64, count=trials)
-    decoded = np.fromiter((g for _, g in outcomes), dtype=np.int64, count=trials)
-    return ExperimentResult(trials=trials, errors=int(np.sum(messages != decoded)),
-                            messages=messages, decoded=decoded)
+    return _map_trials(chunk_trials, streams, max(1, CHUNK_ENTRIES // (m_code * d)), workers)
 
 
 def good_event_rate(d: int, r: int, trials: int, rng,

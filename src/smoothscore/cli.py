@@ -129,6 +129,8 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_channel_exp(args) -> int:
+    if not 0.0 <= args.delta_tv < 1.0:
+        raise ParameterError(f"delta_tv must lie in [0, 1), got {args.delta_tv}")
     result = channel.run_coding_experiment(
         args.d, args.r, args.kappa, args.mcode, args.trials,
         np.random.default_rng(args.seed),
@@ -157,17 +159,10 @@ def _cmd_channel_exp(args) -> int:
 
 def _cmd_tube(args) -> int:
     thetas = _parse_floats(args.thetas)
-    for theta in thetas:
-        if not 0.0 < theta < 1.0:
-            raise ParameterError(f"theta must lie in (0, 1), got {theta}")
-    dist2 = channel.subspace_distance_samples(
-        args.d, args.r, args.trials, np.random.default_rng(args.seed))
-    rows = []
-    for theta in thetas:
-        empirical = float(np.mean(dist2 <= theta**2))
-        analytic = channel.betainc_reg((args.d - args.r) / 2.0, args.r / 2.0, theta**2)
-        rows.append((theta, empirical, analytic))
-    _write_csv(args.output, ["theta", "empirical", "analytic"], rows)
+    empirical, analytic = channel.tube_probability(
+        args.d, args.r, thetas, args.trials, np.random.default_rng(args.seed))
+    _write_csv(args.output, ["theta", "empirical", "analytic"],
+               zip(thetas, empirical.tolist(), analytic.tolist()))
     return 0
 
 

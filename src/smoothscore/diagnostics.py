@@ -28,7 +28,6 @@ __all__ = [
     "law_of_alg3_ideal",
     "empirical_covariance",
     "tv_gaussians_1d",
-    "ratio_rows",
     "summary",
 ]
 
@@ -91,13 +90,6 @@ def empirical_covariance(samples) -> np.ndarray:
     if Y.shape[0] < 2:
         raise ParameterError("need at least 2 samples")
     return Y.T @ Y / Y.shape[0]
-
-
-def ratio_rows(target: GaussianTarget, pair: CoDiagonalLawPair) -> list[tuple[float, float]]:
-    """(lambda_i, T_i) rows for CSV emission."""
-    if pair.ratios.size != target.dim:
-        raise ParameterError("ratio vector does not match target dimension")
-    return list(zip(target.eigvals.tolist(), pair.ratios.tolist()))
 
 
 def summary(pair: CoDiagonalLawPair) -> dict:

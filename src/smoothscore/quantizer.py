@@ -10,7 +10,6 @@ batch of rows is one such bitstring per row.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,6 @@ from .errors import ParameterError
 
 __all__ = [
     "QuantizerConfig",
-    "quantize_scalar",
     "quantize_vector",
     "decode_vector",
     "smallest_bit_depth",
@@ -29,8 +27,6 @@ __all__ = [
 # Level indices are computed in float64, where ceil(x - 1/2) is exact only
 # while the index stays below 2**52.
 MAX_BITS = 52
-# grid() materializes every level; beyond 2**22 of them (32 MiB) it refuses.
-GRID_MAX_LEVELS = 2**22
 
 
 @dataclass(frozen=True)
@@ -54,25 +50,8 @@ class QuantizerConfig:
     def step(self) -> float:
         return 2.0 * self.clip_radius / (self.levels - 1)
 
-    def grid(self) -> np.ndarray:
-        if self.levels > GRID_MAX_LEVELS:
-            raise ParameterError(
-                f"grid of 2**{self.bits} levels exceeds GRID_MAX_LEVELS = {GRID_MAX_LEVELS}")
-        return -self.clip_radius + self.step * np.arange(self.levels)
-
     def level_value(self, level) -> np.ndarray:
         return -self.clip_radius + self.step * np.asarray(level, dtype=np.float64)
-
-    def to_json(self) -> str:
-        return json.dumps({"bits": self.bits, "clip_radius": self.clip_radius})
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuantizerConfig":
-        doc = json.loads(text)
-        try:
-            return cls(bits=int(doc["bits"]), clip_radius=float(doc["clip_radius"]))
-        except (KeyError, TypeError) as exc:
-            raise ParameterError(f"malformed quantizer config: {exc}") from exc
 
 
 def _level_index(cfg: QuantizerConfig, t) -> np.ndarray:
@@ -80,11 +59,6 @@ def _level_index(cfg: QuantizerConfig, t) -> np.ndarray:
     # ceil(x - 1/2) rounds exact halves down, i.e. toward the smaller grid point.
     idx = np.ceil((clipped + cfg.clip_radius) / cfg.step - 0.5).astype(np.int64)
     return np.clip(idx, 0, cfg.levels - 1)
-
-
-def quantize_scalar(cfg: QuantizerConfig, t: float) -> float:
-    """Nearest grid point to clip(t); |result - clip(t)| <= step/2."""
-    return float(cfg.level_value(_level_index(cfg, t)))
 
 
 def _pack_rows(levels: np.ndarray, bits: int) -> list[str]:

@@ -9,7 +9,9 @@ from smoothscore import (ConverseInput, ParameterError, SubspaceCode,
                          bit_lower_bound_table, build_subspace_code,
                          channel_draw, converse_bound, decode_nearest,
                          fixed_error_bound, good_event_rate,
-                         run_coding_experiment, tube_probability)
+                         run_coding_experiment, subspace_distance_samples,
+                         tube_probability)
+from smoothscore import channel
 
 
 class TestConverseArithmetic:
@@ -108,6 +110,37 @@ class TestSubspaceCode:
         with pytest.raises(ParameterError):
             build_subspace_code(4, 5, 2, np.random.default_rng(0))
 
+    def test_oversized_codebook_rejected_before_allocation(self):
+        # 10**12 codewords of 32 x 3 would ask numpy for 698 TiB.
+        for m_code in (10**12, channel.CODE_MAX_ENTRIES // 96 + 1):
+            with pytest.raises(ParameterError):
+                build_subspace_code(32, 3, m_code, np.random.default_rng(0))
+            with pytest.raises(ParameterError):
+                run_coding_experiment(32, 3, 1e4, m_code, 1, np.random.default_rng(0))
+        assert build_subspace_code(32, 3, 1024, np.random.default_rng(0)).m_code == 1024
+
+    def test_rank_deficient_draw_is_redrawn_from_its_own_stream(self):
+        class ZeroFirstDraw:
+            # A stream whose first codebook has a zero column in codeword 1.
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+                self.calls = 0
+
+            def standard_normal(self, out):
+                self.rng.standard_normal(out=out)
+                if self.calls == 0:
+                    out[1, :, 0] = 0.0
+                self.calls += 1
+
+        streams = [np.random.default_rng(20), ZeroFirstDraw(21), np.random.default_rng(22)]
+        cols = channel._draw_codes(streams, 3, 6, 2)
+        assert streams[1].calls == 2
+        clean = np.random.default_rng(21)
+        clean.standard_normal((3, 6, 2))
+        redrawn = channel._draw_codes([clean], 3, 6, 2)
+        assert np.array_equal(cols[:, 1], redrawn[:, 0])
+        assert np.array_equal(cols[:, 0], channel._draw_codes([np.random.default_rng(20)], 3, 6, 2)[:, 0])
+
 
 class TestChannelDraw:
     def test_kappa_one_is_standard_normal(self):
@@ -195,6 +228,18 @@ class TestDecodeNearest:
         with pytest.raises(ParameterError):
             decode_nearest(code, np.zeros(3))
 
+    def test_closed_form_matches_residual_argmin(self):
+        # Reference: the residual form ||y - Q Q^T y|| over every codeword.
+        # r < d: at r = d every residual is roundoff and all codewords tie.
+        rng = np.random.default_rng(30)
+        for pair in range(1200):
+            d = int(rng.integers(2, 12))
+            r = int(rng.integers(1, d))
+            code = build_subspace_code(d, r, int(rng.integers(1, 40)), rng)
+            y = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+            residual = [np.linalg.norm(y - q @ (q.T @ y)) for q in code.bases]
+            assert decode_nearest(code, y) == int(np.argmin(residual)), pair
+
 
 class TestCodingExperiment:
     def test_single_message_never_errs(self):
@@ -225,6 +270,45 @@ class TestCodingExperiment:
         with pytest.raises(ParameterError):
             run_coding_experiment(4, 1, 10.0, 2, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_chunking_and_workers_do_not_change_results(self, monkeypatch, fresh):
+        def run(workers):
+            return run_coding_experiment(8, 2, 20.0, 16, 150, np.random.default_rng(18),
+                                         fresh_codebook=fresh, workers=workers)
+
+        base = run(1)
+        # 256 entries hold one fresh codebook, or the Q^T y of eight trials.
+        for entries, workers in [(1, 1), (256, 1), (256 * 7, 2), (2**30, 2)]:
+            monkeypatch.setattr(channel, "CHUNK_ENTRIES", entries)
+            other = run(workers)
+            assert np.array_equal(other.messages, base.messages)
+            assert np.array_equal(other.decoded, base.decoded)
+            assert other.errors == base.errors
+
+    def test_one_trial_calls_agree_with_the_batched_trials(self):
+        # A trial's stream feeds build_subspace_code, the message index and
+        # channel_draw in that order; decode_nearest then gives its outcome.
+        res = run_coding_experiment(10, 3, 5.0, 12, 40, np.random.default_rng(19))
+        for t, stream in enumerate(np.random.default_rng(19).spawn(40)):
+            code = build_subspace_code(10, 3, 12, stream, kappa=5.0)
+            m = int(stream.integers(12))
+            assert m == res.messages[t]
+            assert decode_nearest(code, channel_draw(code, m, stream)) == res.decoded[t]
+
+    def test_non_orthonormal_codeword_rejected_on_batched_path(self, monkeypatch):
+        orthonormalize = channel._orthonormalize
+
+        def skewed(raw):
+            cols, deficient = orthonormalize(raw)
+            cols[1, -1, -1] *= 1.0 + 1e-9  # the last codeword of the last codebook
+            return cols, deficient
+
+        monkeypatch.setattr(channel, "_orthonormalize", skewed)
+        for fresh in (True, False):
+            with pytest.raises(ParameterError, match="orthonormal"):
+                run_coding_experiment(8, 2, 50.0, 4, 30, np.random.default_rng(0),
+                                      fresh_codebook=fresh)
+
 
 class TestTubeLaw:
     def test_arcsine_case_exact(self):
@@ -253,6 +337,24 @@ class TestTubeLaw:
             tube_probability(5, 5, 0.3, 10, np.random.default_rng(0))
         with pytest.raises(ParameterError):
             tube_probability(5, 2, 1.5, 10, np.random.default_rng(0))
+        with pytest.raises(ParameterError):
+            tube_probability(5, 2, [0.3, 0.0], 10, np.random.default_rng(0))
+        with pytest.raises(ParameterError):
+            tube_probability(5, 2, 0.3, 0, np.random.default_rng(0))
+
+    def test_chunked_counts_equal_one_draw(self, monkeypatch):
+        d, r, trials = 8, 3, 1001
+        thetas = [0.3, 0.6, 0.8, 0.95]
+        dist2 = subspace_distance_samples(d, r, trials, np.random.default_rng(40))
+        want = [np.count_nonzero(dist2 <= theta**2) / trials for theta in thetas]
+        # 8 rows per chunk over 1001 rows: 125 full chunks and a partial one.
+        for entries in (64, 8 * 1001, 2**30):
+            monkeypatch.setattr(channel, "CHUNK_ENTRIES", entries)
+            emp, analytic = tube_probability(d, r, thetas, trials, np.random.default_rng(40))
+            assert emp.tolist() == want
+            assert analytic.tolist() == [betainc_reg(2.5, 1.5, theta**2) for theta in thetas]
+        one = tube_probability(d, r, 0.6, trials, np.random.default_rng(40))
+        assert one == (want[1], betainc_reg(2.5, 1.5, 0.6**2))
 
 
 class TestBinarySubchannel:
@@ -275,6 +377,18 @@ class TestBinarySubchannel:
             binary_subchannel_experiment(8, 1.0, 0.1, 10, np.random.default_rng(0))
         with pytest.raises(ParameterError):
             binary_subchannel_experiment(8, 4.0, -0.1, 10, np.random.default_rng(0))
+
+    def test_chunking_and_workers_do_not_change_results(self, monkeypatch):
+        def run(workers):
+            return binary_subchannel_experiment(16, 4.0, 0.25, 100, np.random.default_rng(6),
+                                                workers=workers)
+
+        base = run(1)
+        for entries, workers in [(1, 1), (16 * 16 * 7, 2), (2**30, 2)]:
+            monkeypatch.setattr(channel, "CHUNK_ENTRIES", entries)
+            other = run(workers)
+            assert np.array_equal(other.messages, base.messages)
+            assert np.array_equal(other.decoded, base.decoded)
 
     @pytest.mark.parametrize("d, rate", [(64, 0.5), (64, 100.0), (2**21, 0.5)])
     def test_codebook_size_capped_before_allocation(self, d, rate):

@@ -9,7 +9,7 @@ import pytest
 from smoothscore import (build_grid, law_of_alg1, law_of_alg2, law_of_alg3_ideal,
                          sample_exact, sample_independent, sample_quantized,
                          sample_uncentered, sampler_params, target_from_dict, tv_bound)
-from smoothscore import cli
+from smoothscore import channel, cli
 from smoothscore.cli import main
 
 
@@ -240,6 +240,21 @@ class TestChannelExp:
         rows1, rows2 = run_twice(tmp_path, build)
         assert rows1 == rows2
 
+    @pytest.mark.parametrize("extra", [
+        ["--mcode", "1000000000000", "--delta-tv", "0.5"],  # a 698 TiB codebook
+        ["--mcode", "4", "--delta-tv", "1.5"],
+        ["--mcode", "4", "--delta-tv", "-0.1"],
+    ])
+    def test_bad_size_or_delta_exit_2_before_any_trial(self, tmp_path, monkeypatch, extra):
+        draws = []
+        monkeypatch.setattr(channel, "_draw_codes",
+                            lambda *a, draw=channel._draw_codes: draws.append(1) or draw(*a))
+        out = tmp_path / "x.csv"
+        assert main(["channel-exp", "--d", "32", "--r", "3", "--kappa", "1e4",
+                     "--trials", "1", "--seed", "5", *extra, "--output", str(out)]) == 2
+        assert draws == []
+        assert not out.exists()
+
 
 class TestTube:
     def test_table_and_determinism(self, tmp_path):
@@ -250,6 +265,18 @@ class TestTube:
         assert rows1 == rows2
         assert rows1[0].strip() == "theta,empirical,analytic"
         assert len(rows1) == 3
+
+    def test_rows_match_one_draw_of_all_points(self, tmp_path):
+        # The table as one subspace_distance_samples call of every point
+        # gives it, theta by theta.
+        out = tmp_path / "t.csv"
+        thetas = [0.5, 0.88, 0.9, 0.97]
+        assert main(["tube", "--d", "64", "--r", "8", "--thetas", "0.5,0.88,0.9,0.97",
+                     "--trials", "5000", "--seed", "3", "--output", str(out)]) == 0
+        dist2 = channel.subspace_distance_samples(64, 8, 5000, np.random.default_rng(3))
+        want = [f"{theta!r},{float(np.mean(dist2 <= theta**2))!r},"
+                f"{channel.betainc_reg(28.0, 4.0, theta**2)!r}\n" for theta in thetas]
+        assert data_rows(out)[1:] == want
 
     def test_bad_theta_exit_2(self, tmp_path):
         assert main(["tube", "--d", "8", "--r", "2", "--thetas", "1.2",

@@ -8,7 +8,7 @@ from smoothscore import (CoDiagonalLawPair, GaussianTarget, ParameterError,
                          exact_accuracy, independent_accuracy, kl_codiagonal,
                          law_of_alg1, law_of_alg2, law_of_alg3_ideal,
                          sampler_params, tv_bound, tv_gaussians_1d)
-from smoothscore.diagnostics import ratio_rows, summary
+from smoothscore.diagnostics import summary
 from smoothscore.quadrature import SincGrid
 
 KL_RATIO_1_1 = 0.0023449100978376  # (0.1 - log 1.1)/2, 40-digit evaluation
@@ -201,18 +201,6 @@ class TestLawConstructors:
 
 
 class TestCertificateSurfaces:
-    def test_ratio_rows_pair_lambda_with_ratio(self):
-        grid = build_grid(0.05, 9.0)
-        t = GaussianTarget(eigvals=[1.0, 9.0], kappa=9.0)
-        pair = law_of_alg1(t, grid)
-        rows = ratio_rows(t, pair)
-        assert rows == [(1.0, pair.ratios[0]), (9.0, pair.ratios[1])]
-
-    def test_ratio_rows_dimension_check(self):
-        t = GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0)
-        with pytest.raises(ParameterError):
-            ratio_rows(t, CoDiagonalLawPair([1.0]))
-
     def test_summary_fields(self):
         pair = CoDiagonalLawPair([1.2, 0.9])
         doc = summary(pair)
