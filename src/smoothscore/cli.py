@@ -57,10 +57,22 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _parse_floats(text: str) -> list[float]:
-    text = text.strip()
-    if not text:
-        return []
-    return [float(tok) for tok in text.split(",")]
+    try:
+        return [float(tok) for tok in text.split(",")] if text.strip() else []
+    except ValueError as exc:  # names the bad token
+        raise ParameterError(f"bad number list {text!r}: {exc}") from None
+
+
+def _number(key: str, value, count: bool = False):
+    # A finite JSON number as a float, or with ``count`` a non-negative
+    # integer; bools are neither.
+    ok = not isinstance(value, bool) and isinstance(value, int if count else (int, float))
+    if ok and count and value >= 0:
+        return value
+    if ok and not count and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ParameterError(
+        f"{key} must be {'an integer >= 0' if count else 'a finite number'}, got {value!r}")
 
 
 def _workers() -> int:
@@ -90,17 +102,22 @@ def _cmd_validate_quadrature(args) -> int:
 
 def _cmd_sample(args) -> int:
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            raise ParameterError(f"run descriptor is not JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ParameterError(f"run descriptor must be a JSON object, got {type(cfg).__name__}")
     missing = {"target", "delta_tv", "seed"} - cfg.keys()
     if missing:
         raise ParameterError(f"run descriptor lacks keys: {sorted(missing)}")
     target = target_from_dict(cfg["target"])
-    runs = int(cfg.get("runs", 1))
-    if runs < 0:
-        raise ParameterError(f"runs must be >= 0, got {runs}")
-    streams = np.random.default_rng(int(cfg["seed"])).spawn(runs) if runs else []
-    block = samplers.sample_many(cfg.get("algorithm"), target, float(cfg["delta_tv"]),
-                                 streams, delta_mu=cfg.get("delta_mu"))
+    runs = _number("runs", cfg.get("runs", 1), count=True)
+    streams = np.random.default_rng(_number("seed", cfg["seed"], count=True)).spawn(runs)
+    delta_mu = cfg.get("delta_mu")
+    block = samplers.sample_many(
+        cfg.get("algorithm"), target, _number("delta_tv", cfg["delta_tv"]), streams,
+        delta_mu=None if delta_mu is None else _number("delta_mu", delta_mu))
     # Written as _fmt writes them: floats by repr, flags as true/false.
     tail = f",{diagnostics.tv_bound(block.spec.law(target))!r}"
     lines = (",".join([str(run), *map(repr, y), str(q), str(bits), _fmt(clip)]) + tail
@@ -133,7 +150,7 @@ def _cmd_channel_exp(args) -> int:
         raise ParameterError(f"delta_tv must lie in [0, 1), got {args.delta_tv}")
     result = channel.run_coding_experiment(
         args.d, args.r, args.kappa, args.mcode, args.trials,
-        np.random.default_rng(args.seed),
+        np.random.default_rng(_number("seed", args.seed, count=True)),
         fresh_codebook=not args.fixed_codebook, workers=_workers())
     rows = [(t, int(m), int(g), m == g)
             for t, (m, g) in enumerate(zip(result.messages, result.decoded))]
@@ -160,14 +177,15 @@ def _cmd_channel_exp(args) -> int:
 def _cmd_tube(args) -> int:
     thetas = _parse_floats(args.thetas)
     empirical, analytic = channel.tube_probability(
-        args.d, args.r, thetas, args.trials, np.random.default_rng(args.seed))
+        args.d, args.r, thetas, args.trials,
+        np.random.default_rng(_number("seed", args.seed, count=True)))
     _write_csv(args.output, ["theta", "empirical", "analytic"],
                zip(thetas, empirical.tolist(), analytic.tolist()))
     return 0
 
 
 def _cmd_mean_est(args) -> int:
-    with open(args.target) as fh:
+    with open(args.target, "rb") as fh:
         target = target_from_json(fh.read())
     oracle = ScoreOracle(target)
     mu_hat = estimate_mean(target, args.delta_mu, oracle=oracle)

@@ -13,6 +13,7 @@ reads its own share off the tape.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,15 +141,12 @@ class OracleTape:
     Each oracle call appends one chunk; the columns :attr:`taus`,
     :attr:`points` and :attr:`bits` join the chunks when read, and
     :attr:`queries` is a read-only view of the (tau, point) pairs.
-    ``received`` holds what the last finite-bit call delivered: the ASCII
-    codes of its messages' '0'/'1' characters, one row per query.
     """
 
     def __init__(self):
         self._chunks: list[tuple[np.ndarray, np.ndarray, int]] = []
         self.query_count = 0
         self.bits_sent = 0
-        self.received: np.ndarray | None = None
 
     def record(self, taus, points, bits: int = 0) -> None:
         """Append the queries (taus[i], points[i]), each sending ``bits``
@@ -249,36 +247,26 @@ class ScoreOracle:
         """Finite-bit queries in one call: the oracle computes the scores
         s_{tau_j}(y_j), ``y`` shaped as in :meth:`smoothed_scores`, and
         returns ``encoder(scores)``, a pair ``(kept, messages)``.  Only
-        ``messages``, one '0'/'1' string of the declared length ``bits`` per
-        query in the tape's order, crosses the channel: it is checked,
-        joined and encoded once, the tape records the queries of ``bits``
-        bits and keeps the encoded characters as ``tape.received``.
-        ``kept`` is handed back for the caller's report.
+        ``messages``, a (queries, bits) uint8 array of 0s and 1s with one row
+        of the declared length ``bits`` per query in the tape's order,
+        crosses the channel: its shape and alphabet are checked, and the
+        tape records the queries of ``bits`` bits.  Both are handed back,
+        ``messages`` for the receiver to decode and ``kept`` for the
+        caller's report.
         """
         taus, y, g = self._scores(taus, y)
         kept, messages = encoder(g)
         count = taus.size * (y.shape[0] if y.ndim == 3 else 1)
-        if (len(messages) != count
-                or any(not isinstance(m, str) or len(m) != bits for m in messages)
-                or (received := _bit_chars("".join(messages))) is None):
+        if not (isinstance(messages, np.ndarray) and messages.dtype == np.uint8
+                and messages.shape == (count, bits) and messages.max(initial=0) <= 1):
             raise ParameterError(
-                f"encoder must return {count} bitstrings of declared length {bits}")
+                f"encoder must return a ({count}, {bits}) uint8 array of 0/1 bits")
         self._record(taus, y, bits)
-        self.tape.received = received.reshape(count, bits)
         return kept, messages
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
     return a if a.ndim < 2 else np.swapaxes(a, -1, -2)
-
-
-def _bit_chars(message: str) -> np.ndarray | None:
-    # The message's ASCII codes, or None if one is not '0' or '1'.
-    # Non-ASCII characters encode as '?', which the byte range test rejects.
-    raw = np.frombuffer(message.encode("ascii", "replace"), dtype=np.uint8)
-    if raw.min(initial=ord("0")) < ord("0") or raw.max(initial=ord("1")) > ord("1"):
-        return None
-    return raw
 
 
 def lambda_norm(target: GaussianTarget, v: np.ndarray) -> float:
@@ -306,26 +294,31 @@ def target_to_json(target: GaussianTarget) -> str:
     return json.dumps(doc)
 
 
-def target_from_json(text: str) -> GaussianTarget:
-    """Parse and validate the JSON target descriptor."""
-    return target_from_dict(json.loads(text))
+def target_from_json(text: str | bytes) -> GaussianTarget:
+    """Parse and validate the JSON target descriptor (text, or its bytes)."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ParameterError(f"target descriptor is not JSON: {exc}") from exc
+    return target_from_dict(doc)
 
 
 def target_from_dict(doc) -> GaussianTarget:
     """Validate an already parsed target descriptor: the object that
     :func:`target_from_json` reads from its text."""
     try:
-        d = int(doc["dim"])
+        d = operator.index(doc["dim"])  # an integer, not truncated
         kappa = float(doc["kappa"])
         eigvals = np.asarray(doc["eigvals"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        mean = np.asarray(doc.get("mean", np.zeros(d)), dtype=np.float64)
+        basis = doc.get("basis")
+        if basis is not None:
+            basis = np.asarray(basis, dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed target descriptor: {exc}") from exc
     if eigvals.shape != (d,):
         raise ParameterError(f"descriptor dim={d} but {eigvals.size} eigvals given")
-    mean = np.asarray(doc.get("mean", np.zeros(d)), dtype=np.float64)
-    basis = doc.get("basis")
     if basis is not None:
-        basis = np.asarray(basis, dtype=np.float64)
         if basis.size != d * d:
             raise ParameterError("basis must hold dim*dim row-major entries")
         basis = basis.reshape(d, d)

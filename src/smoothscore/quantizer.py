@@ -3,9 +3,9 @@
 The grid has 2**bits points spanning [-clip_radius, +clip_radius] at both
 endpoints.  Inputs are clipped first, then mapped to the nearest grid point;
 exact midpoints round toward the smaller grid value so runs are reproducible
-across platforms.  The wire format packs each coordinate's level index as
-``bits`` characters, least significant bit first, coordinate 0 first; a
-batch of rows is one such bitstring per row.
+across platforms.  The wire format is a uint8 array of 0/1 bits: each
+coordinate's level index as ``bits`` bits, least significant bit first,
+coordinate 0 first; a batch of rows is one such message per row.
 """
 
 from __future__ import annotations
@@ -61,61 +61,47 @@ def _level_index(cfg: QuantizerConfig, t) -> np.ndarray:
     return np.clip(idx, 0, cfg.levels - 1)
 
 
-def _pack_rows(levels: np.ndarray, bits: int) -> list[str]:
+def _pack_rows(levels: np.ndarray, bits: int) -> np.ndarray:
     # Each int64 index of the (n, d) rows as little-endian bytes, unpacked LSB
-    # first to its low ``bits`` bits; adding ord('0') makes them '0'/'1'.
+    # first to its low ``bits`` bits.
     n, d = levels.shape
     raw = np.ascontiguousarray(levels, dtype="<i8").view(np.uint8).reshape(n, d, 8)
-    chars = np.unpackbits(raw, axis=-1, count=bits, bitorder="little")
-    chars += ord("0")
-    return [row.tobytes().decode("ascii") for row in chars.reshape(n, d * bits)]
+    return np.unpackbits(raw, axis=-1, count=bits, bitorder="little").reshape(n, d * bits)
 
 
-def _unpack(message, bits: int) -> np.ndarray:
-    if isinstance(message, str):
-        raw = np.frombuffer(message.encode("ascii", "replace"), dtype=np.uint8)
-    elif isinstance(message, np.ndarray) and message.dtype == np.uint8:
-        raw = message.ravel()
-    else:
-        raise ParameterError(
-            f"bitstring must be a str or uint8 character codes, got {type(message).__name__}")
-    if raw.size % bits != 0:
-        raise ParameterError(f"bitstring length {raw.size} is not a multiple of {bits}")
-    # Non-ASCII characters became '?'; every byte but '0' and '1' then maps
-    # above 1 (uint8 wraps below ord('0')).
-    digits = raw - ord("0")
-    if digits.max(initial=0) > 1:
-        raise ParameterError("bitstring holds characters other than '0' and '1'")
-    # Each chunk packs LSB first into ceil(bits/8) bytes, zero-padded to the
-    # 8 little-endian bytes of its int64 index.
-    packed = np.packbits(digits.reshape(-1, bits), axis=1, bitorder="little")
-    padded = np.zeros((len(packed), 8), dtype=np.uint8)
-    padded[:, :packed.shape[1]] = packed
-    return padded.view("<i8").ravel()
+def quantize_vector(cfg: QuantizerConfig, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinatewise quantization plus the packed level-index bits.
 
-
-def quantize_vector(cfg: QuantizerConfig, w: np.ndarray) -> tuple[np.ndarray, str | list[str]]:
-    """Coordinatewise quantization plus the packed level-index bitstring.
-
-    A vector of shape (d,) gives one bitstring of length d * bits; rows of
-    shape (q, d) give q such bitstrings, which joined are the bitstring of
-    the flattened rows.  Decoding reproduces the quantized values exactly.
+    A vector of shape (d,) gives one message of d * bits bits; rows of shape
+    (q, d) give a (q, d * bits) array, one message per row.  Decoding
+    reproduces the quantized values exactly.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
     levels = _level_index(cfg, w)
     messages = _pack_rows(np.atleast_2d(levels), cfg.bits)
-    message = messages[0] if w.ndim == 1 else messages
-    return cfg.level_value(levels), message
+    return cfg.level_value(levels), messages[0] if w.ndim == 1 else messages
 
 
 def decode_vector(cfg: QuantizerConfig, message) -> np.ndarray:
-    """Reconstruct grid values from a packed bitstring: a str of '0' and '1',
-    or the uint8 array of its ASCII codes as ``OracleTape.received`` holds
-    it, whose length is a multiple of ``bits``, else ParameterError."""
-    levels = _unpack(message, cfg.bits)
-    if np.any(levels >= cfg.levels):
-        raise ParameterError("bitstring encodes a level index out of range")
-    return cfg.level_value(levels)
+    """Reconstruct grid values from packed bits: a uint8 array of 0s and 1s
+    whose last axis is a multiple of ``bits`` long, else ParameterError.
+    One message of shape (d * bits,) gives (d,); rows give one row each."""
+    bits = cfg.bits
+    if not (isinstance(message, np.ndarray) and message.dtype == np.uint8 and message.ndim):
+        raise ParameterError(
+            f"message must be a uint8 array of bits, got {type(message).__name__}")
+    d, ragged = divmod(message.shape[-1], bits)
+    if ragged:
+        raise ParameterError(f"message length {message.shape[-1]} is not a multiple of {bits}")
+    if message.max(initial=0) > 1:
+        raise ParameterError("message holds values other than 0 and 1")
+    # Each chunk packs LSB first into ceil(bits/8) bytes, zero-padded to the
+    # 8 little-endian bytes of its int64 index; B bits index only the 2**B
+    # levels, so no index is out of range.
+    packed = np.packbits(message.reshape(-1, bits), axis=1, bitorder="little")
+    padded = np.zeros((len(packed), 8), dtype=np.uint8)
+    padded[:, :packed.shape[1]] = packed
+    return cfg.level_value(padded.view("<i8").reshape(message.shape[:-1] + (d,)))
 
 
 def smallest_bit_depth(threshold: float) -> int:

@@ -129,6 +129,8 @@ def sampler_params(algorithm: str, dim: int, kappa: float, delta_tv: float) -> S
     formulas mention q.  B is reported as derived, also above the 52 bits
     that :class:`QuantizerConfig` accepts.
     """
+    if not dim >= 1:
+        raise ParameterError(f"dimension must be >= 1, got {dim}")
     if algorithm in ("exact", "uncentered"):
         return SamplerParams(algorithm, build_grid(exact_accuracy(dim, delta_tv), kappa))
     if algorithm == "independent":
@@ -182,7 +184,7 @@ def _resolvent_terms(grid: SincGrid, z: np.ndarray, g: np.ndarray) -> np.ndarray
 
 
 # Runs are answered in blocks of at most about this many entries (floats per
-# run, shift and coordinate, or message characters), each block by one
+# run, shift and coordinate, or message bits), each block by one
 # oracle handle, so memory stays bounded however many runs a call asks for.
 _BLOCK_ENTRIES = 2**17
 
@@ -274,7 +276,7 @@ def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float | None, 
     bits_totals = np.empty(n, dtype=np.int64)
     clip = np.zeros(n, dtype=bool)
     quant_errors = None if cfg is None else np.empty(n)
-    # A quantized query also carries d*B message characters.
+    # A quantized query also carries d*B message bits.
     width = taus.size * d * (1 if cfg is None else cfg.bits)
     step = max(1, _BLOCK_ENTRIES // max(1, width))
     for lo in range(0, n, step):
@@ -289,9 +291,9 @@ def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float | None, 
             scores = oracle.smoothed_scores(taus, z if shift is None else z + shift)
             y[rows] = np.sum(_resolvent_terms(g, z, scores), axis=1)
         else:
-            w, _ = oracle.finite_bit_query(taus, z, partial(_encode_terms, cfg, g, z),
-                                           d * cfg.bits)
-            w_hat = decode_vector(cfg, oracle.tape.received).reshape(w.shape)
+            w, messages = oracle.finite_bit_query(taus, z, partial(_encode_terms, cfg, g, z),
+                                                  d * cfg.bits)
+            w_hat = decode_vector(cfg, messages).reshape(w.shape)
             dither = np.stack([s.standard_normal(d) for s in part])
             y[rows] = np.sum(w_hat, axis=1) + math.sqrt(spec.sigma2) * dither
             clip[rows] = np.any(np.abs(w) > cfg.clip_radius, axis=(1, 2))

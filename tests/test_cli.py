@@ -18,6 +18,12 @@ def data_rows(path):
         return [line for line in fh if not line.startswith("#")]
 
 
+def assert_parameter_error(capsys, token=""):
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error:") and token in err
+    assert "Traceback" not in err
+
+
 def run_twice(tmp_path, argv_builder):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -64,6 +70,11 @@ class TestValidateQuadrature:
         assert main(["validate-quadrature", "--etas", "", "--output", str(out)]) == 0
         assert len(data_rows(out)) == 1
 
+    @pytest.mark.parametrize("flags", [["--etas", "0.1,x"], ["--kappas", "1,abc"]])
+    def test_bad_float_list_exit_2(self, tmp_path, capsys, flags):
+        assert main(["validate-quadrature", *flags, "--output", str(tmp_path / "x.csv")]) == 2
+        assert_parameter_error(capsys, repr(flags[1].split(",")[1]))
+
     def test_bad_rows_skipped_not_fatal(self, tmp_path, capsys):
         out = tmp_path / "vq.csv"
         assert main(["validate-quadrature", "--etas", "0.9,0.1", "--kappas", "10",
@@ -106,13 +117,27 @@ class TestSample:
          "target": {"dim": 2, "kappa": 1e100, "eigvals": [1.0, 1e100]}},
         {"algorithm": "quantized", "runs": 0,
          "target": {"dim": 2, "kappa": 1e100, "eigvals": [1.0, 1e100]}},
+        pytest.param("[1, 2]", id="not-an-object"),
+        pytest.param('{"seed": 7,', id="not-json"),
+        {"seed": -1},
+        {"seed": 1.7},
+        {"runs": "a"},
+        {"runs": 2.9},
+        {"runs": True},
+        {"runs": 1e30},
+        {"delta_tv": "x"},
+        {"algorithm": "uncentered", "delta_mu": "z"},
+        {"target": {"dim": 2, "kappa": 100.0, "eigvals": [1.0, 100.0], "mean": [1, "a"]}},
+        {"target": {"dim": 2, "kappa": 100.0, "eigvals": [1.0, 100.0],
+                    "basis": [1.0, 0.0, 0.0, "q"]}},
     ])
-    def test_domain_errors_exit_2(self, tmp_path, run_config, mutate):
+    def test_domain_errors_exit_2(self, tmp_path, capsys, run_config, mutate):
+        # A dict changes fields of a valid descriptor; a str is the whole file.
         path, cfg = run_config
-        cfg.update(mutate)
-        path.write_text(json.dumps(cfg))
+        path.write_text(mutate if isinstance(mutate, str) else json.dumps({**cfg, **mutate}))
         assert main(["sample", "--config", str(path),
                      "--output", str(tmp_path / "x.csv")]) == 2
+        assert_parameter_error(capsys)
 
     def test_quantized_run_reports_bits(self, tmp_path, run_config):
         path, cfg = run_config
@@ -205,9 +230,11 @@ class TestScaling:
                      "--output", str(out)]) == 0
         assert int(data_rows(out)[1].split(",")[5]) == 182  # B > 52: sampling refuses
 
-    def test_domain_error_exit_2(self, tmp_path):
-        assert main(["scaling", "--kappas", "0.5", "--delta-tv", "0.1", "--d", "2",
-                     "--output", str(tmp_path / "x.csv")]) == 2
+    def test_domain_error_exit_2(self, tmp_path, capsys):
+        for kappas, d in [("0.5", "2"), ("1,abc", "2"), ("100", "0"), ("100", "-3")]:
+            assert main(["scaling", "--kappas", kappas, "--delta-tv", "0.1", "--d", d,
+                         "--output", str(tmp_path / "x.csv")]) == 2
+            assert_parameter_error(capsys)
 
 
 class TestChannelExp:
@@ -244,8 +271,10 @@ class TestChannelExp:
         ["--mcode", "1000000000000", "--delta-tv", "0.5"],  # a 698 TiB codebook
         ["--mcode", "4", "--delta-tv", "1.5"],
         ["--mcode", "4", "--delta-tv", "-0.1"],
+        ["--mcode", "4", "--seed", "-1"],
     ])
-    def test_bad_size_or_delta_exit_2_before_any_trial(self, tmp_path, monkeypatch, extra):
+    def test_bad_size_or_delta_exit_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                        extra):
         draws = []
         monkeypatch.setattr(channel, "_draw_codes",
                             lambda *a, draw=channel._draw_codes: draws.append(1) or draw(*a))
@@ -254,6 +283,7 @@ class TestChannelExp:
                      "--trials", "1", "--seed", "5", *extra, "--output", str(out)]) == 2
         assert draws == []
         assert not out.exists()
+        assert_parameter_error(capsys)
 
 
 class TestTube:
@@ -278,10 +308,12 @@ class TestTube:
                 f"{channel.betainc_reg(28.0, 4.0, theta**2)!r}\n" for theta in thetas]
         assert data_rows(out)[1:] == want
 
-    def test_bad_theta_exit_2(self, tmp_path):
-        assert main(["tube", "--d", "8", "--r", "2", "--thetas", "1.2",
-                     "--trials", "10", "--seed", "0",
-                     "--output", str(tmp_path / "x.csv")]) == 2
+    def test_bad_theta_exit_2(self, tmp_path, capsys):
+        for thetas, seed in [("1.2", "0"), ("0.5,abc", "0"), ("0.5", "-1")]:
+            assert main(["tube", "--d", "8", "--r", "2", "--thetas", thetas,
+                         "--trials", "10", "--seed", seed,
+                         "--output", str(tmp_path / "x.csv")]) == 2
+            assert_parameter_error(capsys)
 
 
 class TestMeanEst:
@@ -322,6 +354,19 @@ class TestMeanEst:
         assert cols[1] == 2
         assert cols[2] <= 0.1
         assert cols[3:] == [mean, mean]
+
+    @pytest.mark.parametrize("text", [
+        "not json",
+        '{"dim": 2, "kappa": 4.0, "eigvals": [1.0, 4.0], "mean": [1, "a"]}',
+        '{"dim": 2, "kappa": 4.0, "eigvals": [1.0, 4.0], "basis": [1, 0, 0, "q"]}',
+        b"\xff\xfe",
+    ], ids=["not-json", "mean", "basis", "not-utf8"])
+    def test_malformed_target_exit_2(self, tmp_path, capsys, text):
+        tgt = tmp_path / "t.json"
+        tgt.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main(["mean-est", "--target", str(tgt), "--delta-mu", "0.1",
+                     "--output", str(tmp_path / "x.csv")]) == 2
+        assert_parameter_error(capsys)
 
     def test_bad_delta_exit_2(self, tmp_path):
         tgt = tmp_path / "t.json"

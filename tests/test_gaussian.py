@@ -14,6 +14,16 @@ def random_rotation(d, rng):
     return np.linalg.qr(rng.standard_normal((d, d)))[0]
 
 
+def bits_of(*messages):
+    """'0'/'1' strings as the (len(messages), bits) uint8 array a finite-bit
+    encoder returns."""
+    return np.array([[int(c) for c in m] for m in messages], dtype=np.uint8)
+
+
+def no_bits(count):
+    return np.zeros((count, 0), dtype=np.uint8)
+
+
 class TestTargetValidation:
     def test_spectrum_must_fit_interval(self):
         with pytest.raises(ParameterError):
@@ -101,7 +111,7 @@ class TestSmoothedScore:
         with pytest.raises(ParameterError):
             o.smoothed_score(0.0, np.array([1.0]))
         with pytest.raises(ParameterError):
-            o.finite_bit_query([-1.0], np.array([1.0]), lambda g: (None, [""]), 0)
+            o.finite_bit_query([-1.0], np.array([1.0]), lambda g: (None, no_bits(1)), 0)
 
 
 def per_query_scores(oracle, taus, y):
@@ -229,26 +239,32 @@ class TestTapeAccounting:
 
     def test_zero_bit_encoder_counts_query_only(self):
         o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0))
-        kept, msgs = o.finite_bit_query([1.0], np.zeros(2), lambda g: (g, [""]), 0)
-        assert msgs == [""]
+        kept, msgs = o.finite_bit_query([1.0], np.zeros(2), lambda g: (g, no_bits(1)), 0)
+        assert msgs.shape == (1, 0)
         assert kept.shape == (1, 2)
         assert o.tape.query_count == 1
         assert o.tape.bits_sent == 0
 
     def test_bit_budgets_add(self):
         o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0))
-        o.finite_bit_query([1.0], np.zeros(2), lambda g: (None, ["010"]), 3)
-        o.finite_bit_query([2.0, 3.0], np.zeros(2), lambda g: (None, ["10110", "00000"]), 5)
+        o.finite_bit_query([1.0], np.zeros(2), lambda g: (None, bits_of("010")), 3)
+        o.finite_bit_query([2.0, 3.0], np.zeros(2),
+                           lambda g: (None, bits_of("10110", "00000")), 5)
         assert o.tape.bits_sent == 13
         assert o.tape.query_count == 3
 
     def test_encoder_length_contract_enforced(self):
-        # Wrong length, wrong alphabet, one short message among two, and a
-        # message count other than q all raise before the tape records.
+        # Wrong length, values other than 0 and 1, a dtype other than uint8,
+        # ragged rows, a flat message and a message count other than q all
+        # raise before the tape records.
         o = ScoreOracle(GaussianTarget(eigvals=[1.0], kappa=1.0))
-        for taus, messages, bits in [([1.0], ["01"], 3), ([1.0], ["0x"], 2),
-                                     ([1.0, 2.0], ["011", "01"], 3),
-                                     ([1.0, 2.0], ["011"] * 3, 3)]:
+        for taus, messages, bits in [([1.0], bits_of("01"), 3),
+                                     ([1.0], np.array([[0, 2]], dtype=np.uint8), 2),
+                                     ([1.0], np.array([[0, 1]]), 2),
+                                     ([1.0], bits_of("01").astype(bool), 2),
+                                     ([1.0, 2.0], [bits_of("011")[0], bits_of("01")[0]], 3),
+                                     ([1.0], bits_of("011")[0], 3),
+                                     ([1.0, 2.0], bits_of(*["011"] * 3), 3)]:
             with pytest.raises(ParameterError):
                 o.finite_bit_query(taus, np.zeros(1), lambda g: (None, messages), bits)
         assert o.tape.query_count == 0
@@ -256,6 +272,8 @@ class TestTapeAccounting:
     @pytest.mark.parametrize("messages", [[b"01"], ["0\u00e9"], ["01", b"01"],
                                           ["1-"], ["01", " 1"]])
     def test_non_str_non_ascii_or_sign_message_rejected(self, messages):
+        # Messages are uint8 bit arrays; lists of strings or bytes, '0'/'1'
+        # ones included, never cross the channel.
         o = ScoreOracle(GaussianTarget(eigvals=[1.0], kappa=1.0))
         with pytest.raises(ParameterError):
             o.finite_bit_query([1.0] * len(messages), np.zeros(1),
@@ -271,26 +289,24 @@ class TestTapeAccounting:
         taus = [0.5, 2.0]
         _, msgs = o.finite_bit_query(taus, np.array([0.4, -1.0, 2.0]),
                                      lambda g: quantize_vector(cfg, g), d * bits)
-        assert [len(m) for m in msgs] == [d * bits] * 2
+        assert msgs.shape == (2, d * bits)
         assert o.tape.bits_sent == 2 * d * bits
         assert [tau for tau, _ in o.tape.queries] == taus
 
-    def test_tape_keeps_the_received_characters_and_bits_per_query(self):
+    def test_tape_keeps_bits_per_query_and_messages_are_returned(self):
         o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0))
         o.smoothed_score(1.0, np.zeros(2))
-        messages = ["010", "110", "000", "111"]
+        messages = bits_of("010", "110", "000", "111")
         _, sent = o.finite_bit_query([1.0, 2.0], np.zeros((2, 1, 2)),
                                      lambda g: (None, messages), 3)
         assert sent is messages
-        assert o.tape.received.tobytes() == "".join(messages).encode()
-        assert o.tape.received.shape == (4, 3)
         assert o.tape.bits.tolist() == [0, 3, 3, 3, 3]
         assert o.tape.bits_sent == 12
 
     def test_finite_bit_scores_match_exact_queries(self):
         t = GaussianTarget(eigvals=[1.0, 2.0, 4.0], kappa=4.0, mean=[0.5, 0.0, -1.0])
         y = np.arange(6.0).reshape(2, 3)
-        g, _ = ScoreOracle(t).finite_bit_query([0.5, 2.0], y, lambda g: (g, ["", ""]), 0)
+        g, _ = ScoreOracle(t).finite_bit_query([0.5, 2.0], y, lambda g: (g, no_bits(2)), 0)
         assert np.array_equal(g, ScoreOracle(t).smoothed_scores([0.5, 2.0], y))
 
 
@@ -324,6 +340,21 @@ class TestJsonDescriptor:
         assert a.kappa == b.kappa
         with pytest.raises(ParameterError):
             target_from_dict({"dim": "two", "kappa": 3.0, "eigvals": [1.0, 3.0]})
+
+    @pytest.mark.parametrize("text", [
+        '{"dim": 2, "kappa": 3.0, "eigvals": [1.0, 3.0], "mean": [1, "a"]}',
+        '{"dim": 2, "kappa": 3.0, "eigvals": [1.0, 3.0], "basis": [1, 0, 0, "q"]}',
+        '{"dim": 2, "kappa": 3.0, "eigvals": [1.0, 3.0], "mean": [[1], 2]}',
+        '{"dim": 1e400, "kappa": 3.0, "eigvals": [1.0, 3.0]}',
+        '{"dim": 1.9, "kappa": 3.0, "eigvals": [1.0]}',
+        '{"dim": 2, "kappa": 3.0,',
+        'not json',
+        b'\xff\xfe',
+    ], ids=["mean", "basis", "ragged-mean", "infinite-dim", "fractional-dim", "truncated",
+            "not-json", "not-utf8"])
+    def test_reader_rejects_malformed_entries(self, text):
+        with pytest.raises(ParameterError):
+            target_from_json(text)
 
     def test_reader_accepts_minimal_descriptor(self):
         doc = {"dim": 2, "kappa": 3.0, "eigvals": [1.0, 3.0]}

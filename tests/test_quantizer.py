@@ -11,6 +11,11 @@ def loop_pack(levels, bits):
     return "".join(format(int(level), f"0{bits}b")[::-1] for level in levels)
 
 
+def bit_chars(message):
+    """A message's 0/1 bits as the '0'/'1' characters loop_pack writes."""
+    return (message + ord("0")).tobytes().decode("ascii")
+
+
 def roundtrip(cfg, t):
     """Quantized values of t, checked to survive the wire format unchanged."""
     values, message = quantize_vector(cfg, t)
@@ -79,7 +84,8 @@ class TestQuantizeVector:
     def test_bitstring_length(self):
         cfg = QuantizerConfig(bits=7, clip_radius=1.0)
         _, msg = quantize_vector(cfg, np.linspace(-2, 2, 5))
-        assert len(msg) == 5 * 7
+        assert msg.dtype == np.uint8
+        assert msg.shape == (5 * 7,)
 
     def test_sup_norm_bound_without_clipping(self):
         rng = np.random.default_rng(1)
@@ -110,37 +116,45 @@ class TestQuantizeVector:
         cfg = QuantizerConfig(bits=2, clip_radius=3.0)
         # indices: 0.4 -> 2, 5 -> 3, -7 -> 0, 0 -> 1; LSB first per index
         _, msg = quantize_vector(cfg, np.array([0.4, 5.0, -7.0, 0.0]))
-        assert msg == "01" + "11" + "00" + "10"
+        assert bit_chars(msg) == "01" + "11" + "00" + "10"
 
     def test_rows_encode_one_bitstring_per_row(self):
         cfg = QuantizerConfig(bits=7, clip_radius=2.0)
         rows = np.random.default_rng(4).standard_normal((5, 3)) * 2.5
         values, msgs = quantize_vector(cfg, rows)
         per_row = [quantize_vector(cfg, row) for row in rows]
-        assert msgs == [m for _, m in per_row]
+        assert msgs.shape == (5, 3 * 7)
+        assert np.array_equal(msgs, np.array([m for _, m in per_row]))
         assert np.array_equal(values, np.array([v for v, _ in per_row]))
-        assert np.array_equal(decode_vector(cfg, "".join(msgs)), values.ravel())
+        assert np.array_equal(decode_vector(cfg, msgs), values)
 
-    def test_decode_reads_received_character_codes(self, cfg23):
-        # The ASCII codes a finite-bit call leaves on the tape decode as the
-        # joined messages do, without building the joined str again.
+    def test_decode_keeps_the_row_shape(self, cfg23):
+        # Rows of messages decode row by row; joined into one message they
+        # decode to the flattened rows.
         values, msgs = quantize_vector(cfg23, np.array([[0.3, -1.2], [2.0, 0.0]]))
-        codes = np.frombuffer("".join(msgs).encode(), dtype=np.uint8).reshape(2, -1)
-        assert np.array_equal(decode_vector(cfg23, codes), values.ravel())
+        assert np.array_equal(decode_vector(cfg23, msgs), values)
+        assert np.array_equal(decode_vector(cfg23, msgs.ravel()), values.ravel())
         with pytest.raises(ParameterError):
-            decode_vector(cfg23, codes.ravel()[:-1])
+            decode_vector(cfg23, msgs.ravel()[:-1])
 
     def test_decode_rejects_ragged_message(self, cfg23):
         with pytest.raises(ParameterError):
-            decode_vector(cfg23, "010")
+            decode_vector(cfg23, np.array([0, 1, 0], dtype=np.uint8))
 
     @pytest.mark.parametrize("bits, message", [(2, "1-"), (2, " 1"), (2, "0 "), (3, "1_0"),
                                                (2, "1+"), (2, "0\u00e9"), (2, b"01"),
                                                (2, np.frombuffer(b"0/", dtype=np.uint8)),
-                                               (2, np.array([48, 49])), (2, [48, 49])])
+                                               (2, np.array([48, 49])), (2, [48, 49]),
+                                               (2, "10"), (2, np.frombuffer(b"10", dtype=np.uint8)),
+                                               (2, np.array([0, 2], dtype=np.uint8)),
+                                               (2, np.array([1, 255], dtype=np.uint8)),
+                                               (2, np.array([0, 1])), (2, np.array([0.0, 1.0])),
+                                               (2, np.array([False, True])),
+                                               (1, np.array(1, dtype=np.uint8))])
     def test_decode_rejects_characters_other_than_bits(self, bits, message):
-        # int(chunk, 2) used to accept signs, spaces and underscores: "1-"
-        # decoded to the level -1, outside [-R, R].
+        # A message is a uint8 array of 0s and 1s and nothing else: '0'/'1'
+        # strings, their ASCII codes, other dtypes, values above 1 and a
+        # 0-d array are all refused.
         with pytest.raises(ParameterError):
             decode_vector(QuantizerConfig(bits=bits, clip_radius=3.0), message)
 
@@ -157,12 +171,13 @@ class TestWireFormatReference:
             levels[0, 0], levels[-1, -1] = 0, 2**bits - 1
             w = levels - cfg.clip_radius
             values, msgs = quantize_vector(cfg, w)
-            assert msgs == [loop_pack(row, bits) for row in levels]
+            assert [bit_chars(m) for m in msgs] == [loop_pack(row, bits) for row in levels]
             assert np.array_equal(values, w)
-            assert np.array_equal(decode_vector(cfg, "".join(msgs)), w.ravel())
+            assert np.array_equal(decode_vector(cfg, msgs), w)
+            assert np.array_equal(decode_vector(cfg, msgs.ravel()), w.ravel())
             for row, want in zip(w, msgs):
                 values, msg = quantize_vector(cfg, row)
-                assert msg == want
+                assert np.array_equal(msg, want)
                 assert np.array_equal(decode_vector(cfg, msg), row)
 
 

@@ -155,6 +155,13 @@ class TestSampleExact:
             sample_exact(shifted, 0.2, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("algorithm", ["exact", "independent", "quantized", "uncentered"])
+@pytest.mark.parametrize("dim", [0, -3])
+def test_sampler_params_rejects_dimension_below_one(algorithm, dim):
+    with pytest.raises(ParameterError):
+        sampler_params(algorithm, dim, 100.0, 0.1)
+
+
 class TestRationalCombine:
     # Diagonal targets: the batched combine keeps the loop's arithmetic, so
     # outputs stay bit-identical to it (d >= 2; numpy sums a lone column pairwise).
