@@ -20,7 +20,9 @@ the message index, G in R^r and H in R^d.  Trials run in chunks of about
 ``CHUNK_ENTRIES`` floats: one vectorized Gram-Schmidt orthonormalizes a
 chunk's codebooks, and each output is decoded in closed form to the codeword
 maximizing ||Q^T y||.  The one-code functions are one-trial calls of the
-same code.
+same code.  A binary-subchannel trial draws its codebook as one (m, d)
+uniform array, bit 1 where an entry lies below 1/2, then the message index
+and the noise in R^d; its chunks are decoded by one stacked matrix product.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ CODE_MAX_ENTRIES = 2**22
 # Coding trials and tube points run in chunks of about this many floats.
 CHUNK_ENTRIES = 2**17
 # Cap on m * d, the entries of one trial's random codebook in the binary
-# subchannel experiment (2**22 int64 entries, 32 MiB per trial).
+# subchannel experiment (2**22 float64 entries, 32 MiB per trial).
 SUBCHANNEL_MAX_ENTRIES = 2**22
 
 
@@ -448,9 +450,13 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
 
     Messages are floor(2**(rate*d)) i.i.d. fair-bit vectors b; coordinate i of
     the output is N(0, 1/kappa) when b_i = 0 and N(0, 1) when b_i = 1.
-    Decoding is exact maximum likelihood via per-coordinate log-density sums.
-    Sizes with m * d > ``SUBCHANNEL_MAX_ENTRIES`` are rejected before any
-    codebook is drawn.
+    Decoding is exact maximum likelihood via per-coordinate log-density sums,
+    ties broken toward the smallest index.  Each trial's stream draws its
+    codebook as one (m, d) uniform array with b = 1 below 1/2, then the
+    message index, then the noise in R^d; trials run in chunks of about
+    ``CHUNK_ENTRIES`` codebook entries.  Sizes with
+    m * d > ``SUBCHANNEL_MAX_ENTRIES`` are rejected before any codebook is
+    drawn.
     """
     if not rate > 0.0:
         raise ParameterError(f"rate must be positive, got {rate}")
@@ -472,17 +478,20 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
     log_kappa = math.log(kappa)
 
     def chunk_trials(chunk):
-        messages = np.empty(len(chunk), dtype=np.int64)
-        decoded = np.empty(len(chunk), dtype=np.int64)
+        n = len(chunk)
+        codebooks = np.empty((n, m_code, d))
+        messages = np.empty(n, dtype=np.int64)
+        noise = np.empty((n, d))
         for i, stream in enumerate(chunk):
-            codebook = stream.integers(0, 2, size=(m_code, d))
-            m = messages[i] = stream.integers(m_code)
-            scale = np.where(codebook[m] == 1, 1.0, sigma0)
-            y = stream.standard_normal(d) * scale
-            # Log-likelihood advantage of bit 1 over bit 0 per coordinate.
-            advantage = 0.5 * (kappa - 1.0) * y**2 - 0.5 * log_kappa
-            decoded[i] = np.argmax(codebook @ advantage)
-        return messages, decoded
+            stream.random(out=codebooks[i])
+            messages[i] = stream.integers(m_code)
+            stream.standard_normal(out=noise[i])
+        # Bit 1 below 1/2: uniforms are multiples of 2**-53, so exactly half.
+        np.less(codebooks, 0.5, out=codebooks)
+        y = noise * np.where(codebooks[np.arange(n), messages] == 1.0, 1.0, sigma0)
+        # Log-likelihood advantage of bit 1 over bit 0 per coordinate.
+        advantage = 0.5 * (kappa - 1.0) * y**2 - 0.5 * log_kappa
+        return messages, np.argmax(np.matmul(codebooks, advantage[:, :, None])[..., 0], axis=1)
 
     return _map_trials(chunk_trials, streams, max(1, CHUNK_ENTRIES // (m_code * d)), workers)
 

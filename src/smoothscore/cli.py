@@ -32,6 +32,9 @@ __all__ = ["main"]
 
 DEFAULT_ETAS = [10.0 ** (-5.0 + 0.5 * k) for k in range(9)]
 DEFAULT_KAPPAS = [1.0, 100.0, 10000.0]
+# Cap on runs * d, the output entries of one `sample` call, checked before any
+# run's stream is spawned (each costs about 20 us and 1.3 KB).
+SAMPLE_MAX_ENTRIES = 2**20
 
 
 def _fmt(value) -> str:
@@ -75,6 +78,13 @@ def _number(key: str, value, count: bool = False):
         f"{key} must be {'an integer >= 0' if count else 'a finite number'}, got {value!r}")
 
 
+def _open_input(path: str, mode: str = "r"):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ParameterError(f"cannot open {path}: {exc.strerror}") from None
+
+
 def _workers() -> int:
     try:
         return max(1, int(os.environ.get("SMOOTHSCORE_THREADS", "1")))
@@ -101,7 +111,7 @@ def _cmd_validate_quadrature(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    with open(args.config) as fh:
+    with _open_input(args.config) as fh:
         try:
             cfg = json.load(fh)
         except ValueError as exc:
@@ -113,6 +123,9 @@ def _cmd_sample(args) -> int:
         raise ParameterError(f"run descriptor lacks keys: {sorted(missing)}")
     target = target_from_dict(cfg["target"])
     runs = _number("runs", cfg.get("runs", 1), count=True)
+    if runs * target.dim > SAMPLE_MAX_ENTRIES:
+        raise ParameterError(f"{runs} runs at d = {target.dim} exceed the cap of "
+                             f"{SAMPLE_MAX_ENTRIES} output entries; lower runs")
     streams = np.random.default_rng(_number("seed", cfg["seed"], count=True)).spawn(runs)
     delta_mu = cfg.get("delta_mu")
     block = samplers.sample_many(
@@ -185,7 +198,7 @@ def _cmd_tube(args) -> int:
 
 
 def _cmd_mean_est(args) -> int:
-    with open(args.target, "rb") as fh:
+    with _open_input(args.target, "rb") as fh:
         target = target_from_json(fh.read())
     oracle = ScoreOracle(target)
     mu_hat = estimate_mean(target, args.delta_mu, oracle=oracle)

@@ -357,7 +357,47 @@ class TestTubeLaw:
         assert one == (want[1], betainc_reg(2.5, 1.5, 0.6**2))
 
 
+def loop_subchannel(d, kappa, rate, trials, rng):
+    """Per-trial reference: each spawned stream draws its (m, d) uniform
+    codebook (bit 1 below 1/2), the message index, then the noise in R^d,
+    and the decoder takes the argmax of codebook @ advantage."""
+    m_code = int(math.floor(2.0 ** (rate * d)))
+    messages, decoded = [], []
+    for stream in rng.spawn(trials):
+        codebook = (stream.random((m_code, d)) < 0.5).astype(np.float64)
+        m = stream.integers(m_code)
+        y = stream.standard_normal(d) * np.where(codebook[m] == 1.0, 1.0, 1.0 / math.sqrt(kappa))
+        advantage = 0.5 * (kappa - 1.0) * y**2 - 0.5 * math.log(kappa)
+        messages.append(m)
+        decoded.append(np.argmax(codebook @ advantage))
+    return np.array(messages), np.array(decoded)
+
+
 class TestBinarySubchannel:
+    @pytest.mark.parametrize("d, kappa, rate", [
+        (16, 16.0, 0.1), (32, 16.0, 0.1), (64, 16.0, 0.1),
+        (10, 2.0, 1.0),            # m = 1024 > 2**10: duplicate codewords tie
+        (12, 1.0 + 1e-9, 0.25),    # near-degenerate channel
+        (4, 16.0, 0.2),            # one codeword
+    ])
+    def test_batched_trials_match_a_per_trial_loop(self, d, kappa, rate):
+        res = binary_subchannel_experiment(d, kappa, rate, 600, np.random.default_rng(d))
+        messages, decoded = loop_subchannel(d, kappa, rate, 600, np.random.default_rng(d))
+        assert np.array_equal(res.messages, messages)
+        assert np.array_equal(res.decoded, decoded)
+        assert res.errors == np.count_nonzero(messages != decoded)
+
+    def test_codebook_bits_are_fair(self, monkeypatch):
+        # The decoder's one matrix product per chunk sees every codebook bit.
+        seen = []
+        monkeypatch.setattr(np, "matmul",
+                            lambda a, b, matmul=np.matmul: seen.append(a.copy()) or matmul(a, b))
+        binary_subchannel_experiment(32, 16.0, 0.1, 2000, np.random.default_rng(9))
+        bits = np.concatenate([a.reshape(-1) for a in seen])
+        assert bits.size == 2000 * 9 * 32
+        assert np.all((bits == 0.0) | (bits == 1.0))
+        assert abs(bits.mean() - 0.5) <= 5 * 0.5 / math.sqrt(bits.size)
+
     def test_single_codeword_never_errs(self):
         # rate*d small enough that floor(2**(rate*d)) == 1
         res = binary_subchannel_experiment(4, 16.0, 0.2, 300, np.random.default_rng(4))

@@ -139,6 +139,33 @@ class TestSample:
                      "--output", str(tmp_path / "x.csv")]) == 2
         assert_parameter_error(capsys)
 
+    def test_missing_config_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sample", "--config", str(tmp_path / "missing.json"),
+                     "--output", str(out)]) == 2
+        assert_parameter_error(capsys, "missing.json")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("runs, cap, code", [(10**12, cli.SAMPLE_MAX_ENTRIES, 2),
+                                                 (6, 11, 2), (5, 10, 0)])
+    def test_runs_capped_before_any_stream_is_spawned(self, tmp_path, capsys, monkeypatch,
+                                                       run_config, runs, cap, code):
+        # runs * d against the cap, at d = 2; 10**12 streams would take weeks.
+        path, cfg = run_config
+        path.write_text(json.dumps({**cfg, "runs": runs}))
+        monkeypatch.setattr(cli, "SAMPLE_MAX_ENTRIES", cap)
+        seeds = []
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a, make=np.random.default_rng: seeds.append(a) or make(*a))
+        out = tmp_path / "x.csv"
+        assert main(["sample", "--config", str(path), "--output", str(out)]) == code
+        if code == 2:
+            assert seeds == []
+            assert not out.exists()
+            assert_parameter_error(capsys, "runs")
+        else:
+            assert len(data_rows(out)) == runs + 1
+
     def test_quantized_run_reports_bits(self, tmp_path, run_config):
         path, cfg = run_config
         cfg["algorithm"] = "quantized"
@@ -367,6 +394,13 @@ class TestMeanEst:
         assert main(["mean-est", "--target", str(tgt), "--delta-mu", "0.1",
                      "--output", str(tmp_path / "x.csv")]) == 2
         assert_parameter_error(capsys)
+
+    def test_missing_target_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["mean-est", "--target", str(tmp_path / "missing.json"),
+                     "--delta-mu", "0.1", "--output", str(out)]) == 2
+        assert_parameter_error(capsys, "missing.json")
+        assert not out.exists()
 
     def test_bad_delta_exit_2(self, tmp_path):
         tgt = tmp_path / "t.json"
