@@ -44,6 +44,25 @@ class TestConfig:
             with pytest.raises(ParameterError):
                 QuantizerConfig(bits=bits, clip_radius=1.0)
 
+    @pytest.mark.parametrize("bits", [3.7, 0.5, 52.5, float("nan"), float("inf"), "3", None])
+    def test_rejects_fractional_or_non_numeric_bits(self, bits):
+        with pytest.raises(ParameterError):
+            QuantizerConfig(bits=bits, clip_radius=1.0)
+
+    @pytest.mark.parametrize("bits", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_integral_bit_depths_of_any_type_pass(self, bits):
+        cfg = QuantizerConfig(bits=bits, clip_radius=1.0)
+        assert cfg.bits == 3 and type(cfg.bits) is int and cfg.levels == 8
+
+    @pytest.mark.parametrize("bits, radius", [(3, float("inf")), (3, -float("inf")),
+                                              (3, float("nan")), (3, -1.0), (3, "1.0"),
+                                              (3, 1e308), (1, 1e308), (52, 5e-324)])
+    def test_rejects_radius_without_a_finite_nonzero_step(self, bits, radius):
+        # An infinite radius makes the step infinite; 1e308 overflows the
+        # grid span 2R; a subnormal radius at 52 bits rounds the step to 0.
+        with pytest.raises(ParameterError):
+            QuantizerConfig(bits=bits, clip_radius=radius)
+
     def test_widest_bit_depth_is_exact(self):
         cfg = QuantizerConfig(bits=52, clip_radius=1.0)
         w = np.array([0.3, -1.0, 1.0, -0.7])
@@ -157,6 +176,82 @@ class TestQuantizeVector:
         # 0-d array are all refused.
         with pytest.raises(ParameterError):
             decode_vector(QuantizerConfig(bits=bits, clip_radius=3.0), message)
+
+
+class TestQuantizeDomain:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(1,), (5,), (3, 4)])
+    def test_rejects_non_finite_entries(self, cfg23, bad, shape):
+        w = np.zeros(shape)
+        w.flat[-1] = bad
+        with pytest.raises(ParameterError):
+            quantize_vector(cfg23, w)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (1, 1, 1), (2, 1, 1, 3)])
+    def test_rejects_more_than_two_dimensions(self, cfg23, shape):
+        with pytest.raises(ParameterError):
+            quantize_vector(cfg23, np.zeros(shape))
+
+    def test_scalar_vector_and_rows_still_quantize(self, cfg23):
+        assert np.array_equal(roundtrip(cfg23, 0.4), [1.0])
+        assert np.array_equal(roundtrip(cfg23, [0.4, 1e308, -1e308]), [1.0, 3.0, -3.0])
+        assert np.array_equal(roundtrip(cfg23, [[0.4], [-5.0]]), [[1.0], [-3.0]])
+
+
+def bits_of(levels, bits):
+    """The loop_pack reference message of ``levels`` as a uint8 bit array."""
+    return np.frombuffer(loop_pack(levels, bits).encode("ascii"), dtype=np.uint8) - ord("0")
+
+
+class TestPackedStreamDecoder:
+    """decode_vector parses the whole message as one packed byte stream, a
+    64-bit word per field; these pin its edges against loop_pack."""
+
+    @staticmethod
+    def unit_step(bits):
+        # R = (2**B - 1)/2 makes the step 1, so level L decodes to L - R exactly.
+        return QuantizerConfig(bits=bits, clip_radius=(2**bits - 1) / 2)
+
+    @pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
+    def test_every_field_count_mod_8_and_both_extreme_last_fields(self, bits):
+        cfg = self.unit_step(bits)
+        rng = np.random.default_rng(1000 + bits)
+        for count in range(1, 18):
+            for last in (0, 2**bits - 1):
+                levels = rng.integers(0, 2**bits, size=count)
+                levels[-1] = last
+                got = decode_vector(cfg, bits_of(levels, bits))
+                assert got.shape == (count,)
+                assert np.array_equal(got, levels - cfg.clip_radius)
+
+    @pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
+    def test_stacked_blocks_equal_per_row_decodes(self, bits):
+        cfg = self.unit_step(bits)
+        rng = np.random.default_rng(2000 + bits)
+        for n, q, d in [(2, 3, 5), (3, 2, 1), (1, 4, 9)]:
+            levels = rng.integers(0, 2**bits, size=(n, q, d))
+            levels[-1, -1, -1] = 2**bits - 1
+            block = np.stack([[bits_of(row, bits) for row in run] for run in levels])
+            assert block.shape == (n, q, d * bits)
+            got = decode_vector(cfg, block)
+            assert got.shape == (n, q, d)
+            per_row = [[decode_vector(cfg, msg) for msg in run] for run in block]
+            assert np.array_equal(got, np.array(per_row))
+            assert np.array_equal(got, levels - cfg.clip_radius)
+
+    @pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
+    def test_empty_messages(self, bits):
+        cfg = self.unit_step(bits)
+        for shape, want in [((0,), (0,)), ((3, 0), (3, 0)), ((0, 2 * bits), (0, 2)),
+                            ((2, 0, bits), (2, 0, 1))]:
+            got = decode_vector(cfg, np.zeros(shape, dtype=np.uint8))
+            assert got.shape == want and got.dtype == np.float64
+
+    def test_non_contiguous_rows_decode(self):
+        cfg = self.unit_step(13)
+        levels = np.random.default_rng(5).integers(0, 2**13, size=(6, 4))
+        block = np.stack([bits_of(row, 13) for row in levels])
+        assert np.array_equal(decode_vector(cfg, block[::2]), levels[::2] - cfg.clip_radius)
 
 
 class TestWireFormatReference:
