@@ -12,17 +12,33 @@ subspace, and a diagonal binary-variance product code decoded by maximum
 likelihood), which instantiate the converse with measured numbers instead of
 asymptotic constants.
 
-Trial-parallel contract: every trial consumes its own child stream spawned
-from the caller's generator, so error counts are reproducible and independent
-of execution order, chunking or worker count.  A coding trial draws its
-codebook as one (m, d, r) normal array (unless the codebook is fixed), then
-the message index, G in R^r and H in R^d.  Trials run in chunks of about
-``CHUNK_ENTRIES`` floats: one vectorized Gram-Schmidt orthonormalizes a
-chunk's codebooks, and each output is decoded in closed form to the codeword
-maximizing ||Q^T y||.  The one-code functions are one-trial calls of the
-same code.  A binary-subchannel trial draws its codebook as one (m, d)
-uniform array, bit 1 where an entry lies below 1/2, then the message index
-and the noise in R^d; its chunks are decoded by one stacked matrix product.
+Randomness contract (v2): the trials of one call form blocks of
+``BLOCK_TRIALS`` consecutive trials, and block b draws from the b-th child
+spawned from the caller's generator.  Each block's child spawns four
+grandchildren, one per kind of draw: the codebooks, the message indices, the
+noise and the redraws of rank-deficient codebooks.  A block draws its message
+indices as one array; its codebooks and noise are drawn in trial order, in
+slices of at most one chunk of about ``CHUNK_ENTRIES`` floats.  Uniform and
+normal fills are sequential, so trial i's values depend only on the seed, i
+and the problem shape: not on the trial count, the chunk size or the worker
+count.  Threads run whole blocks.
+
+A coding trial's codebook is one (m, d, r) normal array, orthonormalized with
+its chunk by one vectorized Gram-Schmidt; a rank-deficient codebook
+(probability zero) is drawn again from the redraw stream until it is not, one
+trial after another.  A fixed codebook is drawn once from the caller's
+generator before the blocks are spawned.  The noise of a trial is (G, H) in
+R^(r+d), and each output is decoded in closed form to the codeword maximizing
+||Q^T y||.  The one-code functions are one-trial calls of the same code, on
+one stream.  A binary-subchannel trial's codebook is one (m, d) uniform array,
+bit 1 where an entry lies below 1/2, and its noise lies in R^d; its chunks are
+decoded by one stacked matrix product.
+
+Contract v2 replaced one spawned stream per trial, which cost more than the
+coding of a small trial.  It changes the values of a seed but not their law.
+The samplers keep one stream per run (see ``samplers.py``): the ``sample``
+command's rows stay the same per seed, and the benchmark's checks rebuild Z
+from that contract.
 """
 
 from __future__ import annotations
@@ -58,6 +74,9 @@ _ORTHO_TOL = 1e-10
 CODE_MAX_ENTRIES = 2**22
 # Coding trials and tube points run in chunks of about this many floats.
 CHUNK_ENTRIES = 2**17
+# Trials per random block (contract v2).  Changing it changes every seed's
+# trials, so it is part of the contract and not a memory setting.
+BLOCK_TRIALS = 256
 # Cap on m * d, the entries of one trial's random codebook in the binary
 # subchannel experiment (2**22 float64 entries, 32 MiB per trial).
 SUBCHANNEL_MAX_ENTRIES = 2**22
@@ -76,6 +95,8 @@ class ConverseInput:
     epsilon: float
 
     def __post_init__(self):
+        if not math.isfinite(self.k_prime):
+            raise ParameterError(f"k_prime must be finite, got {self.k_prime}")
         if not 0.0 <= self.delta_tv < 1.0:
             raise ParameterError(f"delta_tv must lie in [0, 1), got {self.delta_tv}")
         if not 0.0 <= self.epsilon < 1.0:
@@ -165,10 +186,10 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
 def betainc_reg(a: float, b: float, x) -> float | np.ndarray:
     """Regularized incomplete beta I_x(a, b), absolute accuracy ~1e-14."""
-    if a <= 0.0 or b <= 0.0:
-        raise ParameterError("beta parameters must be positive")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ParameterError(f"beta parameters must be positive and finite, got {a}, {b}")
     xs = np.asarray(x, dtype=np.float64)
-    if np.any((xs < 0.0) | (xs > 1.0)):
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ParameterError("x must lie in [0, 1]")
     scalar = np.isscalar(x) or xs.ndim == 0
     xs = np.atleast_1d(xs)
@@ -263,17 +284,16 @@ def _check_orthonormal(cols: np.ndarray) -> None:
         raise ParameterError(f"codeword bases not orthonormal: residual {resid:.3e}")
 
 
-def _draw_codes(streams, m_code: int, d: int, r: int) -> np.ndarray:
-    """Basis columns (r, n, m_code, d) of one codebook per stream, drawn as one
-    (m_code, d, r) normal array, and drawn again while rank-deficient."""
-    raw = np.empty((len(streams), m_code, d, r))
-    for stream, out in zip(streams, raw):
-        stream.standard_normal(out=out)
+def _draw_codes(code_rng, redraw_rng, n: int, m_code: int, d: int, r: int) -> np.ndarray:
+    """Basis columns (r, n, m_code, d) of n codebooks, drawn from code_rng in
+    order as (m_code, d, r) normal arrays.  Each rank-deficient codebook, in
+    order, is drawn again from redraw_rng until it is not."""
+    raw = code_rng.standard_normal((n, m_code, d, r))
     cols, deficient = _orthonormalize(raw)
-    while (redraw := np.flatnonzero(deficient.any(axis=1))).size:
-        for i in redraw:
-            streams[i].standard_normal(out=raw[i])
-        cols[:, redraw], deficient[redraw] = _orthonormalize(raw[redraw])
+    for i in np.flatnonzero(deficient.any(axis=1)):
+        while deficient[i].any():
+            redraw_rng.standard_normal(out=raw[i])
+            cols[:, i], deficient[i] = _orthonormalize(raw[i])
     _check_orthonormal(cols)
     return cols
 
@@ -309,7 +329,8 @@ def build_subspace_code(d: int, r: int, m_code: int,
     pure projection; pass a finite kappa for channel draws.
     """
     _code_entries(d, r, m_code)
-    cols = _draw_codes([np.random.default_rng(rng)], m_code, d, r)[:, 0]
+    rng = np.random.default_rng(rng)
+    cols = _draw_codes(rng, rng, 1, m_code, d, r)[:, 0]
     return SubspaceCode(dim=d, rank=r, kappa=float(kappa), bases=np.moveaxis(cols, 0, -1))
 
 
@@ -353,19 +374,27 @@ class ExperimentResult:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
-def _map_trials(chunk_fn, streams, size: int, workers: int | None) -> ExperimentResult:
-    """Pool the (messages, decoded) of ``chunk_fn`` over consecutive chunks of
-    at most ``size`` trial streams, run on up to ``workers`` threads."""
-    chunks = [streams[i:i + size] for i in range(0, len(streams), size)]
+def _map_trials(block_fn, rng: np.random.Generator, trials: int,
+                workers: int | None) -> ExperimentResult:
+    """Pool the (messages, decoded) of ``block_fn`` over the blocks of at most
+    ``BLOCK_TRIALS`` consecutive trials, run on up to ``workers`` threads.
+    Block b draws from the b-th child spawned from rng: ``block_fn`` gets its
+    trial count and the child's codebook, message, noise and redraw streams."""
+    def run_block(block):
+        child, n = block
+        return block_fn(n, *child.spawn(4))
+
+    sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
+    blocks = list(zip(rng.spawn(len(sizes)), sizes))
     workers = max(1, int(workers or 1))
     if workers == 1:
-        outcomes = [chunk_fn(chunk) for chunk in chunks]
+        outcomes = [run_block(block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(chunk_fn, chunks))
+            outcomes = list(pool.map(run_block, blocks))
     messages = np.concatenate([m for m, _ in outcomes])
     decoded = np.concatenate([g for _, g in outcomes])
-    return ExperimentResult(trials=len(streams), errors=int(np.sum(messages != decoded)),
+    return ExperimentResult(trials=trials, errors=int(np.sum(messages != decoded)),
                             messages=messages, decoded=decoded)
 
 
@@ -376,8 +405,10 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
 
     By default every trial draws a fresh random codebook (the random-coding
     average); with ``fresh_codebook=False`` one codebook is drawn up front
-    from ``rng`` and reused, for studying a single code.  Each trial's stream
-    draws its codebook (if fresh), the message index, G in R^r, then H in R^d.
+    from ``rng`` and reused, for studying a single code.  Trials draw by the
+    module's block contract: trial i's codebook (if fresh), message index and
+    noise (G in R^r, then H in R^d) come from its block's codebook, message
+    and noise streams, and depend only on the seed and i.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -385,23 +416,28 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
         raise ParameterError(f"kappa must be >= 1, got {kappa}")
     entries = _code_entries(d, r, m_code)
     rng = np.random.default_rng(rng)
-    fixed = None if fresh_codebook else _draw_codes([rng], m_code, d, r)[:, 0]
-    streams = rng.spawn(trials)
+    fixed = None if fresh_codebook else _draw_codes(rng, rng, 1, m_code, d, r)[:, 0]
+    # A chunk holds its fresh codebooks, or its sent bases and Q^T y against
+    # the fixed one.
+    per_trial = entries if fixed is None else (m_code + d) * r
+    rows = max(1, CHUNK_ENTRIES // per_trial)
 
-    def chunk_trials(chunk):
-        n = len(chunk)
-        cols = fixed if fixed is not None else _draw_codes(chunk, m_code, d, r)
-        messages = np.empty(n, dtype=np.int64)
-        noise = np.empty((n, r + d))
-        for i, stream in enumerate(chunk):
-            messages[i] = stream.integers(m_code)
-            stream.standard_normal(out=noise[i])
-        sent = cols[:, messages] if fixed is not None else cols[:, np.arange(n), messages]
-        return messages, _decode(cols, _channel_outputs(sent, noise, kappa))
+    def block_trials(n, code_rng, message_rng, noise_rng, redraw_rng):
+        messages = message_rng.integers(m_code, size=n)
+        decoded = np.empty(n, dtype=np.int64)
+        for lo in range(0, n, rows):
+            k = min(rows, n - lo)
+            sent_messages = messages[lo:lo + k]
+            if fixed is None:
+                cols = _draw_codes(code_rng, redraw_rng, k, m_code, d, r)
+                sent = cols[:, np.arange(k), sent_messages]
+            else:
+                cols, sent = fixed, fixed[:, sent_messages]
+            noise = noise_rng.standard_normal((k, r + d))
+            decoded[lo:lo + k] = _decode(cols, _channel_outputs(sent, noise, kappa))
+        return messages, decoded
 
-    # A chunk holds its fresh codebooks, or its Q^T y against the fixed one.
-    per_trial = entries if fixed is None else m_code * r
-    return _map_trials(chunk_trials, streams, max(1, CHUNK_ENTRIES // per_trial), workers)
+    return _map_trials(block_trials, rng, trials, workers)
 
 
 def subspace_distance_samples(d: int, r: int, trials: int, rng) -> np.ndarray:
@@ -451,17 +487,18 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
     Messages are floor(2**(rate*d)) i.i.d. fair-bit vectors b; coordinate i of
     the output is N(0, 1/kappa) when b_i = 0 and N(0, 1) when b_i = 1.
     Decoding is exact maximum likelihood via per-coordinate log-density sums,
-    ties broken toward the smallest index.  Each trial's stream draws its
-    codebook as one (m, d) uniform array with b = 1 below 1/2, then the
-    message index, then the noise in R^d; trials run in chunks of about
-    ``CHUNK_ENTRIES`` codebook entries.  Sizes with
+    ties broken toward the smallest index.  Trials draw by the module's block
+    contract: trial i's codebook (one (m, d) uniform array, b = 1 below 1/2),
+    message index and noise in R^d come from its block's codebook, message
+    and noise streams, and depend only on the seed and i.  Trials run in
+    chunks of about ``CHUNK_ENTRIES`` codebook entries.  Sizes with
     m * d > ``SUBCHANNEL_MAX_ENTRIES`` are rejected before any codebook is
     drawn.
     """
     if not rate > 0.0:
         raise ParameterError(f"rate must be positive, got {rate}")
-    if not kappa > 1.0:
-        raise ParameterError(f"kappa must exceed 1, got {kappa}")
+    if not 1.0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be finite and exceed 1, got {kappa}")
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     # The min keeps 2**(rate*d) finite; any exponent that large is over the cap.
@@ -473,27 +510,28 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
     if m_code < 1:
         raise ParameterError("codebook is empty; increase rate or d")
     rng = np.random.default_rng(rng)
-    streams = rng.spawn(trials)
     sigma0 = 1.0 / math.sqrt(kappa)
     log_kappa = math.log(kappa)
+    rows = max(1, CHUNK_ENTRIES // (m_code * d))
 
-    def chunk_trials(chunk):
-        n = len(chunk)
-        codebooks = np.empty((n, m_code, d))
-        messages = np.empty(n, dtype=np.int64)
-        noise = np.empty((n, d))
-        for i, stream in enumerate(chunk):
-            stream.random(out=codebooks[i])
-            messages[i] = stream.integers(m_code)
-            stream.standard_normal(out=noise[i])
-        # Bit 1 below 1/2: uniforms are multiples of 2**-53, so exactly half.
-        np.less(codebooks, 0.5, out=codebooks)
-        y = noise * np.where(codebooks[np.arange(n), messages] == 1.0, 1.0, sigma0)
-        # Log-likelihood advantage of bit 1 over bit 0 per coordinate.
-        advantage = 0.5 * (kappa - 1.0) * y**2 - 0.5 * log_kappa
-        return messages, np.argmax(np.matmul(codebooks, advantage[:, :, None])[..., 0], axis=1)
+    def block_trials(n, code_rng, message_rng, noise_rng, _redraw_rng):
+        messages = message_rng.integers(m_code, size=n)
+        decoded = np.empty(n, dtype=np.int64)
+        codebook_buffer = np.empty((min(rows, n), m_code, d))
+        for lo in range(0, n, rows):
+            k = min(rows, n - lo)
+            codebooks = code_rng.random(out=codebook_buffer[:k])
+            # Bit 1 below 1/2: uniforms are multiples of 2**-53, so exactly half.
+            np.less(codebooks, 0.5, out=codebooks)
+            y = noise_rng.standard_normal((k, d))
+            y *= np.where(codebooks[np.arange(k), messages[lo:lo + k]] == 1.0, 1.0, sigma0)
+            # Log-likelihood advantage of bit 1 over bit 0 per coordinate.
+            advantage = 0.5 * (kappa - 1.0) * y**2 - 0.5 * log_kappa
+            decoded[lo:lo + k] = np.argmax(np.matmul(codebooks, advantage[:, :, None])[..., 0],
+                                           axis=1)
+        return messages, decoded
 
-    return _map_trials(chunk_trials, streams, max(1, CHUNK_ENTRIES // (m_code * d)), workers)
+    return _map_trials(block_trials, rng, trials, workers)
 
 
 def good_event_rate(d: int, r: int, trials: int, rng,
@@ -502,6 +540,8 @@ def good_event_rate(d: int, r: int, trials: int, rng,
     {||G|| >= a sqrt(r)} and {||H|| <= b sqrt(d)} for G in R^r, H in R^{d-r}."""
     if not 1 <= r < d:
         raise ParameterError(f"need 1 <= r < d, got r={r}, d={d}")
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(rng)
     g2 = np.sum(rng.standard_normal((trials, r)) ** 2, axis=1)
     h2 = np.sum(rng.standard_normal((trials, d - r)) ** 2, axis=1)

@@ -21,6 +21,9 @@ q and Q.  The per-run samplers are its one-run calls.
 Randomness contract: one generator per run, draws in a fixed order (Z first,
 then the dither G; per-shift vectors Z_j in index order, drawn as one (q, d)
 array), so runs are bit-reproducible from the seed, alone or in a block.
+Unlike the channel experiments, which spawn one stream per block of trials,
+the samplers keep one stream per run: the ``sample`` command's rows stay the
+same per seed, and the benchmark's checks rebuild Z from this contract.
 """
 
 from __future__ import annotations

@@ -45,11 +45,17 @@ class TestConverseArithmetic:
         with pytest.raises(ParameterError):
             converse_bound(5, 0.7, 0.4)
 
+    @pytest.mark.filterwarnings("error")
     def test_input_validation(self):
         with pytest.raises(ParameterError):
             ConverseInput(5, 1.0, 0.0)
         with pytest.raises(ParameterError):
             ConverseInput(5, 0.2, -0.1)
+        for k_prime in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError):
+                ConverseInput(k_prime, 0.2, 0.1)
+            with pytest.raises(ParameterError):
+                converse_bound(k_prime, 0.5, 0.25)
 
     def test_table_flags_vacuous_rows(self):
         rows = bit_lower_bound_table(
@@ -79,11 +85,19 @@ class TestBetaInc:
         assert betainc_reg(2.0, 3.0, 0.0) == 0.0
         assert betainc_reg(2.0, 3.0, 1.0) == 1.0
 
+    @pytest.mark.filterwarnings("error")
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
             betainc_reg(0.0, 1.0, 0.5)
         with pytest.raises(ParameterError):
             betainc_reg(1.0, 1.0, 1.5)
+        # NaN passes a range test written as (x < 0) | (x > 1).
+        for x in (math.nan, [0.5, math.nan], np.array([[math.nan]])):
+            with pytest.raises(ParameterError):
+                betainc_reg(2.0, 3.0, x)
+        for a, b in [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)]:
+            with pytest.raises(ParameterError):
+                betainc_reg(a, b, 0.5)
 
 
 class TestSubspaceCode:
@@ -119,27 +133,48 @@ class TestSubspaceCode:
                 run_coding_experiment(32, 3, 1e4, m_code, 1, np.random.default_rng(0))
         assert build_subspace_code(32, 3, 1024, np.random.default_rng(0)).m_code == 1024
 
-    def test_rank_deficient_draw_is_redrawn_from_its_own_stream(self):
-        class ZeroFirstDraw:
-            # A stream whose first codebook has a zero column in codeword 1.
-            def __init__(self, seed):
+    def test_rank_deficient_draw_is_redrawn_from_its_own_stream(self, monkeypatch):
+        class ZeroColumnOnFirstDraw:
+            # A stream whose first draw has a zero column in codeword 1 of the
+            # codebooks that ``codebooks`` indexes in the leading axes.
+            def __init__(self, seed, codebooks):
                 self.rng = np.random.default_rng(seed)
+                self.codebooks = codebooks
                 self.calls = 0
 
-            def standard_normal(self, out):
-                self.rng.standard_normal(out=out)
+            def standard_normal(self, size=None, out=None):
+                out = self.rng.standard_normal(size, out=out)
                 if self.calls == 0:
-                    out[1, :, 0] = 0.0
+                    out[..., 1, :, 0][self.codebooks] = 0.0
                 self.calls += 1
+                return out
 
-        streams = [np.random.default_rng(20), ZeroFirstDraw(21), np.random.default_rng(22)]
-        cols = channel._draw_codes(streams, 3, 6, 2)
-        assert streams[1].calls == 2
+        # Codebooks 0 and 2 of three are rank-deficient, and so is the first
+        # redraw, of codebook 0: it takes redraws 1 and 2, codebook 2 takes 3.
+        redraws = ZeroColumnOnFirstDraw(21, ...)
+        cols = channel._draw_codes(ZeroColumnOnFirstDraw(20, [0, 2]), redraws, 3, 3, 6, 2)
+        assert redraws.calls == 3
         clean = np.random.default_rng(21)
         clean.standard_normal((3, 6, 2))
-        redrawn = channel._draw_codes([clean], 3, 6, 2)
-        assert np.array_equal(cols[:, 1], redrawn[:, 0])
-        assert np.array_equal(cols[:, 0], channel._draw_codes([np.random.default_rng(20)], 3, 6, 2)[:, 0])
+        for i in (0, 2):
+            want = build_subspace_code(6, 2, 3, clean).bases
+            assert np.array_equal(np.moveaxis(cols[:, i], 0, -1), want)
+        kept = channel._draw_codes(np.random.default_rng(20), None, 3, 3, 6, 2)
+        assert np.array_equal(cols[:, 1], kept[:, 1])
+
+        # The experiment hands each block's codebook stream (grandchild 0)
+        # and redraw stream (grandchild 3) to the draw.
+        keys = []
+        draw_codes = channel._draw_codes
+
+        def spy(code_rng, redraw_rng, *shape):
+            keys.append((code_rng.bit_generator.seed_seq.spawn_key,
+                         redraw_rng.bit_generator.seed_seq.spawn_key))
+            return draw_codes(code_rng, redraw_rng, *shape)
+
+        monkeypatch.setattr(channel, "_draw_codes", spy)
+        run_coding_experiment(6, 2, 10.0, 3, channel.BLOCK_TRIALS + 1, np.random.default_rng(22))
+        assert set(keys) == {((0, 0), (0, 3)), ((1, 0), (1, 3))}
 
 
 class TestChannelDraw:
@@ -285,15 +320,53 @@ class TestCodingExperiment:
             assert np.array_equal(other.decoded, base.decoded)
             assert other.errors == base.errors
 
-    def test_one_trial_calls_agree_with_the_batched_trials(self):
-        # A trial's stream feeds build_subspace_code, the message index and
-        # channel_draw in that order; decode_nearest then gives its outcome.
-        res = run_coding_experiment(10, 3, 5.0, 12, 40, np.random.default_rng(19))
-        for t, stream in enumerate(np.random.default_rng(19).spawn(40)):
-            code = build_subspace_code(10, 3, 12, stream, kappa=5.0)
-            m = int(stream.integers(12))
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_one_trial_calls_agree_with_the_batched_trials(self, fresh):
+        # Trials t of block b draw, one trial after another, their code from
+        # build_subspace_code on the b-th child's first grandchild (or use the
+        # fixed code drawn from the caller's generator), their message index
+        # from its second and their output from channel_draw on its third;
+        # decode_nearest then gives the outcome.
+        trials = channel.BLOCK_TRIALS + 40
+        res = run_coding_experiment(10, 3, 5.0, 12, trials, np.random.default_rng(19),
+                                    fresh_codebook=fresh)
+        rng = np.random.default_rng(19)
+        code = None if fresh else build_subspace_code(10, 3, 12, rng, kappa=5.0)
+        blocks = rng.spawn(2)
+        for t in range(trials):
+            if t % channel.BLOCK_TRIALS == 0:
+                code_rng, message_rng, noise_rng, _ = blocks[t // channel.BLOCK_TRIALS].spawn(4)
+            if fresh:
+                code = build_subspace_code(10, 3, 12, code_rng, kappa=5.0)
+            m = int(message_rng.integers(12))
             assert m == res.messages[t]
-            assert decode_nearest(code, channel_draw(code, m, stream)) == res.decoded[t]
+            assert decode_nearest(code, channel_draw(code, m, noise_rng)) == res.decoded[t]
+
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_first_trials_do_not_depend_on_the_trial_count(self, fresh):
+        def run(trials):
+            return run_coding_experiment(8, 2, 20.0, 16, trials, np.random.default_rng(21),
+                                         fresh_codebook=fresh)
+
+        full = run(600)  # three blocks, the last one partial
+        for k in (1, 37, 300):
+            part = run(k)
+            assert np.array_equal(part.messages, full.messages[:k])
+            assert np.array_equal(part.decoded, full.decoded[:k])
+
+    def test_fixed_codebook_chunks_stay_within_chunk_entries(self, monkeypatch):
+        # A chunk's sent bases hold r * d entries per trial; at m * r = 16 a
+        # count of m * r alone would put a whole block in one chunk.
+        sizes = []
+        outputs = channel._channel_outputs
+        monkeypatch.setattr(channel, "_channel_outputs",
+                            lambda sent, noise, kappa: sizes.append(sent.size)
+                            or outputs(sent, noise, kappa))
+        res = run_coding_experiment(4096, 2, 10.0, 8, 300, np.random.default_rng(23),
+                                    fresh_codebook=False)
+        assert res.trials == 300
+        assert sum(sizes) == 300 * 2 * 4096
+        assert max(sizes) <= channel.CHUNK_ENTRIES
 
     def test_non_orthonormal_codeword_rejected_on_batched_path(self, monkeypatch):
         orthonormalize = channel._orthonormalize
@@ -358,15 +431,20 @@ class TestTubeLaw:
 
 
 def loop_subchannel(d, kappa, rate, trials, rng):
-    """Per-trial reference: each spawned stream draws its (m, d) uniform
-    codebook (bit 1 below 1/2), the message index, then the noise in R^d,
-    and the decoder takes the argmax of codebook @ advantage."""
+    """Per-trial reference: block b of BLOCK_TRIALS trials draws from the b-th
+    spawned child, whose first three grandchildren give each trial in turn its
+    (m, d) uniform codebook (bit 1 below 1/2), its message index and its noise
+    in R^d; the decoder takes the argmax of codebook @ advantage."""
     m_code = int(math.floor(2.0 ** (rate * d)))
     messages, decoded = [], []
-    for stream in rng.spawn(trials):
-        codebook = (stream.random((m_code, d)) < 0.5).astype(np.float64)
-        m = stream.integers(m_code)
-        y = stream.standard_normal(d) * np.where(codebook[m] == 1.0, 1.0, 1.0 / math.sqrt(kappa))
+    blocks = rng.spawn(-(-trials // channel.BLOCK_TRIALS))
+    for t in range(trials):
+        if t % channel.BLOCK_TRIALS == 0:
+            code_rng, message_rng, noise_rng, _ = blocks[t // channel.BLOCK_TRIALS].spawn(4)
+        codebook = (code_rng.random((m_code, d)) < 0.5).astype(np.float64)
+        m = message_rng.integers(m_code)
+        y = noise_rng.standard_normal(d) * np.where(codebook[m] == 1.0, 1.0,
+                                                    1.0 / math.sqrt(kappa))
         advantage = 0.5 * (kappa - 1.0) * y**2 - 0.5 * math.log(kappa)
         messages.append(m)
         decoded.append(np.argmax(codebook @ advantage))
@@ -412,11 +490,26 @@ class TestBinarySubchannel:
         se = math.sqrt(want * (1 - want) / 4000)
         assert abs(res.error_rate - want) <= 3 * se
 
+    @pytest.mark.filterwarnings("error")
     def test_domain_checks(self):
         with pytest.raises(ParameterError):
             binary_subchannel_experiment(8, 1.0, 0.1, 10, np.random.default_rng(0))
         with pytest.raises(ParameterError):
             binary_subchannel_experiment(8, 4.0, -0.1, 10, np.random.default_rng(0))
+        # At kappa = inf the advantage would be inf - inf.
+        for kappa in (math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                binary_subchannel_experiment(8, kappa, 0.25, 10, np.random.default_rng(0))
+
+    def test_first_trials_do_not_depend_on_the_trial_count(self):
+        def run(trials):
+            return binary_subchannel_experiment(16, 4.0, 0.25, trials, np.random.default_rng(7))
+
+        full = run(600)  # three blocks, the last one partial
+        for k in (1, 37, 300):
+            part = run(k)
+            assert np.array_equal(part.messages, full.messages[:k])
+            assert np.array_equal(part.decoded, full.decoded[:k])
 
     def test_chunking_and_workers_do_not_change_results(self, monkeypatch):
         def run(workers):
@@ -443,3 +536,10 @@ class TestGoodEvent:
         for seed, (d, r) in enumerate([(16, 8), (32, 8), (32, 16), (64, 8), (64, 32)]):
             rate = good_event_rate(d, r, 100_000, np.random.default_rng(seed))
             assert rate <= 0.05
+
+    @pytest.mark.filterwarnings("error")
+    def test_trials_validation(self):
+        # Unchecked, 0 trials is a mean of an empty slice and -1 a numpy ValueError.
+        for trials in (0, -1):
+            with pytest.raises(ParameterError):
+                good_event_rate(16, 8, trials, np.random.default_rng(0))
