@@ -16,17 +16,15 @@ from .quantizer import (QuantizerConfig, decode_vector, quantize_vector,
                         smallest_bit_depth)
 from .samplers import (SampleBlock, SampleReport, SamplerParams, estimate_mean,
                        exact_accuracy, independent_accuracy, sample_exact,
-                       sample_exact_with_grid, sample_independent,
-                       sample_independent_with_grid, sample_many,
-                       sample_quantized, sample_uncentered, sampler_params)
+                       sample_independent, sample_many, sample_quantized,
+                       sample_uncentered, sampler_params)
 from .diagnostics import (CoDiagonalLawPair, empirical_covariance, kl_codiagonal,
                           law_of_alg1, law_of_alg2, law_of_alg3_ideal, tv_bound,
                           tv_gaussians_1d)
-from .channel import (ConverseInput, ExperimentResult, SubspaceCode,
-                      betainc_reg, binary_subchannel_experiment,
-                      bit_lower_bound_table, build_subspace_code, channel_draw,
-                      converse_bound, decode_nearest, fixed_error_bound,
-                      good_event_rate, run_coding_experiment,
-                      subspace_distance_samples, tube_probability)
+from .channel import (ConverseInput, ExperimentResult, betainc_reg,
+                      binary_subchannel_experiment, bit_lower_bound_table,
+                      converse_bound, fixed_error_bound, good_event_rate,
+                      run_coding_experiment, subspace_distance_samples,
+                      tube_probability)
 
 __version__ = "0.1.0"

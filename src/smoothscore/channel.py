@@ -27,12 +27,12 @@ A coding trial's codebook is one (m, d, r) normal array, orthonormalized with
 its chunk by one vectorized Gram-Schmidt; a rank-deficient codebook
 (probability zero) is drawn again from the redraw stream until it is not, one
 trial after another.  A fixed codebook is drawn once from the caller's
-generator before the blocks are spawned.  The noise of a trial is (G, H) in
-R^(r+d), and each output is decoded in closed form to the codeword maximizing
-||Q^T y||.  The one-code functions are one-trial calls of the same code, on
-one stream.  A binary-subchannel trial's codebook is one (m, d) uniform array,
-bit 1 where an entry lies below 1/2, and its noise lies in R^d; its chunks are
-decoded by one stacked matrix product.
+generator before the blocks are spawned, so a single code is studied through
+``run_coding_experiment(fresh_codebook=False)``.  The noise of a trial is
+(G, H) in R^(r+d), and each output is decoded in closed form to the codeword
+maximizing ||Q^T y||.  A binary-subchannel trial's codebook is one (m, d)
+uniform array, bit 1 where an entry lies below 1/2, and its noise lies in R^d;
+its chunks are decoded by one stacked matrix product.
 
 Contract v2 replaced one spawned stream per trial, which cost more than the
 coding of a small trial.  It changes the values of a seed but not their law.
@@ -44,6 +44,7 @@ from that contract.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -56,10 +57,6 @@ __all__ = [
     "converse_bound",
     "fixed_error_bound",
     "bit_lower_bound_table",
-    "SubspaceCode",
-    "build_subspace_code",
-    "channel_draw",
-    "decode_nearest",
     "ExperimentResult",
     "run_coding_experiment",
     "subspace_distance_samples",
@@ -80,6 +77,9 @@ BLOCK_TRIALS = 256
 # Cap on m * d, the entries of one trial's random codebook in the binary
 # subchannel experiment (2**22 float64 entries, 32 MiB per trial).
 SUBCHANNEL_MAX_ENTRIES = 2**22
+# Cap on the trials of one coding or subchannel call, checked before any
+# stream is spawned; the result holds two int64 arrays of this many entries.
+MAX_TRIALS = 2**22
 
 
 # ---------------------------------------------------------------------------
@@ -215,40 +215,6 @@ def betainc_reg(a: float, b: float, x) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 # Random low-rank subspace codes
 
-@dataclass(frozen=True)
-class SubspaceCode:
-    """Codebook of rank-r subspaces of R^d, each encoding the covariance
-    P_U + (1/kappa)(I - P_U).  ``bases`` stacks one orthonormal d x r basis
-    per message."""
-
-    dim: int
-    rank: int
-    kappa: float
-    bases: np.ndarray
-
-    def __post_init__(self):
-        if not 1 <= self.rank <= self.dim:
-            raise ParameterError(f"need 1 <= rank <= dim, got {self.rank}, {self.dim}")
-        if not self.kappa >= 1.0:
-            raise ParameterError(f"kappa must be >= 1, got {self.kappa}")
-        b = self.bases
-        if b.ndim != 3 or b.shape[1:] != (self.dim, self.rank):
-            raise ParameterError(f"bases must stack (dim, rank) matrices, got {b.shape}")
-        _check_orthonormal(np.moveaxis(b, -1, 0))
-
-    @property
-    def m_code(self) -> int:
-        return self.bases.shape[0]
-
-    def basis(self, m: int) -> np.ndarray:
-        return self.bases[m]
-
-    def covariance(self, m: int) -> np.ndarray:
-        q = self.basis(m)
-        p = q @ q.T
-        return p + (np.eye(self.dim) - p) / self.kappa
-
-
 def _code_entries(d: int, r: int, m_code: int) -> int:
     """m_code * d * r for a valid code shape, at most ``CODE_MAX_ENTRIES``."""
     if not 1 <= r <= d:
@@ -276,25 +242,21 @@ def _orthonormalize(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, deficient
 
 
-def _check_orthonormal(cols: np.ndarray) -> None:
-    """Reject unless max |Q^T Q - I| <= _ORTHO_TOL for every basis of cols."""
-    gram = np.einsum("i...d,j...d->...ij", cols, cols)
-    resid = np.max(np.abs(gram - np.eye(len(cols))), initial=0.0)
-    if not resid <= _ORTHO_TOL:
-        raise ParameterError(f"codeword bases not orthonormal: residual {resid:.3e}")
-
-
 def _draw_codes(code_rng, redraw_rng, n: int, m_code: int, d: int, r: int) -> np.ndarray:
     """Basis columns (r, n, m_code, d) of n codebooks, drawn from code_rng in
     order as (m_code, d, r) normal arrays.  Each rank-deficient codebook, in
-    order, is drawn again from redraw_rng until it is not."""
+    order, is drawn again from redraw_rng until it is not.  Every basis must
+    pass max |Q^T Q - I| <= _ORTHO_TOL."""
     raw = code_rng.standard_normal((n, m_code, d, r))
     cols, deficient = _orthonormalize(raw)
     for i in np.flatnonzero(deficient.any(axis=1)):
         while deficient[i].any():
             redraw_rng.standard_normal(out=raw[i])
             cols[:, i], deficient[i] = _orthonormalize(raw[i])
-    _check_orthonormal(cols)
+    gram = np.einsum("i...d,j...d->...ij", cols, cols)
+    resid = np.max(np.abs(gram - np.eye(r)), initial=0.0)
+    if not resid <= _ORTHO_TOL:
+        raise ParameterError(f"codeword bases not orthonormal: residual {resid:.3e}")
     return cols
 
 
@@ -318,40 +280,6 @@ def _decode(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.argmax(np.einsum("rnm,rnm->nm", coords, coords), axis=1)
 
 
-def build_subspace_code(d: int, r: int, m_code: int,
-                        rng: np.random.Generator, kappa: float = math.inf) -> SubspaceCode:
-    """Draw m_code independent uniformly random rank-r subspaces.
-
-    Each basis orthonormalizes a d x r standard Gaussian matrix, the
-    rotation-invariant construction; rank-deficient draws (probability zero)
-    are redrawn.  m_code * d * r may not exceed ``CODE_MAX_ENTRIES``.  With
-    the default infinite kappa the codeword covariance degenerates to the
-    pure projection; pass a finite kappa for channel draws.
-    """
-    _code_entries(d, r, m_code)
-    rng = np.random.default_rng(rng)
-    cols = _draw_codes(rng, rng, 1, m_code, d, r)[:, 0]
-    return SubspaceCode(dim=d, rank=r, kappa=float(kappa), bases=np.moveaxis(cols, 0, -1))
-
-
-def channel_draw(code: SubspaceCode, m: int, rng: np.random.Generator) -> np.ndarray:
-    """One channel output Y = Q G + kappa^{-1/2} (I - Q Q^T) H for message m,
-    drawing G in R^r, then H in R^d."""
-    if not 0 <= m < code.m_code:
-        raise ParameterError(f"message index {m} out of range")
-    noise = np.random.default_rng(rng).standard_normal((1, code.rank + code.dim))
-    return _channel_outputs(code.basis(m).T[:, None], noise, code.kappa)[0]
-
-
-def decode_nearest(code: SubspaceCode, y: np.ndarray) -> int:
-    """Index of the codeword subspace minimizing ||y - Q Q^T y||, ties broken
-    toward the smallest index; computed as the argmax of ||Q^T y||."""
-    y = np.asarray(y, dtype=np.float64)
-    if np.linalg.norm(y) == 0.0:
-        raise ParameterError("cannot decode the zero vector")
-    return int(_decode(np.moveaxis(code.bases, -1, 0), y[None])[0])
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo experiments
 
@@ -372,6 +300,17 @@ class ExperimentResult:
     def stderr(self) -> float:
         p = self.error_rate
         return math.sqrt(p * (1.0 - p) / self.trials)
+
+
+def _check_trials(trials) -> int:
+    """``trials`` as an int in [1, ``MAX_TRIALS``]; bools and non-integers are refused."""
+    try:
+        n = operator.index(trials)
+    except TypeError:
+        n = None
+    if n is None or isinstance(trials, bool) or not 1 <= n <= MAX_TRIALS:
+        raise ParameterError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials!r}")
+    return n
 
 
 def _map_trials(block_fn, rng: np.random.Generator, trials: int,
@@ -408,10 +347,10 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
     from ``rng`` and reused, for studying a single code.  Trials draw by the
     module's block contract: trial i's codebook (if fresh), message index and
     noise (G in R^r, then H in R^d) come from its block's codebook, message
-    and noise streams, and depend only on the seed and i.
+    and noise streams, and depend only on the seed and i.  ``trials`` must be
+    an integer in [1, ``MAX_TRIALS``].
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    trials = _check_trials(trials)
     if not kappa >= 1.0:
         raise ParameterError(f"kappa must be >= 1, got {kappa}")
     entries = _code_entries(d, r, m_code)
@@ -492,15 +431,14 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
     message index and noise in R^d come from its block's codebook, message
     and noise streams, and depend only on the seed and i.  Trials run in
     chunks of about ``CHUNK_ENTRIES`` codebook entries.  Sizes with
-    m * d > ``SUBCHANNEL_MAX_ENTRIES`` are rejected before any codebook is
-    drawn.
+    m * d > ``SUBCHANNEL_MAX_ENTRIES``, and trial counts outside [1,
+    ``MAX_TRIALS``], are rejected before any stream is spawned.
     """
     if not rate > 0.0:
         raise ParameterError(f"rate must be positive, got {rate}")
     if not 1.0 < kappa < math.inf:
         raise ParameterError(f"kappa must be finite and exceed 1, got {kappa}")
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    trials = _check_trials(trials)
     # The min keeps 2**(rate*d) finite; any exponent that large is over the cap.
     m_code = int(math.floor(2.0 ** min(rate * d, 1023.0)))
     if m_code * d > SUBCHANNEL_MAX_ENTRIES:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .gaussian import GaussianTarget
-from .quadrature import SincGrid, eval_r
+from .quadrature import SincGrid, eval_r, eval_sq_sum
 
 __all__ = [
     "CoDiagonalLawPair",
@@ -70,8 +70,7 @@ def law_of_alg2(target: GaussianTarget, grid: SincGrid) -> CoDiagonalLawPair:
     """Output law under independent per-shift queries:
     T_i = (lam_i / L_h) * sum_j c_j^2 / (lam_i + alpha_j)^2."""
     lam = target.eigvals
-    sq = np.sum((grid.coeffs[None, :] / (lam[:, None] + grid.alphas[None, :])) ** 2, axis=1)
-    return CoDiagonalLawPair(lam * sq / grid.L_h)
+    return CoDiagonalLawPair(lam * eval_sq_sum(grid, lam) / grid.L_h)
 
 
 def law_of_alg3_ideal(target: GaussianTarget, grid: SincGrid, sigma2: float) -> CoDiagonalLawPair:

@@ -7,9 +7,9 @@ coefficients applies the rational approximant r(Lambda), so the output of the
 one-point sampler is exactly r(Lambda) Z with Z standard normal.  The
 quantized sampler quantizes each resolvent term before the sum.
 
-Each public sampler derives its full parameter tuple and output law from
-(delta_tv, kappa, d) through :func:`sampler_params`; the ``*_with_grid``
-variants bypass those choices for experimentation and carry no guarantee.
+Every sampler derives its full parameter tuple and output law from
+(delta_tv, kappa, d) through :func:`sampler_params`; no caller can replace
+them, so every output carries the certificate of its law.
 
 The q shifts of one sample are fixed before any query, so n runs on one
 target are n*q queries on one grid.  :func:`sample_many` is the one sampling
@@ -29,6 +29,7 @@ same per seed, and the benchmark's checks rebuild Z from this contract.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -53,8 +54,6 @@ __all__ = [
     "sample_quantized",
     "estimate_mean",
     "sample_uncentered",
-    "sample_exact_with_grid",
-    "sample_independent_with_grid",
 ]
 
 
@@ -72,6 +71,8 @@ class SampleReport:
 
 
 def _check_delta(delta_tv: float) -> float:
+    if not isinstance(delta_tv, numbers.Real):
+        raise ParameterError(f"delta_tv must be a real number, got {delta_tv!r}")
     delta_tv = float(delta_tv)
     if not (0.0 < delta_tv < 1.0):
         raise ParameterError(f"delta_tv must lie in (0, 1), got {delta_tv}")
@@ -227,8 +228,8 @@ class SampleBlock:
                             quant_error_norm=None if errors is None else float(errors[run]))
 
 
-def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float | None, streams,
-                *, delta_mu: float | None = None, grid: SincGrid | None = None) -> SampleBlock:
+def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float, streams,
+                *, delta_mu: float | None = None) -> SampleBlock:
     """One run of ``algorithm`` per generator in ``streams``; the queries of
     a block of runs, (runs, q, d), are answered by one oracle call.
 
@@ -240,25 +241,18 @@ def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float | None, 
     the block; every run's q counts those queries, as a run of its own
     spends them.
 
-    ``grid`` replaces the derived grid of the exact or independent sampler
-    (no TV guarantee; ``delta_tv`` is then unused).  With no streams only
-    the parameters are checked.
+    The spec always comes from :func:`sampler_params` on (delta_tv, kappa,
+    d).  With no streams only the parameters are checked.
     """
     streams = list(streams)
     n, d = len(streams), target.dim
-    if grid is None:
-        spec = sampler_params(algorithm, d, target.kappa, delta_tv)
-        extra = {"delta_tv": float(delta_tv)}
-    elif algorithm in ("exact", "independent"):
-        spec, extra = SamplerParams(algorithm, grid), {}
-    else:
-        raise ParameterError(f"the {algorithm} sampler takes no caller-supplied grid")
+    spec = sampler_params(algorithm, d, target.kappa, delta_tv)
     if algorithm == "uncentered" and delta_mu is None:
         raise ParameterError("uncentered sampling requires delta_mu")
     cfg = None if spec.bits is None else QuantizerConfig(bits=spec.bits, clip_radius=spec.r_clip)
     g = spec.grid
     params = {"eta": g.eta, "h": g.h, "M": g.M, "N": g.N, "sigma2": spec.sigma2,
-              "r_clip": spec.r_clip, "bits": spec.bits, **extra}
+              "r_clip": spec.r_clip, "bits": spec.bits, "delta_tv": float(delta_tv)}
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return SampleBlock(np.empty((0, d)), empty, empty, np.empty(0, dtype=bool),
@@ -312,12 +306,6 @@ def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float | None, 
                        1.0 / g.alphas)
 
 
-def sample_exact_with_grid(target: GaussianTarget, grid: SincGrid,
-                           rng: np.random.Generator) -> SampleReport:
-    """One-point rational sampler on a caller-supplied grid (no TV guarantee)."""
-    return sample_many("exact", target, None, [rng], grid=grid).report(0)
-
-
 def sample_exact(target: GaussianTarget, delta_tv: float,
                  rng: np.random.Generator) -> SampleReport:
     """Draw one sample whose law is within delta_tv of the centered target,
@@ -327,12 +315,6 @@ def sample_exact(target: GaussianTarget, delta_tv: float,
     TV guarantee is the KL->Pinsker certificate on those variance ratios.
     """
     return sample_many("exact", target, delta_tv, [rng]).report(0)
-
-
-def sample_independent_with_grid(target: GaussianTarget, grid: SincGrid,
-                                 rng: np.random.Generator) -> SampleReport:
-    """Independent-query variant on a caller-supplied grid (no TV guarantee)."""
-    return sample_many("independent", target, None, [rng], grid=grid).report(0)
 
 
 def sample_independent(target: GaussianTarget, delta_tv: float,

@@ -4,14 +4,39 @@ import numpy as np
 import pytest
 from scipy.special import betainc as scipy_betainc
 
-from smoothscore import (ConverseInput, ParameterError, SubspaceCode,
-                         betainc_reg, binary_subchannel_experiment,
-                         bit_lower_bound_table, build_subspace_code,
-                         channel_draw, converse_bound, decode_nearest,
-                         fixed_error_bound, good_event_rate,
+from smoothscore import (ConverseInput, ParameterError, betainc_reg,
+                         binary_subchannel_experiment, bit_lower_bound_table,
+                         converse_bound, fixed_error_bound, good_event_rate,
                          run_coding_experiment, subspace_distance_samples,
                          tube_probability)
 from smoothscore import channel
+
+
+def draw_code(d, r, m_code, rng):
+    """Basis columns (r, m_code, d) of one codebook drawn from rng, as the
+    fixed-codebook experiment draws it."""
+    return channel._draw_codes(rng, rng, 1, m_code, d, r)[:, 0]
+
+
+def basis(cols, m):
+    """The (d, r) orthonormal basis of codeword m."""
+    return cols[:, m].T
+
+
+def covariance(cols, m, kappa):
+    """Codeword covariance P + (I - P) / kappa, with P the projection onto
+    codeword m."""
+    q = basis(cols, m)
+    p = q @ q.T
+    return p + (np.eye(len(p)) - p) / kappa
+
+
+def channel_outputs(cols, m, kappa, n, rng):
+    """n channel outputs for message m, on noise rows (G, H) drawn as one
+    (n, r + d) array from rng."""
+    r, _, d = cols.shape
+    return channel._channel_outputs(cols[:, np.full(n, m)], rng.standard_normal((n, r + d)),
+                                    kappa)
 
 
 class TestConverseArithmetic:
@@ -102,36 +127,40 @@ class TestBetaInc:
 
 class TestSubspaceCode:
     def test_bases_orthonormal(self):
-        code = build_subspace_code(16, 4, 20, np.random.default_rng(0), kappa=100.0)
-        for m in range(code.m_code):
-            q = code.basis(m)
+        cols = draw_code(16, 4, 20, np.random.default_rng(0))
+        assert cols.shape == (4, 20, 16)
+        for m in range(20):
+            q = basis(cols, m)
             assert np.max(np.abs(q.T @ q - np.eye(4))) <= 1e-10
 
     def test_covariance_spectrum_is_two_valued(self):
-        code = build_subspace_code(8, 3, 5, np.random.default_rng(1), kappa=50.0)
-        ev = np.sort(np.linalg.eigvalsh(code.covariance(2)))
+        cols = draw_code(8, 3, 5, np.random.default_rng(1))
+        ev = np.sort(np.linalg.eigvalsh(covariance(cols, 2, 50.0)))
         assert ev[:5] == pytest.approx(np.full(5, 1.0 / 50.0), abs=1e-12)
         assert ev[5:] == pytest.approx(np.ones(3), abs=1e-12)
 
     def test_full_rank_code_is_identity_covariance(self):
-        code = build_subspace_code(5, 5, 3, np.random.default_rng(2), kappa=10.0)
+        cols = draw_code(5, 5, 3, np.random.default_rng(2))
         for m in range(3):
-            assert np.max(np.abs(code.covariance(m) - np.eye(5))) < 1e-10
+            assert np.max(np.abs(covariance(cols, m, 10.0) - np.eye(5))) < 1e-10
 
-    def test_rank_bounds_enforced(self):
-        with pytest.raises(ParameterError):
-            build_subspace_code(4, 0, 2, np.random.default_rng(0))
-        with pytest.raises(ParameterError):
-            build_subspace_code(4, 5, 2, np.random.default_rng(0))
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_rank_bounds_enforced(self, fresh):
+        for r in (0, 5):
+            with pytest.raises(ParameterError):
+                run_coding_experiment(4, r, 10.0, 2, 1, np.random.default_rng(0),
+                                      fresh_codebook=fresh)
 
-    def test_oversized_codebook_rejected_before_allocation(self):
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_oversized_codebook_rejected_before_allocation(self, fresh):
         # 10**12 codewords of 32 x 3 would ask numpy for 698 TiB.
         for m_code in (10**12, channel.CODE_MAX_ENTRIES // 96 + 1):
             with pytest.raises(ParameterError):
-                build_subspace_code(32, 3, m_code, np.random.default_rng(0))
-            with pytest.raises(ParameterError):
-                run_coding_experiment(32, 3, 1e4, m_code, 1, np.random.default_rng(0))
-        assert build_subspace_code(32, 3, 1024, np.random.default_rng(0)).m_code == 1024
+                run_coding_experiment(32, 3, 1e4, m_code, 1, np.random.default_rng(0),
+                                      fresh_codebook=fresh)
+        res = run_coding_experiment(32, 3, 1e4, 1024, 1, np.random.default_rng(0),
+                                    fresh_codebook=fresh)
+        assert res.trials == 1 and 0 <= res.messages[0] < 1024
 
     def test_rank_deficient_draw_is_redrawn_from_its_own_stream(self, monkeypatch):
         class ZeroColumnOnFirstDraw:
@@ -157,8 +186,7 @@ class TestSubspaceCode:
         clean = np.random.default_rng(21)
         clean.standard_normal((3, 6, 2))
         for i in (0, 2):
-            want = build_subspace_code(6, 2, 3, clean).bases
-            assert np.array_equal(np.moveaxis(cols[:, i], 0, -1), want)
+            assert np.array_equal(cols[:, i], draw_code(6, 2, 3, clean))
         kept = channel._draw_codes(np.random.default_rng(20), None, 3, 3, 6, 2)
         assert np.array_equal(cols[:, 1], kept[:, 1])
 
@@ -177,91 +205,86 @@ class TestSubspaceCode:
         assert set(keys) == {((0, 0), (0, 3)), ((1, 0), (1, 3))}
 
 
-class TestChannelDraw:
+class TestChannelOutputs:
     def test_kappa_one_is_standard_normal(self):
-        code = build_subspace_code(6, 2, 3, np.random.default_rng(3), kappa=1.0)
+        cols = draw_code(6, 2, 3, np.random.default_rng(3))
         n = 20_000
-        rng = np.random.default_rng(4)
-        ys = np.stack([channel_draw(code, 0, rng) for _ in range(n)])
+        ys = channel_outputs(cols, 0, 1.0, n, np.random.default_rng(4))
         emp = ys.T @ ys / n
         se = math.sqrt(2.0 / n)
         assert np.max(np.abs(np.diag(emp) - 1.0)) <= 4 * se
 
     def test_projection_energy_split(self):
         d, r, kap = 12, 3, 25.0
-        code = build_subspace_code(d, r, 2, np.random.default_rng(5), kappa=kap)
-        q = code.basis(1)
+        cols = draw_code(d, r, 2, np.random.default_rng(5))
+        q = basis(cols, 1)
         n = 30_000
-        rng = np.random.default_rng(6)
-        on, off = 0.0, 0.0
-        for _ in range(n):
-            y = channel_draw(code, 1, rng)
-            p = q.T @ y
-            on += p @ p
-            off += y @ y - p @ p
-        on /= n
-        off /= n
+        ys = channel_outputs(cols, 1, kap, n, np.random.default_rng(6))
+        p2 = np.sum((ys @ q) ** 2, axis=1)
+        on = np.mean(p2)
+        off = np.mean(np.sum(ys**2, axis=1) - p2)
         # ||P_U Y||^2 ~ chi^2_r, ||P_perp Y||^2 ~ chi^2_{d-r}/kappa
         assert abs(on - r) <= 3 * math.sqrt(2.0 * r / n)
         assert abs(off - (d - r) / kap) <= 3 * math.sqrt(2.0 * (d - r) / n) / kap
 
     def test_covariance_matches_sigma_u(self):
         d, r, kap = 5, 2, 9.0
-        code = build_subspace_code(d, r, 1, np.random.default_rng(7), kappa=kap)
-        sigma_u = code.covariance(0)
+        cols = draw_code(d, r, 1, np.random.default_rng(7))
+        sigma_u = covariance(cols, 0, kap)
         n = 100_000
-        rng = np.random.default_rng(8)
-        ys = np.stack([channel_draw(code, 0, rng) for _ in range(n)])
+        ys = channel_outputs(cols, 0, kap, n, np.random.default_rng(8))
         emp = ys.T @ ys / n
         for i in range(d):
             for j in range(d):
                 se = math.sqrt((sigma_u[i, i] * sigma_u[j, j] + sigma_u[i, j]**2) / n)
                 assert abs(emp[i, j] - sigma_u[i, j]) <= 4 * se
 
-    def test_message_bounds(self):
-        code = build_subspace_code(4, 1, 2, np.random.default_rng(9))
-        with pytest.raises(ParameterError):
-            channel_draw(code, 2, np.random.default_rng(0))
+    def test_noise_rows_are_g_then_h(self):
+        # Row (G, H) gives Y = Q G + kappa^{-1/2} (H - Q Q^T H).
+        cols = draw_code(7, 3, 2, np.random.default_rng(9))
+        q = basis(cols, 1)
+        noise = np.random.default_rng(10).standard_normal((4, 10))
+        ys = channel._channel_outputs(cols[:, [1, 1, 1, 1]], noise, 16.0)
+        for y, row in zip(ys, noise):
+            g, h = row[:3], row[3:]
+            want = q @ g + (h - q @ (q.T @ h)) / 4.0
+            assert np.max(np.abs(y - want)) < 1e-12
 
 
-class TestDecodeNearest:
+class TestDecode:
     def make_axis_code(self):
-        bases = np.zeros((2, 2, 1))
-        bases[0, 0, 0] = 1.0  # span(e1)
-        bases[1, 1, 0] = 1.0  # span(e2)
-        return SubspaceCode(dim=2, rank=1, kappa=100.0, bases=bases)
+        cols = np.zeros((1, 2, 2))
+        cols[0, 0, 0] = 1.0  # span(e1)
+        cols[0, 1, 1] = 1.0  # span(e2)
+        return cols
 
     def test_two_axis_example(self):
-        code = self.make_axis_code()
-        assert decode_nearest(code, np.array([1.0, 0.1])) == 0
-        assert decode_nearest(code, np.array([0.1, 1.0])) == 1
+        cols = self.make_axis_code()
+        assert channel._decode(cols, np.array([[1.0, 0.1], [0.1, 1.0]])).tolist() == [0, 1]
 
     def test_member_vector_decodes_exactly(self):
-        code = build_subspace_code(8, 2, 6, np.random.default_rng(10))
+        cols = draw_code(8, 2, 6, np.random.default_rng(10))
         m = 4
-        y = code.basis(m) @ np.array([0.3, -2.0])
-        assert decode_nearest(code, y) == m
+        y = basis(cols, m) @ np.array([0.3, -2.0])
+        assert channel._decode(cols, y[None])[0] == m
 
     def test_tie_breaks_toward_smaller_index(self):
-        bases = np.zeros((2, 2, 1))
-        bases[0, 0, 0] = 1.0
-        bases[1, 0, 0] = 1.0  # duplicate codeword
-        code = SubspaceCode(dim=2, rank=1, kappa=10.0, bases=bases)
-        assert decode_nearest(code, np.array([2.0, 0.5])) == 0
+        cols = np.zeros((1, 2, 2))
+        cols[0, 0, 0] = 1.0
+        cols[0, 1, 0] = 1.0  # duplicate codeword
+        assert channel._decode(cols, np.array([[2.0, 0.5]]))[0] == 0
 
     def test_scale_invariance(self):
-        code = build_subspace_code(6, 2, 5, np.random.default_rng(11))
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            y = rng.standard_normal(6)
-            base = decode_nearest(code, y)
-            for c in (1e-6, 0.5, 3.0, 1e6):
-                assert decode_nearest(code, c * y) == base
+        cols = draw_code(6, 2, 5, np.random.default_rng(11))
+        ys = np.random.default_rng(12).standard_normal((50, 6))
+        base = channel._decode(cols, ys)
+        for c in (1e-6, 0.5, 3.0, 1e6):
+            assert np.array_equal(channel._decode(cols, c * ys), base)
 
-    def test_zero_vector_rejected(self):
-        code = build_subspace_code(3, 1, 2, np.random.default_rng(13))
-        with pytest.raises(ParameterError):
-            decode_nearest(code, np.zeros(3))
+    def test_zero_vector_ties_every_codeword(self):
+        # ||Q^T 0|| is 0 for every codeword, so the tie goes to index 0.
+        cols = draw_code(3, 1, 2, np.random.default_rng(13))
+        assert channel._decode(cols, np.zeros((1, 3)))[0] == 0
 
     def test_closed_form_matches_residual_argmin(self):
         # Reference: the residual form ||y - Q Q^T y|| over every codeword.
@@ -270,10 +293,12 @@ class TestDecodeNearest:
         for pair in range(1200):
             d = int(rng.integers(2, 12))
             r = int(rng.integers(1, d))
-            code = build_subspace_code(d, r, int(rng.integers(1, 40)), rng)
+            m_code = int(rng.integers(1, 40))
+            cols = draw_code(d, r, m_code, rng)
             y = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
-            residual = [np.linalg.norm(y - q @ (q.T @ y)) for q in code.bases]
-            assert decode_nearest(code, y) == int(np.argmin(residual)), pair
+            residual = [np.linalg.norm(y - q @ (q.T @ y))
+                        for q in (basis(cols, m) for m in range(m_code))]
+            assert channel._decode(cols, y[None])[0] == int(np.argmin(residual)), pair
 
 
 class TestCodingExperiment:
@@ -283,6 +308,7 @@ class TestCodingExperiment:
 
     def test_kappa_one_is_uniform_guessing(self):
         res = run_coding_experiment(6, 2, 1.0, 2, 4000, np.random.default_rng(15))
+        assert set(res.messages.tolist()) == {0, 1}
         se = math.sqrt(0.25 / 4000)
         assert abs(res.error_rate - 0.5) <= 3 * se
 
@@ -301,9 +327,23 @@ class TestCodingExperiment:
         assert np.array_equal(a.decoded, b.decoded)
         assert np.array_equal(a.messages, b.messages)
 
-    def test_trials_validation(self):
-        with pytest.raises(ParameterError):
-            run_coding_experiment(4, 1, 10.0, 2, 0, np.random.default_rng(0))
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("trials", [0, -1, 2.5, 1.0, True, np.True_, "3", None,
+                                        channel.MAX_TRIALS + 1, 10**12])
+    def test_trials_validation(self, trials):
+        # default_rng rejects a bare object, so a ParameterError here shows
+        # that trials are checked before any stream is made or spawned.
+        with pytest.raises(ParameterError, match="trials"):
+            run_coding_experiment(4, 1, 10.0, 2, trials, object(), fresh_codebook=False)
+        with pytest.raises(ParameterError, match="trials"):
+            binary_subchannel_experiment(16, 16.0, 0.1, trials, object())
+
+    def test_numpy_integer_trials_are_accepted(self):
+        for res in (run_coding_experiment(4, 1, 10.0, 2, np.int64(5), np.random.default_rng(0)),
+                    binary_subchannel_experiment(16, 16.0, 0.1, np.uint8(5),
+                                                 np.random.default_rng(0))):
+            assert res.trials == 5 and type(res.trials) is int
+            assert res.messages.size == 5
 
     @pytest.mark.parametrize("fresh", [True, False])
     def test_chunking_and_workers_do_not_change_results(self, monkeypatch, fresh):
@@ -323,24 +363,25 @@ class TestCodingExperiment:
     @pytest.mark.parametrize("fresh", [True, False])
     def test_one_trial_calls_agree_with_the_batched_trials(self, fresh):
         # Trials t of block b draw, one trial after another, their code from
-        # build_subspace_code on the b-th child's first grandchild (or use the
-        # fixed code drawn from the caller's generator), their message index
-        # from its second and their output from channel_draw on its third;
-        # decode_nearest then gives the outcome.
+        # the b-th child's first grandchild (or use the fixed code drawn from
+        # the caller's generator), their message index from its second and
+        # their noise row (G, H) from its third; the output of that row is
+        # then decoded against the trial's code alone.
         trials = channel.BLOCK_TRIALS + 40
         res = run_coding_experiment(10, 3, 5.0, 12, trials, np.random.default_rng(19),
                                     fresh_codebook=fresh)
         rng = np.random.default_rng(19)
-        code = None if fresh else build_subspace_code(10, 3, 12, rng, kappa=5.0)
+        cols = None if fresh else draw_code(10, 3, 12, rng)
         blocks = rng.spawn(2)
         for t in range(trials):
             if t % channel.BLOCK_TRIALS == 0:
                 code_rng, message_rng, noise_rng, _ = blocks[t // channel.BLOCK_TRIALS].spawn(4)
             if fresh:
-                code = build_subspace_code(10, 3, 12, code_rng, kappa=5.0)
+                cols = draw_code(10, 3, 12, code_rng)
             m = int(message_rng.integers(12))
             assert m == res.messages[t]
-            assert decode_nearest(code, channel_draw(code, m, noise_rng)) == res.decoded[t]
+            y = channel_outputs(cols, m, 5.0, 1, noise_rng)
+            assert channel._decode(cols, y)[0] == res.decoded[t]
 
     @pytest.mark.parametrize("fresh", [True, False])
     def test_first_trials_do_not_depend_on_the_trial_count(self, fresh):

@@ -299,12 +299,16 @@ class TestChannelExp:
         ["--mcode", "4", "--delta-tv", "1.5"],
         ["--mcode", "4", "--delta-tv", "-0.1"],
         ["--mcode", "4", "--seed", "-1"],
+        ["--mcode", "4", "--trials", "1000000000000"],  # 3.9e9 block streams
+        ["--mcode", "4", "--trials", "1000000000000", "--fixed-codebook"],
     ])
     def test_bad_size_or_delta_exit_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                         extra):
         draws = []
         monkeypatch.setattr(channel, "_draw_codes",
                             lambda *a, draw=channel._draw_codes: draws.append(1) or draw(*a))
+        monkeypatch.setattr(channel, "_map_trials",
+                            lambda *a: pytest.fail("trials ran after a parameter error"))
         out = tmp_path / "x.csv"
         assert main(["channel-exp", "--d", "32", "--r", "3", "--kappa", "1e4",
                      "--trials", "1", "--seed", "5", *extra, "--output", str(out)]) == 2

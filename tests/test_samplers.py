@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from smoothscore import (GaussianTarget, ParameterError, QuantizerConfig,
-                         ScoreOracle, SincGrid, build_grid, decode_vector,
+                         ScoreOracle, build_grid, decode_vector,
                          estimate_mean, eval_r, exact_accuracy,
                          independent_accuracy, lambda_norm, quantize_vector,
-                         sample_exact, sample_exact_with_grid,
-                         sample_independent, sample_independent_with_grid,
-                         sample_many, sample_quantized, sample_uncentered,
-                         sampler_params)
+                         sample_exact, sample_independent, sample_many,
+                         sample_quantized, sample_uncentered, sampler_params)
 
 
 class FixedNormals:
@@ -59,22 +57,16 @@ def loop_quantized(target, delta_tv, rng):
     return y, clipped, float(np.linalg.norm(quant_error))
 
 
-def mc_second_moment(algorithm, target, grid, master, n, chunk=20_000):
+def mc_second_moment(algorithm, target, delta_tv, master, n, chunk=20_000):
     """(1/n) sum_k y_k y_k^T over n runs on the streams master.spawn(n),
     drawn in blocks of ``chunk`` runs (successive spawns continue the same
     sequence of streams)."""
     acc = np.zeros((target.dim, target.dim))
     for start in range(0, n, chunk):
         streams = master.spawn(min(chunk, n - start))
-        y = sample_many(algorithm, target, None, streams, grid=grid).outputs
+        y = sample_many(algorithm, target, delta_tv, streams).outputs
         acc += y.T @ y
     return acc / n
-
-
-def empty_grid():
-    return SincGrid(eta=0.1, kappa=1.0, h=1.0, M=0, N=-1,
-                    alphas=np.empty(0), coeffs=np.empty(0),
-                    L_h=2.0 / math.pi**2)
 
 
 class TestSampleExact:
@@ -98,18 +90,16 @@ class TestSampleExact:
 
     def test_output_linear_in_z(self):
         t = GaussianTarget(eigvals=[1.0, 3.0, 9.0], kappa=9.0)
-        grid = build_grid(0.02, 9.0)
         z = np.array([0.3, -1.1, 2.4])
-        y1 = sample_exact_with_grid(t, grid, FixedNormals(z)).output
-        y2 = sample_exact_with_grid(t, grid, FixedNormals(2.0 * z)).output
+        y1 = sample_exact(t, 0.1, FixedNormals(z)).output
+        y2 = sample_exact(t, 0.1, FixedNormals(2.0 * z)).output
         assert np.array_equal(y2, 2.0 * y1)
 
     def test_output_is_r_of_lambda_times_z(self):
         t = GaussianTarget(eigvals=[1.0, 10.0, 100.0], kappa=100.0)
-        grid = build_grid(0.03, 100.0)
         z = np.array([1.0, -2.0, 0.5])
-        y = sample_exact_with_grid(t, grid, FixedNormals(z)).output
-        want = eval_r(grid, t.eigvals) * z
+        y = sample_exact(t, 0.2, FixedNormals(z)).output
+        want = eval_r(sampler_params("exact", 3, 100.0, 0.2).grid, t.eigvals) * z
         assert np.max(np.abs(y - want)) < 1e-12
 
     def test_monte_carlo_covariance_matches_law(self):
@@ -117,7 +107,7 @@ class TestSampleExact:
         t = GaussianTarget(eigvals=[1.0, 10.0, 100.0], kappa=100.0)
         grid = build_grid(exact_accuracy(3, 0.2), 100.0)
         n = 200_000
-        emp = mc_second_moment("exact", t, grid, np.random.default_rng(123), n)
+        emp = mc_second_moment("exact", t, 0.2, np.random.default_rng(123), n)
         sig = eval_r(grid, t.eigvals)
         for i in range(3):
             for j in range(3):
@@ -160,6 +150,29 @@ class TestSampleExact:
 def test_sampler_params_rejects_dimension_below_one(algorithm, dim):
     with pytest.raises(ParameterError):
         sampler_params(algorithm, dim, 100.0, 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("algorithm", ["exact", "independent", "quantized", "uncentered"])
+@pytest.mark.parametrize("delta_tv", [None, "0.2", [0.2], 0.2j, np.float64(0.2),
+                                      np.float32(0.2)])
+def test_delta_must_be_a_real_number(algorithm, delta_tv):
+    # A string must not sample as the number it spells; numpy floats are
+    # real numbers and sample as their float value.
+    t = GaussianTarget(eigvals=[1.0, 4.0], kappa=4.0)
+
+    def block(delta):
+        return sample_many(algorithm, t, delta, np.random.default_rng(0).spawn(2), delta_mu=0.1)
+
+    if isinstance(delta_tv, np.floating):
+        assert sampler_params(algorithm, 2, 4.0, delta_tv).grid.eta == sampler_params(
+            algorithm, 2, 4.0, float(delta_tv)).grid.eta
+        assert np.array_equal(block(delta_tv).outputs, block(float(delta_tv)).outputs)
+        return
+    with pytest.raises(ParameterError, match="delta_tv"):
+        sampler_params(algorithm, 2, 4.0, delta_tv)
+    with pytest.raises(ParameterError, match="delta_tv"):
+        block(delta_tv)
 
 
 class TestRationalCombine:
@@ -329,8 +342,6 @@ class TestSampleMany:
         with pytest.raises(ParameterError):
             sample_many("uncentered", t, 0.1, streams)  # no delta_mu
         with pytest.raises(ParameterError):
-            sample_many("quantized", t, 0.1, streams, grid=build_grid(0.1, t.kappa))
-        with pytest.raises(ParameterError):
             sample_many("exact", block_target(2, False, centered=False), 0.1, streams)
 
 
@@ -344,12 +355,6 @@ class TestSampleIndependent:
         ratios = lam * sq / grid.L_h
         assert np.max(np.abs(ratios - 1.0)) <= 2.0 * eta / grid.L_h
 
-    def test_empty_grid_returns_zero(self):
-        t = GaussianTarget(eigvals=[1.0], kappa=1.0)
-        rep = sample_independent_with_grid(t, empty_grid(), np.random.default_rng(0))
-        assert rep.output[0] == 0.0
-        assert rep.query_count == 0
-
     def test_monte_carlo_covariance_matches_closed_form(self):
         # 1e5 runs; the independent-query law has per-eigenvalue variance
         # (1/L_h) sum_j c_j^2/(lam+alpha_j)^2.
@@ -358,7 +363,7 @@ class TestSampleIndependent:
         v = np.sum(grid.coeffs**2 / (t.eigvals[:, None] + grid.alphas[None, :])**2,
                    axis=1) / grid.L_h
         n = 100_000
-        emp = mc_second_moment("independent", t, grid, np.random.default_rng(55), n)
+        emp = mc_second_moment("independent", t, 0.5, np.random.default_rng(55), n)
         want = np.diag(v)
         for i in range(2):
             for j in range(2):
