@@ -20,8 +20,8 @@ noise and the redraws of rank-deficient codebooks.  A block draws its message
 indices as one array; its codebooks and noise are drawn in trial order, in
 slices of at most one chunk of about ``CHUNK_ENTRIES`` floats.  Uniform and
 normal fills are sequential, so trial i's values depend only on the seed, i
-and the problem shape: not on the trial count, the chunk size or the worker
-count.  Threads run whole blocks.
+and the problem shape: not on the trial count or the chunk size.  The blocks
+run in order on the calling thread.
 
 A coding trial's codebook is one (m, d, r) normal array, orthonormalized with
 its chunk by one vectorized Gram-Schmidt; a rank-deficient codebook
@@ -44,13 +44,11 @@ from that contract.
 from __future__ import annotations
 
 import math
-import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_count
 
 __all__ = [
     "ConverseInput",
@@ -80,6 +78,9 @@ SUBCHANNEL_MAX_ENTRIES = 2**22
 # Cap on the trials of one coding or subchannel call, checked before any
 # stream is spawned; the result holds two int64 arrays of this many entries.
 MAX_TRIALS = 2**22
+# Cap on trials * d, the normal entries one subspace_distance_samples or
+# good_event_rate call draws at once (64 MiB); the largest caller draws 100000 x 64.
+DRAW_MAX_ENTRIES = 2**23
 
 
 # ---------------------------------------------------------------------------
@@ -302,35 +303,24 @@ class ExperimentResult:
         return math.sqrt(p * (1.0 - p) / self.trials)
 
 
-def _check_trials(trials) -> int:
-    """``trials`` as an int in [1, ``MAX_TRIALS``]; bools and non-integers are refused."""
-    try:
-        n = operator.index(trials)
-    except TypeError:
-        n = None
-    if n is None or isinstance(trials, bool) or not 1 <= n <= MAX_TRIALS:
-        raise ParameterError(f"trials must be an integer in [1, {MAX_TRIALS}], got {trials!r}")
+def _check_trials(trials, d: int | None = None) -> int:
+    """``trials`` as an int in [1, ``MAX_TRIALS``]; bools and non-integers are
+    refused.  With ``d``, a draw of trials x d entries must not exceed
+    ``DRAW_MAX_ENTRIES``."""
+    n = check_count("trials", trials, 1, MAX_TRIALS)
+    if d is not None and n * d > DRAW_MAX_ENTRIES:
+        raise ParameterError(f"a draw of {n} x {d} entries exceeds the cap of "
+                             f"{DRAW_MAX_ENTRIES}; lower trials or d")
     return n
 
 
-def _map_trials(block_fn, rng: np.random.Generator, trials: int,
-                workers: int | None) -> ExperimentResult:
+def _map_trials(block_fn, rng: np.random.Generator, trials: int) -> ExperimentResult:
     """Pool the (messages, decoded) of ``block_fn`` over the blocks of at most
-    ``BLOCK_TRIALS`` consecutive trials, run on up to ``workers`` threads.
+    ``BLOCK_TRIALS`` consecutive trials, run in order on the calling thread.
     Block b draws from the b-th child spawned from rng: ``block_fn`` gets its
     trial count and the child's codebook, message, noise and redraw streams."""
-    def run_block(block):
-        child, n = block
-        return block_fn(n, *child.spawn(4))
-
     sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
-    blocks = list(zip(rng.spawn(len(sizes)), sizes))
-    workers = max(1, int(workers or 1))
-    if workers == 1:
-        outcomes = [run_block(block) for block in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_block, blocks))
+    outcomes = [block_fn(n, *child.spawn(4)) for child, n in zip(rng.spawn(len(sizes)), sizes)]
     messages = np.concatenate([m for m, _ in outcomes])
     decoded = np.concatenate([g for _, g in outcomes])
     return ExperimentResult(trials=trials, errors=int(np.sum(messages != decoded)),
@@ -338,8 +328,7 @@ def _map_trials(block_fn, rng: np.random.Generator, trials: int,
 
 
 def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int,
-                          rng, fresh_codebook: bool = True,
-                          workers: int | None = None) -> ExperimentResult:
+                          rng, fresh_codebook: bool = True) -> ExperimentResult:
     """Average decoding error of the subspace code over Monte Carlo trials.
 
     By default every trial draws a fresh random codebook (the random-coding
@@ -348,7 +337,7 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
     module's block contract: trial i's codebook (if fresh), message index and
     noise (G in R^r, then H in R^d) come from its block's codebook, message
     and noise streams, and depend only on the seed and i.  ``trials`` must be
-    an integer in [1, ``MAX_TRIALS``].
+    an integer in [1, ``MAX_TRIALS``].  The blocks run on the calling thread.
     """
     trials = _check_trials(trials)
     if not kappa >= 1.0:
@@ -376,16 +365,16 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
             decoded[lo:lo + k] = _decode(cols, _channel_outputs(sent, noise, kappa))
         return messages, decoded
 
-    return _map_trials(block_trials, rng, trials, workers)
+    return _map_trials(block_trials, rng, trials)
 
 
 def subspace_distance_samples(d: int, r: int, trials: int, rng) -> np.ndarray:
     """Squared normalized distances of uniform sphere points to a fixed
-    r-dimensional subspace; distributed Beta((d-r)/2, r/2)."""
+    r-dimensional subspace; distributed Beta((d-r)/2, r/2).  ``trials`` lies
+    in [1, ``MAX_TRIALS``] and trials * d is at most ``DRAW_MAX_ENTRIES``."""
     if not 1 <= r < d:
         raise ParameterError(f"need 1 <= r < d, got r={r}, d={d}")
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    trials = _check_trials(trials, d)
     rng = np.random.default_rng(rng)
     g = rng.standard_normal((trials, d))
     sq = g**2
@@ -399,11 +388,13 @@ def tube_probability(d: int, r: int, thetas, trials: int, rng):
     theta, arrays for a sequence.  All thetas count the same points, drawn in
     chunks as one :func:`subspace_distance_samples` call draws them.  The
     analytic value, the Beta((d-r)/2, r/2) CDF at theta^2 by the in-house
-    continued fraction, is what the Monte Carlo side cross-checks.
+    continued fraction, is what the Monte Carlo side cross-checks.  A chunk
+    holds at least one point, so d is at most ``DRAW_MAX_ENTRIES``.
     """
     thetas_1d = [float(theta) for theta in np.atleast_1d(thetas)]
-    if not all(0.0 < theta < 1.0 for theta in thetas_1d) or trials < 1:
-        raise ParameterError(f"need thetas in (0, 1) and trials >= 1, got {thetas}, {trials}")
+    if not all(0.0 < theta < 1.0 for theta in thetas_1d):
+        raise ParameterError(f"need thetas in (0, 1), got {thetas}")
+    trials = _check_trials(trials)
     # theta**2 in Python float arithmetic, shared by the counts and the CDF.
     radii2 = [theta**2 for theta in thetas_1d]
     rng = np.random.default_rng(rng)
@@ -432,8 +423,12 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
     and noise streams, and depend only on the seed and i.  Trials run in
     chunks of about ``CHUNK_ENTRIES`` codebook entries.  Sizes with
     m * d > ``SUBCHANNEL_MAX_ENTRIES``, and trial counts outside [1,
-    ``MAX_TRIALS``], are rejected before any stream is spawned.
+    ``MAX_TRIALS``], are rejected before any stream is spawned.  The blocks
+    run on the calling thread: ``workers`` may only be None or 1, and goes
+    with the next change to ``bench/workloads.py``, which passes 1.
     """
+    if workers is not None and (isinstance(workers, bool) or workers != 1):
+        raise ParameterError(f"workers must be None or 1, got {workers!r}")
     if not rate > 0.0:
         raise ParameterError(f"rate must be positive, got {rate}")
     if not 1.0 < kappa < math.inf:
@@ -469,7 +464,7 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
                                            axis=1)
         return messages, decoded
 
-    return _map_trials(block_trials, rng, trials, workers)
+    return _map_trials(block_trials, rng, trials)
 
 
 def good_event_rate(d: int, r: int, trials: int, rng,
@@ -478,8 +473,7 @@ def good_event_rate(d: int, r: int, trials: int, rng,
     {||G|| >= a sqrt(r)} and {||H|| <= b sqrt(d)} for G in R^r, H in R^{d-r}."""
     if not 1 <= r < d:
         raise ParameterError(f"need 1 <= r < d, got r={r}, d={d}")
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    trials = _check_trials(trials, d)
     rng = np.random.default_rng(rng)
     g2 = np.sum(rng.standard_normal((trials, r)) ** 2, axis=1)
     h2 = np.sum(rng.standard_normal((trials, d - r)) ** 2, axis=1)

@@ -4,10 +4,6 @@ Every run is fully determined by (subcommand, flags, seed): rerunning a
 command reproduces the data rows byte for byte.  The only volatile output is
 a timestamp confined to a leading '#' comment line, so files stay directly
 comparable.  Exit code 0 on success, 2 on a parameter-domain error.
-
-Worker parallelism for trial-parallel experiments is capped by the
-SMOOTHSCORE_THREADS environment variable (default 1); results do not depend
-on the worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -83,13 +78,6 @@ def _open_input(path: str, mode: str = "r"):
         return open(path, mode)
     except OSError as exc:
         raise ParameterError(f"cannot open {path}: {exc.strerror}") from None
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SMOOTHSCORE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _cmd_validate_quadrature(args) -> int:
@@ -164,7 +152,7 @@ def _cmd_channel_exp(args) -> int:
     result = channel.run_coding_experiment(
         args.d, args.r, args.kappa, args.mcode, args.trials,
         np.random.default_rng(_number("seed", args.seed, count=True)),
-        fresh_codebook=not args.fixed_codebook, workers=_workers())
+        fresh_codebook=not args.fixed_codebook)
     rows = [(t, int(m), int(g), m == g)
             for t, (m, g) in enumerate(zip(result.messages, result.decoded))]
     _write_csv(args.output, ["trial", "message", "decoded", "correct"], rows)

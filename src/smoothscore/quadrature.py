@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_count
 
 __all__ = [
     "C0",
@@ -38,6 +38,9 @@ C0 = 12.0 / (1.0 - math.exp(-1.0))
 # Largest shift exponent 2jh: exp(x), exp(-x) and 1/exp(-x) stay finite and
 # nonzero in float64 (one unit of margin below log of the largest float).
 _MAX_EXPONENT = math.log(sys.float_info.max) - 1.0
+# Cap on n_points of one sup-error estimate: the finest log grid of the error
+# study, 2**16 + 1 points.
+MAX_EVAL_POINTS = 2**16 + 1
 
 
 @dataclass(frozen=True)
@@ -126,8 +129,7 @@ def eval_sq_sum(grid: SincGrid, x):
 def _eval_points(kappa: float, n_points: int) -> np.ndarray:
     # Dyadically refined log grid: the point set for n is contained in the
     # point set for 2n, so refining n_points can never shrink the maximum.
-    if n_points < 2:
-        raise ParameterError(f"n_points must be >= 2, got {n_points}")
+    n_points = check_count("n_points", n_points, 2, MAX_EVAL_POINTS)
     if kappa == 1.0:
         return np.ones(1)
     level = max(1, math.ceil(math.log2(n_points - 1)))
@@ -139,6 +141,7 @@ def sup_error_E1(grid: SincGrid, n_points: int = 4000) -> float:
 
     The grid holds at least ``n_points`` points (rounded up to the next
     dyadic refinement level); the estimate is a lower bound on the true sup.
+    ``n_points`` must be an integer in [2, ``MAX_EVAL_POINTS``].
     """
     xs = _eval_points(grid.kappa, n_points)
     return float(np.max(np.abs(np.sqrt(xs) * eval_r(grid, xs) - 1.0)))

@@ -3,6 +3,7 @@ re-exports only names its modules export, and deleted names stay gone."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -41,3 +42,9 @@ def test_deleted_names_are_not_importable(module, name):
     assert not hasattr(importlib.import_module(f"smoothscore.{module}"), name)
     with pytest.raises(ImportError):
         exec(f"from smoothscore import {name}", {})
+
+
+def test_coding_experiment_takes_no_worker_count():
+    # The blocks run on the calling thread; there is no thread pool to size.
+    params = inspect.signature(smoothscore.run_coding_experiment).parameters
+    assert "workers" not in params

@@ -319,14 +319,6 @@ class TestCodingExperiment:
                                   fresh_codebook=False)
         assert np.array_equal(a.decoded, b.decoded)
 
-    def test_worker_count_does_not_change_results(self):
-        a = run_coding_experiment(8, 2, 50.0, 4, 200, np.random.default_rng(17),
-                                  workers=1)
-        b = run_coding_experiment(8, 2, 50.0, 4, 200, np.random.default_rng(17),
-                                  workers=4)
-        assert np.array_equal(a.decoded, b.decoded)
-        assert np.array_equal(a.messages, b.messages)
-
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("trials", [0, -1, 2.5, 1.0, True, np.True_, "3", None,
                                         channel.MAX_TRIALS + 1, 10**12])
@@ -337,6 +329,12 @@ class TestCodingExperiment:
             run_coding_experiment(4, 1, 10.0, 2, trials, object(), fresh_codebook=False)
         with pytest.raises(ParameterError, match="trials"):
             binary_subchannel_experiment(16, 16.0, 0.1, trials, object())
+        # The unchunked Monte Carlo helpers and the tube check trials alike.
+        for call in (lambda: good_event_rate(8, 3, trials, object()),
+                     lambda: subspace_distance_samples(8, 3, trials, object()),
+                     lambda: tube_probability(8, 3, 0.5, trials, object())):
+            with pytest.raises(ParameterError, match="trials"):
+                call()
 
     def test_numpy_integer_trials_are_accepted(self):
         for res in (run_coding_experiment(4, 1, 10.0, 2, np.int64(5), np.random.default_rng(0)),
@@ -346,16 +344,16 @@ class TestCodingExperiment:
             assert res.messages.size == 5
 
     @pytest.mark.parametrize("fresh", [True, False])
-    def test_chunking_and_workers_do_not_change_results(self, monkeypatch, fresh):
-        def run(workers):
+    def test_chunking_does_not_change_results(self, monkeypatch, fresh):
+        def run():
             return run_coding_experiment(8, 2, 20.0, 16, 150, np.random.default_rng(18),
-                                         fresh_codebook=fresh, workers=workers)
+                                         fresh_codebook=fresh)
 
-        base = run(1)
+        base = run()
         # 256 entries hold one fresh codebook, or the Q^T y of eight trials.
-        for entries, workers in [(1, 1), (256, 1), (256 * 7, 2), (2**30, 2)]:
+        for entries in (1, 256, 256 * 7, 2**30):
             monkeypatch.setattr(channel, "CHUNK_ENTRIES", entries)
-            other = run(workers)
+            other = run()
             assert np.array_equal(other.messages, base.messages)
             assert np.array_equal(other.decoded, base.decoded)
             assert other.errors == base.errors
@@ -552,23 +550,47 @@ class TestBinarySubchannel:
             assert np.array_equal(part.messages, full.messages[:k])
             assert np.array_equal(part.decoded, full.decoded[:k])
 
-    def test_chunking_and_workers_do_not_change_results(self, monkeypatch):
-        def run(workers):
-            return binary_subchannel_experiment(16, 4.0, 0.25, 100, np.random.default_rng(6),
-                                                workers=workers)
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        def run():
+            return binary_subchannel_experiment(16, 4.0, 0.25, 100, np.random.default_rng(6))
 
-        base = run(1)
-        for entries, workers in [(1, 1), (16 * 16 * 7, 2), (2**30, 2)]:
+        base = run()
+        for entries in (1, 16 * 16 * 7, 2**30):
             monkeypatch.setattr(channel, "CHUNK_ENTRIES", entries)
-            other = run(workers)
+            other = run()
             assert np.array_equal(other.messages, base.messages)
             assert np.array_equal(other.decoded, base.decoded)
+
+    @pytest.mark.filterwarnings("error")
+    def test_workers_is_only_none_or_one(self):
+        def run(workers):
+            return binary_subchannel_experiment(16, 4.0, 0.25, 300, np.random.default_rng(6),
+                                                workers=workers)
+
+        base, one = run(None), run(1)
+        assert np.array_equal(one.messages, base.messages)
+        assert np.array_equal(one.decoded, base.decoded)
+        for workers in (0, 2, 4):
+            with pytest.raises(ParameterError, match="workers"):
+                run(workers)
 
     @pytest.mark.parametrize("d, rate", [(64, 0.5), (64, 100.0), (2**21, 0.5)])
     def test_codebook_size_capped_before_allocation(self, d, rate):
         # (64, 0.5) alone would draw a 2**32 x 64 codebook (2 TiB) per trial.
         with pytest.raises(ParameterError):
             binary_subchannel_experiment(d, 16.0, rate, 1, np.random.default_rng(0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn, args", [
+    (good_event_rate, (8, 3, channel.DRAW_MAX_ENTRIES // 8 + 1)),
+    (subspace_distance_samples, (8, 3, channel.DRAW_MAX_ENTRIES // 8 + 1)),
+    (subspace_distance_samples, (10**10, 3, 1)),  # one row of 74.5 GiB
+    (tube_probability, (10**10, 3, 0.5, 1)),
+], ids=["good-event", "distances", "distances-one-row", "tube-one-row"])
+def test_one_shot_draws_are_capped_before_allocation(fn, args):
+    with pytest.raises(ParameterError, match="exceeds the cap"):
+        fn(*args, np.random.default_rng(0))
 
 
 class TestGoodEvent:

@@ -82,6 +82,14 @@ class TestValidateQuadrature:
         assert len(data_rows(out)) == 2
         assert "skipping" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_points", ["1", "65538", "100000000"])  # 10**8: 17 GiB
+    def test_n_points_out_of_range_exit_2(self, tmp_path, capsys, n_points):
+        out = tmp_path / "vq.csv"
+        assert main(["validate-quadrature", "--etas", "0.01", "--kappas", "1e4",
+                     "--n-points", n_points, "--output", str(out)]) == 2
+        assert not out.exists()
+        assert_parameter_error(capsys, "n_points")
+
 
 class TestSample:
     def test_runs_zero_gives_header_only(self, tmp_path, run_config):
@@ -345,6 +353,14 @@ class TestTube:
                          "--trials", "10", "--seed", seed,
                          "--output", str(tmp_path / "x.csv")]) == 2
             assert_parameter_error(capsys)
+
+    @pytest.mark.parametrize("d, trials", [("8", "1000000000000"), ("10000000000", "10")])
+    def test_oversized_draw_exit_2(self, tmp_path, capsys, d, trials):
+        out = tmp_path / "x.csv"
+        assert main(["tube", "--d", d, "--r", "3", "--thetas", "0.5", "--trials", trials,
+                     "--seed", "0", "--output", str(out)]) == 2
+        assert not out.exists()
+        assert_parameter_error(capsys)
 
 
 class TestMeanEst:

@@ -5,6 +5,7 @@ import pytest
 
 from smoothscore import (C0, ParameterError, SincGrid, build_grid, eval_r,
                          eval_sq_sum, sup_error_E1, sup_error_E2)
+from smoothscore.quadrature import MAX_EVAL_POINTS
 
 # Frozen from a 40-digit decimal evaluation of the defining formulas.
 H_ETA_01 = 1.881298214768340139
@@ -134,6 +135,20 @@ class TestSupErrors:
         g = build_grid(0.1, 10.0)
         with pytest.raises(ParameterError):
             sup_error_E1(g, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fn", [sup_error_E1, sup_error_E2])
+    @pytest.mark.parametrize("n_points", [2.5, 4000.0, True, "4000", None,
+                                          MAX_EVAL_POINTS + 1, 10**8, 10**12])
+    def test_n_points_checked_before_allocation(self, fn, n_points):
+        # 10**8 points would be a 17 GiB evaluation matrix on this grid.
+        with pytest.raises(ParameterError, match="n_points"):
+            fn(build_grid(0.01, 1e4), n_points)
+
+    def test_largest_n_points_is_accepted(self):
+        g = build_grid(0.01, 1e4)
+        assert sup_error_E1(g, MAX_EVAL_POINTS) <= 0.01
+        assert sup_error_E2(g, np.int64(MAX_EVAL_POINTS)) <= 0.02
 
 
 class TestScalingLaws:
