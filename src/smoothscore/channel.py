@@ -18,7 +18,7 @@ spawned from the caller's generator.  Each block's child spawns four
 grandchildren, one per kind of draw: the codebooks, the message indices, the
 noise and the redraws of rank-deficient codebooks.  A block draws its message
 indices as one array; its codebooks and noise are drawn in trial order, in
-slices of at most one chunk of about ``CHUNK_ENTRIES`` floats.  Uniform and
+slices of at most one chunk of about ``CHUNK_ENTRIES`` entries.  Word and
 normal fills are sequential, so trial i's values depend only on the seed, i
 and the problem shape: not on the trial count or the chunk size.  The blocks
 run in order on the calling thread.
@@ -30,9 +30,11 @@ trial after another.  A fixed codebook is drawn once from the caller's
 generator before the blocks are spawned, so a single code is studied through
 ``run_coding_experiment(fresh_codebook=False)``.  The noise of a trial is
 (G, H) in R^(r+d), and each output is decoded in closed form to the codeword
-maximizing ||Q^T y||.  A binary-subchannel trial's codebook is one (m, d)
-uniform array, bit 1 where an entry lies below 1/2, and its noise lies in R^d;
-its chunks are decoded by one stacked matrix product.
+maximizing ||Q^T y||.  A binary-subchannel trial's (m, d) codebook of fair
+bits is ceil(m*d/64) uniform 64-bit words, unpacked least-significant bit
+first and row-major over (m, d); the padding bits of its last word are
+dropped.  Its noise lies in R^d, and its chunks are decoded by one stacked
+matrix product.
 
 Contract v2 replaced one spawned stream per trial, which cost more than the
 coding of a small trial.  It changes the values of a seed but not their law.
@@ -44,6 +46,7 @@ from that contract.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,12 +219,17 @@ def betainc_reg(a: float, b: float, x) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 # Random low-rank subspace codes
 
+def _check_subspace(d, r, proper: bool) -> tuple[int, int]:
+    """(d, r) as ints with 1 <= r <= d, or 1 <= r < d when ``proper``; bools
+    and non-integers are refused.  Caps on what they size are checked after."""
+    d = check_count("d", d, 2 if proper else 1, sys.maxsize)
+    return d, check_count("r", r, 1, d - 1 if proper else d)
+
+
 def _code_entries(d: int, r: int, m_code: int) -> int:
     """m_code * d * r for a valid code shape, at most ``CODE_MAX_ENTRIES``."""
-    if not 1 <= r <= d:
-        raise ParameterError(f"need 1 <= r <= d, got r={r}, d={d}")
-    if m_code < 1:
-        raise ParameterError(f"m_code must be >= 1, got {m_code}")
+    d, r = _check_subspace(d, r, proper=False)
+    m_code = check_count("m_code", m_code, 1, sys.maxsize)
     if m_code * d * r > CODE_MAX_ENTRIES:
         raise ParameterError(f"codebook of {m_code} x {d} x {r} entries exceeds the cap "
                              f"of {CODE_MAX_ENTRIES}; lower m_code, d or r")
@@ -372,8 +380,7 @@ def subspace_distance_samples(d: int, r: int, trials: int, rng) -> np.ndarray:
     """Squared normalized distances of uniform sphere points to a fixed
     r-dimensional subspace; distributed Beta((d-r)/2, r/2).  ``trials`` lies
     in [1, ``MAX_TRIALS``] and trials * d is at most ``DRAW_MAX_ENTRIES``."""
-    if not 1 <= r < d:
-        raise ParameterError(f"need 1 <= r < d, got r={r}, d={d}")
+    d, r = _check_subspace(d, r, proper=True)
     trials = _check_trials(trials, d)
     rng = np.random.default_rng(rng)
     g = rng.standard_normal((trials, d))
@@ -394,6 +401,7 @@ def tube_probability(d: int, r: int, thetas, trials: int, rng):
     thetas_1d = [float(theta) for theta in np.atleast_1d(thetas)]
     if not all(0.0 < theta < 1.0 for theta in thetas_1d):
         raise ParameterError(f"need thetas in (0, 1), got {thetas}")
+    d, r = _check_subspace(d, r, proper=True)
     trials = _check_trials(trials)
     # theta**2 in Python float arithmetic, shared by the counts and the CDF.
     radii2 = [theta**2 for theta in thetas_1d]
@@ -418,17 +426,20 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
     the output is N(0, 1/kappa) when b_i = 0 and N(0, 1) when b_i = 1.
     Decoding is exact maximum likelihood via per-coordinate log-density sums,
     ties broken toward the smallest index.  Trials draw by the module's block
-    contract: trial i's codebook (one (m, d) uniform array, b = 1 below 1/2),
-    message index and noise in R^d come from its block's codebook, message
-    and noise streams, and depend only on the seed and i.  Trials run in
-    chunks of about ``CHUNK_ENTRIES`` codebook entries.  Sizes with
-    m * d > ``SUBCHANNEL_MAX_ENTRIES``, and trial counts outside [1,
-    ``MAX_TRIALS``], are rejected before any stream is spawned.  The blocks
+    contract: trial i's codebook, message index and noise in R^d come from
+    its block's codebook, message and noise streams, and depend only on the
+    seed and i.  The codebook is ceil(m*d/64) uniform 64-bit words whose bits,
+    least-significant first, fill the (m, d) bits row by row; the unused bits
+    of the last word are dropped.  Trials run in chunks of about
+    ``CHUNK_ENTRIES`` codebook entries.  A d that is not a positive integer,
+    sizes with m * d > ``SUBCHANNEL_MAX_ENTRIES``, and trial counts outside
+    [1, ``MAX_TRIALS``] are rejected before any stream is spawned.  The blocks
     run on the calling thread: ``workers`` may only be None or 1, and goes
     with the next change to ``bench/workloads.py``, which passes 1.
     """
     if workers is not None and (isinstance(workers, bool) or workers != 1):
         raise ParameterError(f"workers must be None or 1, got {workers!r}")
+    d = check_count("d", d, 1, SUBCHANNEL_MAX_ENTRIES)
     if not rate > 0.0:
         raise ParameterError(f"rate must be positive, got {rate}")
     if not 1.0 < kappa < math.inf:
@@ -436,32 +447,33 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
     trials = _check_trials(trials)
     # The min keeps 2**(rate*d) finite; any exponent that large is over the cap.
     m_code = int(math.floor(2.0 ** min(rate * d, 1023.0)))
-    if m_code * d > SUBCHANNEL_MAX_ENTRIES:
+    entries = m_code * d
+    if entries > SUBCHANNEL_MAX_ENTRIES:
         raise ParameterError(
             f"codebook of {m_code} x {d} entries exceeds the cap of "
             f"{SUBCHANNEL_MAX_ENTRIES}; lower rate or d")
-    if m_code < 1:
-        raise ParameterError("codebook is empty; increase rate or d")
+    words = -(-entries // 64)
     rng = np.random.default_rng(rng)
     sigma0 = 1.0 / math.sqrt(kappa)
     log_kappa = math.log(kappa)
-    rows = max(1, CHUNK_ENTRIES // (m_code * d))
+    rows = max(1, CHUNK_ENTRIES // entries)
 
     def block_trials(n, code_rng, message_rng, noise_rng, _redraw_rng):
         messages = message_rng.integers(m_code, size=n)
         decoded = np.empty(n, dtype=np.int64)
-        codebook_buffer = np.empty((min(rows, n), m_code, d))
         for lo in range(0, n, rows):
             k = min(rows, n - lo)
-            codebooks = code_rng.random(out=codebook_buffer[:k])
-            # Bit 1 below 1/2: uniforms are multiples of 2**-53, so exactly half.
-            np.less(codebooks, 0.5, out=codebooks)
+            # Each trial's words, least-significant bit first ('<u8' fixes the
+            # byte order), less the padding of its last word.
+            raw = code_rng.integers(0, 2**64, size=(k, words), dtype=np.uint64)
+            bits = np.unpackbits(raw.astype("<u8", copy=False).view(np.uint8), axis=1,
+                                 count=entries, bitorder="little").reshape(k, m_code, d)
             y = noise_rng.standard_normal((k, d))
-            y *= np.where(codebooks[np.arange(k), messages[lo:lo + k]] == 1.0, 1.0, sigma0)
+            y *= np.where(bits[np.arange(k), messages[lo:lo + k]], 1.0, sigma0)
             # Log-likelihood advantage of bit 1 over bit 0 per coordinate.
             advantage = 0.5 * (kappa - 1.0) * y**2 - 0.5 * log_kappa
-            decoded[lo:lo + k] = np.argmax(np.matmul(codebooks, advantage[:, :, None])[..., 0],
-                                           axis=1)
+            scores = np.matmul(bits.astype(np.float64), advantage[:, :, None])
+            decoded[lo:lo + k] = np.argmax(scores[..., 0], axis=1)
         return messages, decoded
 
     return _map_trials(block_trials, rng, trials)
@@ -470,9 +482,11 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
 def good_event_rate(d: int, r: int, trials: int, rng,
                     a: float = 0.5, b: float = 2.0) -> float:
     """Measured failure rate of the decoding good event
-    {||G|| >= a sqrt(r)} and {||H|| <= b sqrt(d)} for G in R^r, H in R^{d-r}."""
-    if not 1 <= r < d:
-        raise ParameterError(f"need 1 <= r < d, got r={r}, d={d}")
+    {||G|| >= a sqrt(r)} and {||H|| <= b sqrt(d)} for G in R^r, H in R^{d-r};
+    a and b must be positive and finite."""
+    d, r = _check_subspace(d, r, proper=True)
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ParameterError(f"a and b must be positive and finite, got {a}, {b}")
     trials = _check_trials(trials, d)
     rng = np.random.default_rng(rng)
     g2 = np.sum(rng.standard_normal((trials, r)) ** 2, axis=1)

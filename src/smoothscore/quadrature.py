@@ -41,6 +41,10 @@ _MAX_EXPONENT = math.log(sys.float_info.max) - 1.0
 # Cap on n_points of one sup-error estimate: the finest log grid of the error
 # study, 2**16 + 1 points.
 MAX_EVAL_POINTS = 2**16 + 1
+# Points are evaluated in chunks whose (points x poles) temporary holds at
+# most this many entries (8 MiB of float64), or one point when a grid has more
+# poles.
+EVAL_CHUNK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -105,25 +109,38 @@ def build_grid(eta: float, kappa: float) -> SincGrid:
                     alphas=alphas, coeffs=coeffs, L_h=L_h)
 
 
+def _pole_sum(grid: SincGrid, x, name: str, square: bool):
+    """sum_j t_j over the poles for each x > 0, t_j = c_j / (x + alpha_j), or
+    t_j^2 when ``square``.  Points run in chunks of at most
+    ``EVAL_CHUNK_ENTRIES`` terms; each point's sum is the same in any chunk."""
+    xs = np.asarray(x, dtype=np.float64)
+    if np.any(xs <= 0.0):
+        raise ParameterError(f"{name} requires x > 0")
+    flat = xs.reshape(-1)
+    out = np.empty(flat.shape)
+    rows = max(1, EVAL_CHUNK_ENTRIES // grid.query_budget)
+    buffer = np.empty((min(rows, flat.size), grid.query_budget))
+    for lo in range(0, flat.size, rows):
+        points = flat[lo:lo + rows, None]
+        terms = np.add(points, grid.alphas, out=buffer[:len(points)])
+        np.divide(grid.coeffs, terms, out=terms)
+        if square:
+            np.square(terms, out=terms)
+        out[lo:lo + rows] = np.sum(terms, axis=-1)
+    return float(out[0]) if np.isscalar(x) or xs.ndim == 0 else out.reshape(xs.shape)
+
+
 def eval_r(grid: SincGrid, x):
     """Evaluate r(x) = sum_j c_j / (x + alpha_j) for x > 0.
 
     Accepts scalars or arrays; strictly positive and strictly decreasing.
     """
-    xs = np.asarray(x, dtype=np.float64)
-    if np.any(xs <= 0.0):
-        raise ParameterError("eval_r requires x > 0")
-    out = np.sum(grid.coeffs / (xs[..., None] + grid.alphas), axis=-1)
-    return float(out) if np.isscalar(x) or xs.ndim == 0 else out
+    return _pole_sum(grid, x, "eval_r", square=False)
 
 
 def eval_sq_sum(grid: SincGrid, x):
     """Evaluate sum_j c_j^2 / (x + alpha_j)^2 for x > 0 (scalar or array)."""
-    xs = np.asarray(x, dtype=np.float64)
-    if np.any(xs <= 0.0):
-        raise ParameterError("eval_sq_sum requires x > 0")
-    out = np.sum((grid.coeffs / (xs[..., None] + grid.alphas)) ** 2, axis=-1)
-    return float(out) if np.isscalar(x) or xs.ndim == 0 else out
+    return _pole_sum(grid, x, "eval_sq_sum", square=True)
 
 
 def _eval_points(kappa: float, n_points: int) -> np.ndarray:

@@ -469,18 +469,30 @@ class TestTubeLaw:
         assert one == (want[1], betainc_reg(2.5, 1.5, 0.6**2))
 
 
+def packed_bits(words, count):
+    """The first ``count`` bits of 64-bit ``words``, least-significant bit of
+    each word first."""
+    shifts = np.arange(64, dtype=np.uint64)
+    bits = (np.asarray(words, dtype=np.uint64)[:, None] >> shifts) & np.uint64(1)
+    return bits.reshape(-1)[:count]
+
+
 def loop_subchannel(d, kappa, rate, trials, rng):
     """Per-trial reference: block b of BLOCK_TRIALS trials draws from the b-th
     spawned child, whose first three grandchildren give each trial in turn its
-    (m, d) uniform codebook (bit 1 below 1/2), its message index and its noise
-    in R^d; the decoder takes the argmax of codebook @ advantage."""
+    codebook, its message index and its noise in R^d.  The codebook is the
+    first m*d bits of ceil(m*d/64) raw 64-bit words, least-significant bit
+    first and row-major over (m, d); the decoder takes the argmax of
+    codebook @ advantage."""
     m_code = int(math.floor(2.0 ** (rate * d)))
+    words = -(-m_code * d // 64)
     messages, decoded = [], []
     blocks = rng.spawn(-(-trials // channel.BLOCK_TRIALS))
     for t in range(trials):
         if t % channel.BLOCK_TRIALS == 0:
             code_rng, message_rng, noise_rng, _ = blocks[t // channel.BLOCK_TRIALS].spawn(4)
-        codebook = (code_rng.random((m_code, d)) < 0.5).astype(np.float64)
+        raw = code_rng.bit_generator.random_raw(words)
+        codebook = packed_bits(raw, m_code * d).reshape(m_code, d).astype(np.float64)
         m = message_rng.integers(m_code)
         y = noise_rng.standard_normal(d) * np.where(codebook[m] == 1.0, 1.0,
                                                     1.0 / math.sqrt(kappa))
@@ -561,6 +573,34 @@ class TestBinarySubchannel:
             assert np.array_equal(other.messages, base.messages)
             assert np.array_equal(other.decoded, base.decoded)
 
+    # m * d = 11 * 10 = 110 bits pad the second word; 4 * 4 = 16 bits pad the first.
+    @pytest.mark.parametrize("d, rate", [(10, 0.35), (4, 0.5)])
+    def test_padded_codebooks_do_not_depend_on_chunks_or_trial_count(self, monkeypatch,
+                                                                       d, rate):
+        def run(trials):
+            return binary_subchannel_experiment(d, 4.0, rate, trials, np.random.default_rng(8))
+
+        full = run(600)  # three blocks, the last one partial
+        m_code = int(math.floor(2.0 ** (rate * d)))
+        for entries in (1, m_code * d * 7, 2**30):
+            monkeypatch.setattr(channel, "CHUNK_ENTRIES", entries)
+            for k in (1, 37, 300, 600):
+                part = run(k)
+                assert np.array_equal(part.messages, full.messages[:k])
+                assert np.array_equal(part.decoded, full.decoded[:k])
+
+    def test_codebook_bits_are_the_low_bits_first_of_the_code_words(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(np, "matmul",
+                            lambda a, b, matmul=np.matmul: seen.append(a.copy()) or matmul(a, b))
+        binary_subchannel_experiment(10, 4.0, 0.35, 5, np.random.default_rng(11))
+        # Block 0's codebook grandchild; 110 bits take two words.
+        code_rng = np.random.default_rng(11).spawn(1)[0].spawn(4)[0]
+        w0, w1 = (int(w) for w in code_rng.bit_generator.random_raw(2))
+        want = [(w0 >> j) & 1 for j in range(64)] + [(w1 >> j) & 1 for j in range(46)]
+        assert seen[0][0].shape == (11, 10)
+        assert seen[0][0].reshape(-1).tolist() == want
+
     @pytest.mark.filterwarnings("error")
     def test_workers_is_only_none_or_one(self):
         def run(workers):
@@ -579,6 +619,35 @@ class TestBinarySubchannel:
         # (64, 0.5) alone would draw a 2**32 x 64 codebook (2 TiB) per trial.
         with pytest.raises(ParameterError):
             binary_subchannel_experiment(d, 16.0, rate, 1, np.random.default_rng(0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda rng: binary_subchannel_experiment(0, 16.0, 0.1, 10, rng),
+    lambda rng: binary_subchannel_experiment(2.5, 16.0, 0.5, 10, rng),
+    lambda rng: binary_subchannel_experiment(True, 16.0, 0.5, 10, rng),
+    lambda rng: binary_subchannel_experiment(-5, 16.0, 0.1, 10, rng),
+    lambda rng: run_coding_experiment(2.5, 1, 10.0, 2, 10, rng),
+    lambda rng: run_coding_experiment(4, 1.5, 10.0, 2, 10, rng),
+    lambda rng: run_coding_experiment(4, 1, 10.0, 2.5, 10, rng),
+    lambda rng: run_coding_experiment(4, 1, 10.0, True, 10, rng),
+    lambda rng: tube_probability(8.5, 3, 0.5, 10, rng),
+    lambda rng: tube_probability(8, 1.5, 0.5, 10, rng),
+    lambda rng: subspace_distance_samples(8, 1.5, 10, rng),
+    lambda rng: subspace_distance_samples(8.5, 3, 10, rng),
+    lambda rng: good_event_rate(8, 1.5, 10, rng),
+    lambda rng: good_event_rate(8, 3, 10, rng, a=math.nan),
+    lambda rng: good_event_rate(8, 3, 10, rng, b=math.nan),
+    lambda rng: good_event_rate(8, 3, 10, rng, a=0.0),
+    lambda rng: good_event_rate(8, 3, 10, rng, b=math.inf),
+], ids=["subchannel-d0", "subchannel-d-float", "subchannel-d-bool", "subchannel-d-negative",
+        "coding-d-float", "coding-r-float", "coding-m-float", "coding-m-bool",
+        "tube-d-float", "tube-r-float", "distances-r-float", "distances-d-float",
+        "good-event-r-float", "good-event-a-nan", "good-event-b-nan",
+        "good-event-a-zero", "good-event-b-inf"])
+def test_shapes_and_thresholds_are_checked(call):
+    with pytest.raises(ParameterError):
+        call(np.random.default_rng(0))
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from smoothscore import (C0, ParameterError, SincGrid, build_grid, eval_r,
                          eval_sq_sum, sup_error_E1, sup_error_E2)
+from smoothscore import quadrature
 from smoothscore.quadrature import MAX_EVAL_POINTS
 
 # Frozen from a 40-digit decimal evaluation of the defining formulas.
@@ -149,6 +151,35 @@ class TestSupErrors:
         g = build_grid(0.01, 1e4)
         assert sup_error_E1(g, MAX_EVAL_POINTS) <= 0.01
         assert sup_error_E2(g, np.int64(MAX_EVAL_POINTS)) <= 0.02
+
+    def test_chunked_evaluation_equals_one_whole_evaluation(self, monkeypatch):
+        g = build_grid(1e-3, 1e6)
+        xs = np.geomspace(1.0, 1e6, 1001)
+        monkeypatch.setattr(quadrature, "EVAL_CHUNK_ENTRIES", 2**40)
+        whole = [eval_r(g, xs), eval_sq_sum(g, xs), eval_r(g, xs[:6].reshape(2, 3)),
+                 eval_r(g, 7.0), sup_error_E1(g), sup_error_E2(g)]
+        # Three points per chunk (1001 points in 334 chunks), then one per chunk.
+        for entries in (3 * g.query_budget + 1, 1):
+            monkeypatch.setattr(quadrature, "EVAL_CHUNK_ENTRIES", entries)
+            chunked = [eval_r(g, xs), eval_sq_sum(g, xs), eval_r(g, xs[:6].reshape(2, 3)),
+                       eval_r(g, 7.0), sup_error_E1(g), sup_error_E2(g)]
+            for a, b in zip(chunked, whole):
+                assert np.array_equal(a, b) and np.shape(a) == np.shape(b)
+        assert type(chunked[3]) is float
+
+    @pytest.mark.parametrize("fn", [sup_error_E1, sup_error_E2])
+    def test_error_study_memory_is_bounded(self, fn):
+        # 11131 poles: one whole evaluation at 4097 points is 348 MiB per temporary.
+        g = build_grid(1e-100, 1e4)
+        assert g.query_budget == 11131
+        tracemalloc.start()
+        try:
+            fn(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One chunk's terms buffer, with room to spare for the small arrays.
+        assert peak <= 2 * quadrature.EVAL_CHUNK_ENTRIES * 8
 
 
 class TestScalingLaws:
