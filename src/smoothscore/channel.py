@@ -84,6 +84,9 @@ MAX_TRIALS = 2**22
 # Cap on trials * d, the normal entries one subspace_distance_samples or
 # good_event_rate call draws at once (64 MiB); the largest caller draws 100000 x 64.
 DRAW_MAX_ENTRIES = 2**23
+# The paper's good-event thresholds: ||G|| >= GOOD_G sqrt(r), ||H|| <= GOOD_H sqrt(d).
+GOOD_G = 0.5
+GOOD_H = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +351,8 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
     an integer in [1, ``MAX_TRIALS``].  The blocks run on the calling thread.
     """
     trials = _check_trials(trials)
-    if not kappa >= 1.0:
-        raise ParameterError(f"kappa must be >= 1, got {kappa}")
+    if not 1.0 <= kappa < math.inf:
+        raise ParameterError(f"kappa must be finite and >= 1, got {kappa}")
     entries = _code_entries(d, r, m_code)
     rng = np.random.default_rng(rng)
     fixed = None if fresh_codebook else _draw_codes(rng, rng, 1, m_code, d, r)[:, 0]
@@ -479,17 +482,14 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
     return _map_trials(block_trials, rng, trials)
 
 
-def good_event_rate(d: int, r: int, trials: int, rng,
-                    a: float = 0.5, b: float = 2.0) -> float:
+def good_event_rate(d: int, r: int, trials: int, rng) -> float:
     """Measured failure rate of the decoding good event
-    {||G|| >= a sqrt(r)} and {||H|| <= b sqrt(d)} for G in R^r, H in R^{d-r};
-    a and b must be positive and finite."""
+    {||G|| >= GOOD_G sqrt(r)} and {||H|| <= GOOD_H sqrt(d)} for G in R^r,
+    H in R^{d-r}, with the paper's constants GOOD_G = 1/2 and GOOD_H = 2."""
     d, r = _check_subspace(d, r, proper=True)
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise ParameterError(f"a and b must be positive and finite, got {a}, {b}")
     trials = _check_trials(trials, d)
     rng = np.random.default_rng(rng)
     g2 = np.sum(rng.standard_normal((trials, r)) ** 2, axis=1)
     h2 = np.sum(rng.standard_normal((trials, d - r)) ** 2, axis=1)
-    bad = (g2 < (a**2) * r) | (h2 > (b**2) * d)
+    bad = (g2 < (GOOD_G**2) * r) | (h2 > (GOOD_H**2) * d)
     return float(np.mean(bad))

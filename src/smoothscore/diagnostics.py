@@ -40,8 +40,8 @@ class CoDiagonalLawPair:
 
     def __post_init__(self):
         r = np.atleast_1d(np.asarray(self.ratios, dtype=np.float64))
-        if np.any(r <= 0.0):
-            raise ParameterError("variance ratios must be strictly positive")
+        if not np.all((r > 0.0) & (r < np.inf)):
+            raise ParameterError("variance ratios must be positive and finite")
         object.__setattr__(self, "ratios", r)
 
     @property
@@ -121,10 +121,12 @@ def tv_gaussians_1d(mean1: float, var1: float, mean2: float, var2: float) -> flo
     that the Pinsker certificate really is an upper bound; never used for
     d > 1.
     """
-    v1, v2 = float(var1), float(var2)
-    if not (v1 > 0.0 and v2 > 0.0):
-        raise ParameterError("variances must be positive")
-    delta = float(mean2) - float(mean1)
+    m1, v1, m2, v2 = float(mean1), float(var1), float(mean2), float(var2)
+    if not (math.isfinite(m1) and math.isfinite(m2)):
+        raise ParameterError("means must be finite")
+    if not (0.0 < v1 < math.inf and 0.0 < v2 < math.inf):
+        raise ParameterError("variances must be positive and finite")
+    delta = m2 - m1
     if v1 == v2:
         return math.erf(abs(delta) / (2.0 * math.sqrt(2.0 * v1)))
     # Relative to mean1 the crossings solve (v1 - v2) t^2 - 2 v1 delta t

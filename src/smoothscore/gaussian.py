@@ -13,6 +13,7 @@ reads its own share off the tape.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass
 
@@ -179,6 +180,9 @@ class OracleTape:
 class ScoreOracle:
     """Smoothed-score oracle handle for one target, with its own tape.
 
+    Every query, exact or finite-bit, takes one checked path: a refused call
+    records nothing, an answered one records each query it answers.
+
     Single-owner: a handle may move between threads but must not be shared.
     Responses are deterministic functions of (tau, y).
     """
@@ -187,48 +191,49 @@ class ScoreOracle:
         self.target = target
         self.tape = OracleTape()
         self._cov = target.cov_eigvals
-        self._plain = target.basis is None and target.is_centered
 
-    def _score(self, tau, y: np.ndarray) -> np.ndarray:
-        # tau is a scalar with y of shape (d,), or a (q, 1) column with points
-        # y of shape (..., k, d), k = 1 (one point for every shift) or q,
-        # giving (..., q, d).  Rows are points and the basis acts on columns,
-        # hence the swaps; a stacked matmul applies the basis to each run's
-        # (d, k) block with the BLAS call a single run makes, so a block of
-        # runs is answered bit for bit as the runs one at a time.
-        y = np.asarray(y, dtype=np.float64)
-        if self._plain:
-            return y / -(self._cov + tau)
-        t = self.target
-        w = _swap(t.to_eigenbasis(_swap(y - t.mean)))
-        return _swap(t.from_eigenbasis(_swap(-w / (self._cov + tau))))
-
-    def smoothed_score(self, tau: float, y: np.ndarray) -> np.ndarray:
-        """Exact query: returns -(Sigma + tau I)^{-1} (y - mu), records it."""
-        if not tau > 0.0:
-            raise ParameterError(f"tau must be positive, got {tau}")
-        g = self._score(tau, y)
-        self.tape.record(tau, np.asarray(y))
-        return g
-
-    def _scores(self, taus, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Checked batch (taus, y) and its scores, not yet recorded.
+    def _query(self, taus, y, encoder=None, bits: int = 0, *, one: bool = False):
+        # Checks, answers, encodes (finite-bit calls only), then records.
+        # One query is a scalar tau with y of shape (d,); a batch is 1-d taus
+        # with y of shape (d,), (q, d), (n, 1, d) or (n, q, d).
         taus = np.asarray(taus, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        if taus.ndim != 1 or not np.all(taus > 0.0):
-            raise ParameterError(f"taus must be a 1-d array of positive levels, got {taus}")
+        if taus.ndim != (0 if one else 1) or not ((taus > 0.0) & (taus < np.inf)).all():
+            want = "one positive finite level" if one else "a 1-d array of positive finite levels"
+            raise ParameterError(f"tau must be {want}, got {taus}")
         d, q = self.target.dim, taus.size
-        if not (y.shape in ((d,), (q, d)) or (y.ndim == 3 and y.shape[1:] in ((1, d), (q, d)))):
-            raise ParameterError(
-                f"y must have shape ({d},), ({q}, {d}), (n, 1, {d}) or (n, {q}, {d}), "
-                f"got {y.shape}")
-        return taus, y, self._score(taus[:, None], y)
+        if not (y.shape == (d,) if one else y.shape in ((d,), (q, d))
+                or y.ndim == 3 and y.shape[1:] in ((1, d), (q, d))):
+            raise ParameterError(f"y of shape {y.shape} does not fit {q} noise level(s) "
+                                 f"in dimension {d}")
+        if not np.isfinite(y).all():
+            raise ParameterError("query points must be finite")
+        # Rows are points and the basis acts on columns, hence the swaps; a
+        # stacked matmul applies the basis to each run's (d, k) block with the
+        # BLAS call a single run makes, so a block of runs is answered bit for
+        # bit as the runs one at a time.
+        t = self.target
+        w = _swap(t.to_eigenbasis(_swap(y - t.mean)))
+        g = _swap(t.from_eigenbasis(_swap(w / -(self._cov + taus[..., None]))))
+        lead = y.shape[:-2] + taus.shape  # run-major: run 0's q queries first
+        if encoder is not None:
+            kept, messages = encoder(g)
+            count = math.prod(lead)
+            if not (isinstance(messages, np.ndarray) and messages.dtype == np.uint8
+                    and messages.shape == (count, bits) and messages.max(initial=0) <= 1):
+                raise ParameterError(
+                    f"encoder must return a ({count}, {bits}) uint8 array of 0/1 bits")
+        # broadcast_to costs more than one query's arithmetic: skip it where
+        # the shapes already agree, as for every one-query call.
+        self.tape.record(taus if taus.shape == lead else np.broadcast_to(taus, lead),
+                         y if y.shape == lead + (d,) else np.broadcast_to(y, lead + (d,)), bits)
+        return g if encoder is None else (kept, messages)
 
-    def _record(self, taus: np.ndarray, y: np.ndarray, bits: int = 0) -> None:
-        # Run-major: a block of n runs records run 0's q queries first.
-        lead = y.shape[:-2] + taus.shape
-        self.tape.record(np.broadcast_to(taus, lead),
-                         np.broadcast_to(y, lead + y.shape[-1:]), bits)
+    def smoothed_score(self, tau: float, y: np.ndarray) -> np.ndarray:
+        """Exact query: returns -(Sigma + tau I)^{-1} (y - mu) for one
+        positive finite ``tau`` and one point ``y`` of shape (d,), and
+        records it."""
+        return self._query(tau, y, one=True)
 
     def smoothed_scores(self, taus, y: np.ndarray) -> np.ndarray:
         """q exact queries answered in one call: row j is s_{tau_j}(y_j).
@@ -239,9 +244,7 @@ class ScoreOracle:
         the queries (tau_j, y_j) run by run in index order, exactly as one
         :meth:`smoothed_score` call per query would.
         """
-        taus, y, g = self._scores(taus, y)
-        self._record(taus, y)
-        return g
+        return self._query(taus, y)
 
     def finite_bit_query(self, taus, y: np.ndarray, encoder, bits: int):
         """Finite-bit queries in one call: the oracle computes the scores
@@ -254,15 +257,7 @@ class ScoreOracle:
         ``messages`` for the receiver to decode and ``kept`` for the
         caller's report.
         """
-        taus, y, g = self._scores(taus, y)
-        kept, messages = encoder(g)
-        count = taus.size * (y.shape[0] if y.ndim == 3 else 1)
-        if not (isinstance(messages, np.ndarray) and messages.dtype == np.uint8
-                and messages.shape == (count, bits) and messages.max(initial=0) <= 1):
-            raise ParameterError(
-                f"encoder must return a ({count}, {bits}) uint8 array of 0/1 bits")
-        self._record(taus, y, bits)
-        return kept, messages
+        return self._query(taus, y, encoder, bits)
 
 
 def _swap(a: np.ndarray) -> np.ndarray:

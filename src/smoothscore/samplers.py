@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from . import diagnostics
-from .errors import ParameterError
+from .errors import ParameterError, check_count
 from .gaussian import GaussianTarget, ScoreOracle
 from .quadrature import C0, SincGrid, build_grid
 from .quantizer import QuantizerConfig, decode_vector, quantize_vector, smallest_bit_depth
@@ -133,8 +134,7 @@ def sampler_params(algorithm: str, dim: int, kappa: float, delta_tv: float) -> S
     formulas mention q.  B is reported as derived, also above the 52 bits
     that :class:`QuantizerConfig` accepts.
     """
-    if not dim >= 1:
-        raise ParameterError(f"dimension must be >= 1, got {dim}")
+    dim = check_count("dim", dim, 1, sys.maxsize)
     if algorithm in ("exact", "uncentered"):
         return SamplerParams(algorithm, build_grid(exact_accuracy(dim, delta_tv), kappa))
     if algorithm == "independent":
@@ -365,8 +365,8 @@ def estimate_mean(target: GaussianTarget, delta_mu: float,
     checked).  A mean so large that ||b|| or tau_mu overflows float64 is
     rejected too.
     """
-    if not delta_mu > 0.0:
-        raise ParameterError(f"delta_mu must be positive, got {delta_mu}")
+    if not 0.0 < delta_mu < math.inf:
+        raise ParameterError(f"delta_mu must be positive and finite, got {delta_mu}")
     if oracle is None:
         oracle = ScoreOracle(target)
     origin = np.zeros(target.dim)

@@ -636,15 +636,10 @@ class TestBinarySubchannel:
     lambda rng: subspace_distance_samples(8, 1.5, 10, rng),
     lambda rng: subspace_distance_samples(8.5, 3, 10, rng),
     lambda rng: good_event_rate(8, 1.5, 10, rng),
-    lambda rng: good_event_rate(8, 3, 10, rng, a=math.nan),
-    lambda rng: good_event_rate(8, 3, 10, rng, b=math.nan),
-    lambda rng: good_event_rate(8, 3, 10, rng, a=0.0),
-    lambda rng: good_event_rate(8, 3, 10, rng, b=math.inf),
 ], ids=["subchannel-d0", "subchannel-d-float", "subchannel-d-bool", "subchannel-d-negative",
         "coding-d-float", "coding-r-float", "coding-m-float", "coding-m-bool",
         "tube-d-float", "tube-r-float", "distances-r-float", "distances-d-float",
-        "good-event-r-float", "good-event-a-nan", "good-event-b-nan",
-        "good-event-a-zero", "good-event-b-inf"])
+        "good-event-r-float"])
 def test_shapes_and_thresholds_are_checked(call):
     with pytest.raises(ParameterError):
         call(np.random.default_rng(0))

@@ -324,6 +324,16 @@ class TestChannelExp:
         assert not out.exists()
         assert_parameter_error(capsys)
 
+    def test_infinite_kappa_exit_2_without_summary(self, tmp_path, capsys):
+        # --kappa inf used to exit 0 with "kappa": Infinity, which is not
+        # JSON, in the summary.
+        out, summ = tmp_path / "x.csv", tmp_path / "x.json"
+        assert main(["channel-exp", "--d", "8", "--r", "2", "--kappa", "inf",
+                     "--mcode", "4", "--trials", "4", "--seed", "5",
+                     "--output", str(out), "--summary", str(summ)]) == 2
+        assert not summ.exists() and not out.exists()
+        assert_parameter_error(capsys, "kappa")
+
 
 class TestTube:
     def test_table_and_determinism(self, tmp_path):
@@ -376,6 +386,14 @@ class TestMeanEst:
         cols = rows[1].split(",")
         assert int(cols[1]) == 2
         assert float(cols[2]) <= 0.1
+
+    def test_infinite_delta_mu_exit_2(self, tmp_path, capsys):
+        tgt = tmp_path / "t.json"
+        tgt.write_text(json.dumps({"dim": 2, "kappa": 2.0, "eigvals": [1.0, 2.0],
+                                   "mean": [1.0, 1.0]}))
+        assert main(["mean-est", "--target", str(tgt), "--delta-mu", "inf",
+                     "--output", str(tmp_path / "x.csv")]) == 2
+        assert_parameter_error(capsys, "delta_mu")
 
     def test_overflowing_mean_exit_2(self, tmp_path):
         tgt = tmp_path / "t.json"

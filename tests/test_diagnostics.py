@@ -133,6 +133,22 @@ class TestScalarTv:
             tv_gaussians_1d(0.0, 0.0, 0.0, 1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda: CoDiagonalLawPair([1.0, math.nan]),
+    lambda: CoDiagonalLawPair([math.inf, 1.0]),
+    lambda: tv_gaussians_1d(math.nan, 1.0, 0.0, 1.0),
+    lambda: tv_gaussians_1d(0.0, 1.0, -math.inf, 1.0),
+    lambda: tv_gaussians_1d(0.0, math.inf, 0.0, 1.0),
+    lambda: tv_gaussians_1d(0.0, 1.0, 0.0, math.inf),
+], ids=["ratio-nan", "ratio-inf", "mean-nan", "mean-inf", "var1-inf", "var2-inf"])
+def test_certificates_reject_non_finite_input(call):
+    # These gave a NaN tv_bound or TV distance, a RuntimeWarning, or a TV of
+    # 1 for an infinite mean.
+    with pytest.raises(ParameterError):
+        call()
+
+
 class TestLawConstructors:
     def test_alg1_unit_ratio_on_exact_pole(self):
         # Single pole at alpha=1 with c=2 gives r(1) = 1 exactly.

@@ -114,6 +114,38 @@ class TestSmoothedScore:
             o.finite_bit_query([-1.0], np.array([1.0]), lambda g: (None, no_bits(1)), 0)
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("call", [
+    lambda o: o.smoothed_score(INF, np.zeros(3)),
+    lambda o: o.smoothed_scores([1.0, INF], np.zeros(3)),
+    lambda o: o.finite_bit_query([INF], np.zeros(3), lambda g: (g, no_bits(1)), 0),
+    lambda o: o.smoothed_score(np.array([1.0, 2.0]), np.zeros(3)),
+    lambda o: o.smoothed_score(np.array([1.0]), np.zeros(3)),
+    lambda o: o.smoothed_score(1.0, np.ones((5, 3))),
+    lambda o: o.smoothed_score(1.0, np.ones(4)),
+    lambda o: o.smoothed_score(1.0, np.array([0.0, NAN, 0.0])),
+    lambda o: o.smoothed_scores([1.0, 2.0], np.array([[0.0, 0.0, INF], [0.0, 0.0, 0.0]])),
+    lambda o: o.finite_bit_query([1.0], np.full((2, 1, 3), -INF),
+                                 lambda g: (g, no_bits(2)), 0),
+], ids=["score-tau-inf", "scores-tau-inf", "finite-bit-tau-inf", "score-tau-array",
+        "score-tau-one-entry-array", "score-five-points", "score-wrong-dim",
+        "score-nan-point", "scores-inf-point", "finite-bit-inf-point"])
+def test_every_query_path_rejects_out_of_domain_input_unrecorded(rotated, call):
+    # Each call used to be answered (with NaN or inf scores, or five scores
+    # recorded as one query) or to fail inside numpy with a bare ValueError.
+    t = GaussianTarget(eigvals=[1.0, 2.0, 4.0], kappa=4.0, mean=[0.5, 0.0, -1.0],
+                       basis=random_rotation(3, np.random.default_rng(1)) if rotated else None)
+    o = ScoreOracle(t)
+    with pytest.raises(ParameterError):
+        call(o)
+    assert o.tape.query_count == 0
+    assert o.tape.bits_sent == 0
+
+
 def per_query_scores(oracle, taus, y):
     """Reference: one smoothed_score call per shift."""
     points = y if np.ndim(y) == 2 else [y] * len(taus)

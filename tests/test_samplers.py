@@ -152,6 +152,15 @@ def test_sampler_params_rejects_dimension_below_one(algorithm, dim):
         sampler_params(algorithm, dim, 100.0, 0.1)
 
 
+@pytest.mark.parametrize("algorithm", ["exact", "independent", "quantized", "uncentered"])
+@pytest.mark.parametrize("dim", [2.5, 3.0, np.float64(3.0), True, "3"])
+def test_sampler_params_takes_dimension_only_as_integer(algorithm, dim):
+    # A float dimension used to give fractional budgets (Q = 950.0 at d = 2.5)
+    # and True was read as d = 1.
+    with pytest.raises(ParameterError, match="dim"):
+        sampler_params(algorithm, dim, 100.0, 0.1)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("algorithm", ["exact", "independent", "quantized", "uncentered"])
 @pytest.mark.parametrize("delta_tv", [None, "0.2", [0.2], 0.2j, np.float64(0.2),
@@ -448,6 +457,17 @@ class TestEstimateMean:
         t = GaussianTarget(eigvals=[1.0], kappa=1.0)
         with pytest.raises(ParameterError):
             estimate_mean(t, 0.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda t: estimate_mean(t, math.inf),
+        lambda t: sample_many("uncentered", t, 0.1, np.random.default_rng(0).spawn(2),
+                              delta_mu=math.inf),
+    ], ids=["estimate_mean", "sample_many"])
+    def test_rejects_infinite_delta_by_name(self, call):
+        # delta_mu = inf used to give tau_mu = 0 and "tau must be positive".
+        t = GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0, mean=[1.0, -1.0])
+        with pytest.raises(ParameterError, match="delta_mu"):
+            call(t)
 
     def test_overflowing_mean_rejected_without_warnings(self):
         # ||b|| overflows float64, which used to give mu_hat = [nan, nan].
