@@ -19,8 +19,7 @@ from .samplers import (SampleBlock, SampleReport, SamplerParams, estimate_mean,
                        sample_independent, sample_many, sample_quantized,
                        sample_uncentered, sampler_params)
 from .diagnostics import (CoDiagonalLawPair, empirical_covariance, kl_codiagonal,
-                          law_of_alg1, law_of_alg2, law_of_alg3_ideal, tv_bound,
-                          tv_gaussians_1d)
+                          law_of_alg1, law_of_alg2, law_of_alg3_ideal, tv_bound)
 from .channel import (ConverseInput, ExperimentResult, betainc_reg,
                       binary_subchannel_experiment, bit_lower_bound_table,
                       converse_bound, fixed_error_bound, good_event_rate,

@@ -14,30 +14,39 @@ asymptotic constants.
 
 Randomness contract (v2): the trials of one call form blocks of
 ``BLOCK_TRIALS`` consecutive trials, and block b draws from the b-th child
-spawned from the caller's generator.  Each block's child spawns four
-grandchildren, one per kind of draw: the codebooks, the message indices, the
-noise and the redraws of rank-deficient codebooks.  A block draws its message
-indices as one array; its codebooks and noise are drawn in trial order, in
-slices of at most one chunk of about ``CHUNK_ENTRIES`` entries.  Word and
-normal fills are sequential, so trial i's values depend only on the seed, i
-and the problem shape: not on the trial count or the chunk size.  The blocks
-run in order on the calling thread.
+spawned from the caller's generator.  Each block's child spawns three
+grandchildren, one per kind of draw: the codebooks, the message indices and
+the noise.  Every draw is made in trial order, as one array per block or in
+slices of at most one chunk of about ``CHUNK_ENTRIES`` entries.  The fills
+are sequential, so trial i's values depend only on the seed, i and the
+problem shape: not on the trial count or the chunk size.  The blocks run in
+order on the calling thread.
 
-A coding trial's codebook is one (m, d, r) normal array, orthonormalized with
-its chunk by one vectorized Gram-Schmidt; a rank-deficient codebook
-(probability zero) is drawn again from the redraw stream until it is not, one
-trial after another.  A fixed codebook is drawn once from the caller's
-generator before the blocks are spawned, so a single code is studied through
-``run_coding_experiment(fresh_codebook=False)``.  The noise of a trial is
-(G, H) in R^(r+d), and each output is decoded in closed form to the codeword
-maximizing ||Q^T y||.  A binary-subchannel trial's (m, d) codebook of fair
-bits is ceil(m*d/64) uniform 64-bit words, unpacked least-significant bit
-first and row-major over (m, d); the padding bits of its last word are
-dropped.  Its noise lies in R^d, and its chunks are decoded by one stacked
-matrix product.
+A fresh-codebook coding trial is drawn from its sufficient statistics, with
+no codebook.  A wrong codeword is a uniform r-subspace independent of the
+output y, so it scores ||Q^T y||^2 = ||y||^2 B with B ~ Beta(r/2, (d-r)/2);
+the sent one scores ||G||^2 ~ chi^2_r, and ||y||^2 = ||G||^2 +
+chi^2_(d-r)/kappa.  Given T = ||G||^2/||y||^2 the nearest-subspace decoder
+errs with probability 1 - I_T(r/2, (d-r)/2)^(m-1), and an error decodes to
+a uniform other message.  Trial i draws, interleaved per trial, its message
+and one index among the m - 1 others from the message stream, chi^2_r and
+chi^2_(d-r) from the noise stream, and one uniform that decides the error
+from the codebook stream.  A fixed codebook is one (m, d, r) normal array,
+orthonormalized by one vectorized Gram-Schmidt and drawn again while it is
+rank-deficient (probability zero), all from the caller's generator before
+the blocks are spawned; a single code is studied through
+``run_coding_experiment(fresh_codebook=False)``.  Its trials draw their
+messages as one array per block and their noise (G, H) in R^(r+d) in trial
+order, and each output is decoded in closed form to the codeword maximizing
+||Q^T y||.  A binary-subchannel trial's (m, d) codebook of fair bits is
+ceil(m*d/64) uniform 64-bit words, unpacked least-significant bit first and
+row-major over (m, d); the padding bits of its last word are dropped.  Its
+noise lies in R^d, and its chunks are decoded by one stacked matrix product.
 
 Contract v2 replaced one spawned stream per trial, which cost more than the
-coding of a small trial.  It changes the values of a seed but not their law.
+coding of a small trial, and the sufficient-statistic draw replaced m*d*r
+normals and a Gram-Schmidt per fresh trial.  Each changed the values of a
+seed but not their law.
 The samplers keep one stream per run (see ``samplers.py``): the ``sample``
 command's rows stay the same per seed, and the benchmark's checks rebuild Z
 from that contract.
@@ -229,14 +238,15 @@ def _check_subspace(d, r, proper: bool) -> tuple[int, int]:
     return d, check_count("r", r, 1, d - 1 if proper else d)
 
 
-def _code_entries(d: int, r: int, m_code: int) -> int:
-    """m_code * d * r for a valid code shape, at most ``CODE_MAX_ENTRIES``."""
+def _check_code(d, r, m_code) -> tuple[int, int, int]:
+    """(d, r, m_code) as ints for a valid code shape of at most
+    ``CODE_MAX_ENTRIES`` entries m_code * d * r."""
     d, r = _check_subspace(d, r, proper=False)
     m_code = check_count("m_code", m_code, 1, sys.maxsize)
     if m_code * d * r > CODE_MAX_ENTRIES:
         raise ParameterError(f"codebook of {m_code} x {d} x {r} entries exceeds the cap "
                              f"of {CODE_MAX_ENTRIES}; lower m_code, d or r")
-    return m_code * d * r
+    return d, r, m_code
 
 
 def _orthonormalize(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,18 +264,16 @@ def _orthonormalize(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols, deficient
 
 
-def _draw_codes(code_rng, redraw_rng, n: int, m_code: int, d: int, r: int) -> np.ndarray:
-    """Basis columns (r, n, m_code, d) of n codebooks, drawn from code_rng in
-    order as (m_code, d, r) normal arrays.  Each rank-deficient codebook, in
-    order, is drawn again from redraw_rng until it is not.  Every basis must
-    pass max |Q^T Q - I| <= _ORTHO_TOL."""
-    raw = code_rng.standard_normal((n, m_code, d, r))
+def _draw_code(rng, m_code: int, d: int, r: int) -> np.ndarray:
+    """Basis columns (r, m_code, d) of one codebook, drawn from rng as one
+    (m_code, d, r) normal array, and drawn again from rng while it is
+    rank-deficient.  Every basis must pass max |Q^T Q - I| <= _ORTHO_TOL."""
+    raw = rng.standard_normal((m_code, d, r))
     cols, deficient = _orthonormalize(raw)
-    for i in np.flatnonzero(deficient.any(axis=1)):
-        while deficient[i].any():
-            redraw_rng.standard_normal(out=raw[i])
-            cols[:, i], deficient[i] = _orthonormalize(raw[i])
-    gram = np.einsum("i...d,j...d->...ij", cols, cols)
+    while deficient.any():
+        rng.standard_normal(out=raw)
+        cols, deficient = _orthonormalize(raw)
+    gram = np.einsum("imd,jmd->mij", cols, cols)
     resid = np.max(np.abs(gram - np.eye(r)), initial=0.0)
     if not resid <= _ORTHO_TOL:
         raise ParameterError(f"codeword bases not orthonormal: residual {resid:.3e}")
@@ -281,15 +289,12 @@ def _channel_outputs(cols: np.ndarray, noise: np.ndarray, kappa: float) -> np.nd
 
 
 def _decode(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Nearest codeword to each row of y, ties to the smallest index, from one
-    codebook cols (r, m, d) or one per row (r, n, m, d): the argmax of
-    ||Q^T y||^2, as ||y - Q Q^T y||^2 = ||y||^2 - ||Q^T y||^2."""
-    if cols.ndim == 3:
-        r, m, d = cols.shape
-        coords = (y @ cols.reshape(r * m, d).T).reshape(len(y), r, m)
-        return np.argmax(np.einsum("nrm,nrm->nm", coords, coords), axis=1)
-    coords = np.matmul(cols, y[:, :, None])[..., 0]
-    return np.argmax(np.einsum("rnm,rnm->nm", coords, coords), axis=1)
+    """Nearest codeword of the codebook cols (r, m, d) to each row of y, ties
+    to the smallest index: the argmax of ||Q^T y||^2, as
+    ||y - Q Q^T y||^2 = ||y||^2 - ||Q^T y||^2."""
+    r, m, d = cols.shape
+    coords = (y @ cols.reshape(r * m, d).T).reshape(len(y), r, m)
+    return np.argmax(np.einsum("nrm,nrm->nm", coords, coords), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +334,9 @@ def _map_trials(block_fn, rng: np.random.Generator, trials: int) -> ExperimentRe
     """Pool the (messages, decoded) of ``block_fn`` over the blocks of at most
     ``BLOCK_TRIALS`` consecutive trials, run in order on the calling thread.
     Block b draws from the b-th child spawned from rng: ``block_fn`` gets its
-    trial count and the child's codebook, message, noise and redraw streams."""
+    trial count and the child's codebook, message and noise streams."""
     sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
-    outcomes = [block_fn(n, *child.spawn(4)) for child, n in zip(rng.spawn(len(sizes)), sizes)]
+    outcomes = [block_fn(n, *child.spawn(3)) for child, n in zip(rng.spawn(len(sizes)), sizes)]
     messages = np.concatenate([m for m, _ in outcomes])
     decoded = np.concatenate([g for _, g in outcomes])
     return ExperimentResult(trials=trials, errors=int(np.sum(messages != decoded)),
@@ -342,41 +347,58 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
                           rng, fresh_codebook: bool = True) -> ExperimentResult:
     """Average decoding error of the subspace code over Monte Carlo trials.
 
-    By default every trial draws a fresh random codebook (the random-coding
-    average); with ``fresh_codebook=False`` one codebook is drawn up front
-    from ``rng`` and reused, for studying a single code.  Trials draw by the
-    module's block contract: trial i's codebook (if fresh), message index and
-    noise (G in R^r, then H in R^d) come from its block's codebook, message
-    and noise streams, and depend only on the seed and i.  ``trials`` must be
-    an integer in [1, ``MAX_TRIALS``].  The blocks run on the calling thread.
+    By default every trial has a fresh random codebook (the random-coding
+    average), drawn through its sufficient statistics; with
+    ``fresh_codebook=False`` one codebook is drawn up front from ``rng`` and
+    reused, for studying a single code.  Trials draw by the module's block
+    contract and depend only on the seed, i and the shape.  At r = d, or
+    with one codeword, every codeword scores ||y||^2, so every trial decodes
+    to index 0 by the decoder's tie rule.  ``trials`` must be an integer in
+    [1, ``MAX_TRIALS``], and m_code * d * r at most ``CODE_MAX_ENTRIES`` on
+    both paths.  The blocks run on the calling thread.
     """
     trials = _check_trials(trials)
     if not 1.0 <= kappa < math.inf:
         raise ParameterError(f"kappa must be finite and >= 1, got {kappa}")
-    entries = _code_entries(d, r, m_code)
+    d, r, m_code = _check_code(d, r, m_code)
     rng = np.random.default_rng(rng)
-    fixed = None if fresh_codebook else _draw_codes(rng, rng, 1, m_code, d, r)[:, 0]
-    # A chunk holds its fresh codebooks, or its sent bases and Q^T y against
-    # the fixed one.
-    per_trial = entries if fixed is None else (m_code + d) * r
-    rows = max(1, CHUNK_ENTRIES // per_trial)
 
-    def block_trials(n, code_rng, message_rng, noise_rng, redraw_rng):
+    def tied_trials(n, _code_rng, message_rng, _noise_rng):
+        return message_rng.integers(m_code, size=n), np.zeros(n, dtype=np.int64)
+
+    def fresh_trials(n, code_rng, message_rng, noise_rng):
+        # Drawn interleaved in trial order, so trial i's values do not depend on n.
+        messages, other = message_rng.integers([m_code, m_code - 1], size=(n, 2)).T
+        g2, h2 = noise_rng.chisquare([r, d - r], size=(n, 2)).T
+        h2 /= kappa
+        # A wrong codeword scores ||y||^2 B, B ~ Beta(r/2, (d-r)/2), and the
+        # sent one ||y||^2 T with T = g2 / (g2 + h2); at least one of the
+        # m - 1 wrong ones beats it with probability 1 - (1 - P(B > T))^(m-1).
+        tail = betainc_reg((d - r) / 2.0, r / 2.0, h2 / (g2 + h2))
+        with np.errstate(divide="ignore"):  # tail = 1 when g2 = 0
+            p_error = -np.expm1((m_code - 1) * np.log1p(-tail))
+        # On an error the decoded index is uniform over the other messages.
+        wrong = code_rng.random(n) < p_error
+        return messages, np.where(wrong, other + (other >= messages), messages)
+
+    def fixed_trials(n, _code_rng, message_rng, noise_rng):
+        # A chunk holds its sent bases and Q^T y against the fixed codebook.
+        rows = max(1, CHUNK_ENTRIES // ((m_code + d) * r))
         messages = message_rng.integers(m_code, size=n)
         decoded = np.empty(n, dtype=np.int64)
         for lo in range(0, n, rows):
             k = min(rows, n - lo)
-            sent_messages = messages[lo:lo + k]
-            if fixed is None:
-                cols = _draw_codes(code_rng, redraw_rng, k, m_code, d, r)
-                sent = cols[:, np.arange(k), sent_messages]
-            else:
-                cols, sent = fixed, fixed[:, sent_messages]
             noise = noise_rng.standard_normal((k, r + d))
-            decoded[lo:lo + k] = _decode(cols, _channel_outputs(sent, noise, kappa))
+            sent = fixed[:, messages[lo:lo + k]]
+            decoded[lo:lo + k] = _decode(fixed, _channel_outputs(sent, noise, kappa))
         return messages, decoded
 
-    return _map_trials(block_trials, rng, trials)
+    if r == d or m_code == 1:
+        return _map_trials(tied_trials, rng, trials)
+    if fresh_codebook:
+        return _map_trials(fresh_trials, rng, trials)
+    fixed = _draw_code(rng, m_code, d, r)
+    return _map_trials(fixed_trials, rng, trials)
 
 
 def subspace_distance_samples(d: int, r: int, trials: int, rng) -> np.ndarray:
@@ -461,7 +483,7 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
     log_kappa = math.log(kappa)
     rows = max(1, CHUNK_ENTRIES // entries)
 
-    def block_trials(n, code_rng, message_rng, noise_rng, _redraw_rng):
+    def block_trials(n, code_rng, message_rng, noise_rng):
         messages = message_rng.integers(m_code, size=n)
         decoded = np.empty(n, dtype=np.int64)
         for lo in range(0, n, rows):

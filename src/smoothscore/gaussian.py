@@ -193,7 +193,8 @@ class ScoreOracle:
         self._cov = target.cov_eigvals
 
     def _query(self, taus, y, encoder=None, bits: int = 0, *, one: bool = False):
-        # Checks, answers, encodes (finite-bit calls only), then records.
+        # Checks, answers, checks the answer is finite, encodes (finite-bit
+        # calls only), then records.
         # One query is a scalar tau with y of shape (d,); a batch is 1-d taus
         # with y of shape (d,), (q, d), (n, 1, d) or (n, q, d).
         taus = np.asarray(taus, dtype=np.float64)
@@ -213,8 +214,13 @@ class ScoreOracle:
         # BLAS call a single run makes, so a block of runs is answered bit for
         # bit as the runs one at a time.
         t = self.target
-        w = _swap(t.to_eigenbasis(_swap(y - t.mean)))
-        g = _swap(t.from_eigenbasis(_swap(w / -(self._cov + taus[..., None]))))
+        # Finite points far from the mean, or at tiny tau, can overflow; such
+        # answers are refused below instead of warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = _swap(t.to_eigenbasis(_swap(y - t.mean)))
+            g = _swap(t.from_eigenbasis(_swap(w / -(self._cov + taus[..., None]))))
+        if not np.isfinite(g).all():
+            raise ParameterError("the score at these query points overflows float64")
         lead = y.shape[:-2] + taus.shape  # run-major: run 0's q queries first
         if encoder is not None:
             kept, messages = encoder(g)

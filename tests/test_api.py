@@ -14,11 +14,14 @@ import smoothscore
 # Every module but __main__, which runs the CLI when imported.
 MODULES = sorted(m.name for m in pkgutil.iter_modules(smoothscore.__path__)
                  if m.name != "__main__")
-# Removed with the one-trial subspace-code API and the sampler grid override.
+# Removed with the one-trial subspace-code API and the sampler grid override,
+# or moved out of the package.
 DELETED = [("channel", "SubspaceCode"), ("channel", "build_subspace_code"),
            ("channel", "channel_draw"), ("channel", "decode_nearest"),
            ("samplers", "sample_exact_with_grid"),
-           ("samplers", "sample_independent_with_grid")]
+           ("samplers", "sample_independent_with_grid"),
+           # A test oracle only; it lives in tests/test_diagnostics.py.
+           ("diagnostics", "tv_gaussians_1d")]
 
 
 @pytest.mark.parametrize("name", MODULES)

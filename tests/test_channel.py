@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 from scipy.special import betainc as scipy_betainc
 
 from smoothscore import (ConverseInput, ParameterError, betainc_reg,
@@ -15,7 +17,7 @@ from smoothscore import channel
 def draw_code(d, r, m_code, rng):
     """Basis columns (r, m_code, d) of one codebook drawn from rng, as the
     fixed-codebook experiment draws it."""
-    return channel._draw_codes(rng, rng, 1, m_code, d, r)[:, 0]
+    return channel._draw_code(rng, m_code, d, r)
 
 
 def basis(cols, m):
@@ -162,47 +164,51 @@ class TestSubspaceCode:
                                     fresh_codebook=fresh)
         assert res.trials == 1 and 0 <= res.messages[0] < 1024
 
-    def test_rank_deficient_draw_is_redrawn_from_its_own_stream(self, monkeypatch):
-        class ZeroColumnOnFirstDraw:
-            # A stream whose first draw has a zero column in codeword 1 of the
-            # codebooks that ``codebooks`` indexes in the leading axes.
-            def __init__(self, seed, codebooks):
+    def test_rank_deficient_code_is_drawn_again_from_the_same_stream(self, monkeypatch):
+        class ZeroColumnOnFirstDraws:
+            # A stream whose first ``bad`` draws have a zero column in codeword 1.
+            def __init__(self, seed, bad):
                 self.rng = np.random.default_rng(seed)
-                self.codebooks = codebooks
+                self.bad = bad
                 self.calls = 0
 
             def standard_normal(self, size=None, out=None):
                 out = self.rng.standard_normal(size, out=out)
-                if self.calls == 0:
-                    out[..., 1, :, 0][self.codebooks] = 0.0
+                if self.calls < self.bad:
+                    out[1, :, 0] = 0.0
                 self.calls += 1
                 return out
 
-        # Codebooks 0 and 2 of three are rank-deficient, and so is the first
-        # redraw, of codebook 0: it takes redraws 1 and 2, codebook 2 takes 3.
-        redraws = ZeroColumnOnFirstDraw(21, ...)
-        cols = channel._draw_codes(ZeroColumnOnFirstDraw(20, [0, 2]), redraws, 3, 3, 6, 2)
-        assert redraws.calls == 3
-        clean = np.random.default_rng(21)
-        clean.standard_normal((3, 6, 2))
-        for i in (0, 2):
-            assert np.array_equal(cols[:, i], draw_code(6, 2, 3, clean))
-        kept = channel._draw_codes(np.random.default_rng(20), None, 3, 3, 6, 2)
-        assert np.array_equal(cols[:, 1], kept[:, 1])
+        stream = ZeroColumnOnFirstDraws(20, bad=2)
+        cols = channel._draw_code(stream, 3, 6, 2)
+        assert stream.calls == 3
+        clean = np.random.default_rng(20)
+        clean.standard_normal((2, 3, 6, 2))
+        assert np.array_equal(cols, draw_code(6, 2, 3, clean))
 
-        # The experiment hands each block's codebook stream (grandchild 0)
-        # and redraw stream (grandchild 3) to the draw.
-        keys = []
-        draw_codes = channel._draw_codes
+        # The fixed codebook comes from the caller's generator; a fresh
+        # codebook is never drawn.
+        seen = []
+        draw = channel._draw_code
+        monkeypatch.setattr(channel, "_draw_code",
+                            lambda rng, *shape: seen.append(rng) or draw(rng, *shape))
+        caller = np.random.default_rng(22)
+        run_coding_experiment(6, 2, 10.0, 3, channel.BLOCK_TRIALS + 1, caller,
+                              fresh_codebook=False)
+        assert len(seen) == 1 and seen[0] is caller
+        run_coding_experiment(6, 2, 10.0, 3, channel.BLOCK_TRIALS + 1, caller)
+        assert len(seen) == 1
 
-        def spy(code_rng, redraw_rng, *shape):
-            keys.append((code_rng.bit_generator.seed_seq.spawn_key,
-                         redraw_rng.bit_generator.seed_seq.spawn_key))
-            return draw_codes(code_rng, redraw_rng, *shape)
-
-        monkeypatch.setattr(channel, "_draw_codes", spy)
-        run_coding_experiment(6, 2, 10.0, 3, channel.BLOCK_TRIALS + 1, np.random.default_rng(22))
-        assert set(keys) == {((0, 0), (0, 3)), ((1, 0), (1, 3))}
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_full_rank_code_decodes_every_trial_to_index_zero(self, monkeypatch, fresh):
+        # At r = d every codeword spans R^d and scores ||y||^2 exactly, so
+        # every trial ties and goes to index 0, however roundoff falls.
+        monkeypatch.setattr(channel, "_decode", None)  # no score is computed
+        res = run_coding_experiment(5, 5, 10.0, 7, 600, np.random.default_rng(31),
+                                    fresh_codebook=fresh)
+        assert res.decoded.tolist() == [0] * 600
+        assert set(res.messages.tolist()) == set(range(7))
+        assert res.errors == np.count_nonzero(res.messages)
 
 
 class TestChannelOutputs:
@@ -350,7 +356,8 @@ class TestCodingExperiment:
                                          fresh_codebook=fresh)
 
         base = run()
-        # 256 entries hold one fresh codebook, or the Q^T y of eight trials.
+        # 256 entries hold the sent bases and Q^T y of about two fixed-codebook
+        # trials; fresh trials do not chunk.
         for entries in (1, 256, 256 * 7, 2**30):
             monkeypatch.setattr(channel, "CHUNK_ENTRIES", entries)
             other = run()
@@ -360,26 +367,34 @@ class TestCodingExperiment:
 
     @pytest.mark.parametrize("fresh", [True, False])
     def test_one_trial_calls_agree_with_the_batched_trials(self, fresh):
-        # Trials t of block b draw, one trial after another, their code from
-        # the b-th child's first grandchild (or use the fixed code drawn from
-        # the caller's generator), their message index from its second and
-        # their noise row (G, H) from its third; the output of that row is
-        # then decoded against the trial's code alone.
+        # Trials t of block b draw, one trial after another, from the b-th
+        # child's three grandchildren.  A fixed-codebook trial takes its
+        # message index from the second and its noise row (G, H) from the
+        # third, and its output is decoded against the code drawn from the
+        # caller's generator.  A fresh trial takes its message and one other
+        # index from the second, chi^2_r and chi^2_(d-r) from the third, and
+        # a uniform from the first; it errs when the uniform falls below
+        # 1 - I_T(r/2, (d-r)/2)^(m-1), here by scipy's incomplete beta.
+        d, r, kappa, m_code = 10, 3, 5.0, 12
         trials = channel.BLOCK_TRIALS + 40
-        res = run_coding_experiment(10, 3, 5.0, 12, trials, np.random.default_rng(19),
+        res = run_coding_experiment(d, r, kappa, m_code, trials, np.random.default_rng(19),
                                     fresh_codebook=fresh)
         rng = np.random.default_rng(19)
-        cols = None if fresh else draw_code(10, 3, 12, rng)
+        cols = None if fresh else draw_code(d, r, m_code, rng)
         blocks = rng.spawn(2)
         for t in range(trials):
             if t % channel.BLOCK_TRIALS == 0:
-                code_rng, message_rng, noise_rng, _ = blocks[t // channel.BLOCK_TRIALS].spawn(4)
+                code_rng, message_rng, noise_rng = blocks[t // channel.BLOCK_TRIALS].spawn(3)
             if fresh:
-                cols = draw_code(10, 3, 12, code_rng)
-            m = int(message_rng.integers(12))
+                m, other = message_rng.integers([m_code, m_code - 1])
+                g2, h2 = noise_rng.chisquare([r, d - r])
+                p_error = 1.0 - scipy_betainc(r / 2, (d - r) / 2, g2 / (g2 + h2 / kappa))**11
+                decoded = other + (other >= m) if code_rng.random() < p_error else m
+            else:
+                m = int(message_rng.integers(m_code))
+                decoded = channel._decode(cols, channel_outputs(cols, m, kappa, 1, noise_rng))[0]
             assert m == res.messages[t]
-            y = channel_outputs(cols, m, 5.0, 1, noise_rng)
-            assert channel._decode(cols, y)[0] == res.decoded[t]
+            assert decoded == res.decoded[t]
 
     @pytest.mark.parametrize("fresh", [True, False])
     def test_first_trials_do_not_depend_on_the_trial_count(self, fresh):
@@ -407,19 +422,52 @@ class TestCodingExperiment:
         assert sum(sizes) == 300 * 2 * 4096
         assert max(sizes) <= channel.CHUNK_ENTRIES
 
-    def test_non_orthonormal_codeword_rejected_on_batched_path(self, monkeypatch):
+    def test_non_orthonormal_codeword_rejected(self, monkeypatch):
         orthonormalize = channel._orthonormalize
 
         def skewed(raw):
             cols, deficient = orthonormalize(raw)
-            cols[1, -1, -1] *= 1.0 + 1e-9  # the last codeword of the last codebook
+            cols[1, -1, -1] *= 1.0 + 1e-9  # the last codeword
             return cols, deficient
 
         monkeypatch.setattr(channel, "_orthonormalize", skewed)
-        for fresh in (True, False):
-            with pytest.raises(ParameterError, match="orthonormal"):
-                run_coding_experiment(8, 2, 50.0, 4, 30, np.random.default_rng(0),
-                                      fresh_codebook=fresh)
+        with pytest.raises(ParameterError, match="orthonormal"):
+            run_coding_experiment(8, 2, 50.0, 4, 30, np.random.default_rng(0),
+                                  fresh_codebook=False)
+
+    @pytest.mark.parametrize("d, r, kappa, m_code, seed", [
+        (8, 3, 4.0, 64, 41), (32, 3, 30.0, 64, 42), (10, 3, 5.0, 12, 43)])
+    def test_fresh_error_rate_matches_the_one_dimensional_integral(self, d, r, kappa,
+                                                                    m_code, seed):
+        # eps = E[1 - I_T(r/2, (d-r)/2)^(m-1)] with T = U / (U + (1-U)/kappa)
+        # and U ~ Beta(r/2, (d-r)/2), the sent codeword's share of ||G||^2 +
+        # chi^2_(d-r).  Criterion 9 asks only for monotone rates.
+        a, b = r / 2, (d - r) / 2
+
+        def integrand(u):
+            t = u / (u + (1.0 - u) / kappa)
+            return (1.0 - scipy_betainc(a, b, t) ** (m_code - 1)) * stats.beta.pdf(u, a, b)
+
+        eps, _ = integrate.quad(integrand, 0.0, 1.0, limit=200)
+        res = run_coding_experiment(d, r, kappa, m_code, 20_000, np.random.default_rng(seed))
+        se = math.sqrt(eps * (1.0 - eps) / res.trials)
+        assert abs(res.error_rate - eps) <= 3 * se, (res.error_rate, eps)
+
+    def test_fixed_and_subchannel_outcomes_are_those_of_contract_v2(self):
+        # Digests of (messages, decoded) recorded when each block spawned four
+        # grandchildren, the fourth for codebook redraws.  Spawn keys do not
+        # depend on the spawn count, so three keep every outcome.
+        def digest(res):
+            both = np.stack([res.messages, res.decoded]).astype("<i8")
+            return hashlib.sha256(both.tobytes()).hexdigest()[:16]
+
+        rng = np.random.default_rng
+        assert [digest(run_coding_experiment(10, 3, 5.0, 12, 600, rng(24), fresh_codebook=False)),
+                digest(run_coding_experiment(32, 3, 1e4, 1024, 300, rng(25),
+                                             fresh_codebook=False)),
+                digest(binary_subchannel_experiment(16, 4.0, 0.25, 600, rng(26))),
+                digest(binary_subchannel_experiment(10, 4.0, 0.35, 600, rng(27)))] == [
+            "9ac8e918609754d1", "2b70c769620600dd", "fff6053c7123478c", "c956c444e3a9ba91"]
 
 
 class TestTubeLaw:
@@ -479,7 +527,7 @@ def packed_bits(words, count):
 
 def loop_subchannel(d, kappa, rate, trials, rng):
     """Per-trial reference: block b of BLOCK_TRIALS trials draws from the b-th
-    spawned child, whose first three grandchildren give each trial in turn its
+    spawned child, whose three grandchildren give each trial in turn its
     codebook, its message index and its noise in R^d.  The codebook is the
     first m*d bits of ceil(m*d/64) raw 64-bit words, least-significant bit
     first and row-major over (m, d); the decoder takes the argmax of
@@ -490,7 +538,7 @@ def loop_subchannel(d, kappa, rate, trials, rng):
     blocks = rng.spawn(-(-trials // channel.BLOCK_TRIALS))
     for t in range(trials):
         if t % channel.BLOCK_TRIALS == 0:
-            code_rng, message_rng, noise_rng, _ = blocks[t // channel.BLOCK_TRIALS].spawn(4)
+            code_rng, message_rng, noise_rng = blocks[t // channel.BLOCK_TRIALS].spawn(3)
         raw = code_rng.bit_generator.random_raw(words)
         codebook = packed_bits(raw, m_code * d).reshape(m_code, d).astype(np.float64)
         m = message_rng.integers(m_code)
@@ -595,7 +643,7 @@ class TestBinarySubchannel:
                             lambda a, b, matmul=np.matmul: seen.append(a.copy()) or matmul(a, b))
         binary_subchannel_experiment(10, 4.0, 0.35, 5, np.random.default_rng(11))
         # Block 0's codebook grandchild; 110 bits take two words.
-        code_rng = np.random.default_rng(11).spawn(1)[0].spawn(4)[0]
+        code_rng = np.random.default_rng(11).spawn(1)[0].spawn(3)[0]
         w0, w1 = (int(w) for w in code_rng.bit_generator.random_raw(2))
         want = [(w0 >> j) & 1 for j in range(64)] + [(w1 >> j) & 1 for j in range(46)]
         assert seen[0][0].shape == (11, 10)

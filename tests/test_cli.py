@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -11,6 +12,7 @@ from smoothscore import (build_grid, law_of_alg1, law_of_alg2, law_of_alg3_ideal
                          sample_uncentered, sampler_params, target_from_dict, tv_bound)
 from smoothscore import channel, cli
 from smoothscore.cli import main
+from smoothscore.errors import ParameterError
 
 
 def data_rows(path):
@@ -313,8 +315,8 @@ class TestChannelExp:
     def test_bad_size_or_delta_exit_2_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                         extra):
         draws = []
-        monkeypatch.setattr(channel, "_draw_codes",
-                            lambda *a, draw=channel._draw_codes: draws.append(1) or draw(*a))
+        monkeypatch.setattr(channel, "_draw_code",
+                            lambda *a, draw=channel._draw_code: draws.append(1) or draw(*a))
         monkeypatch.setattr(channel, "_map_trials",
                             lambda *a: pytest.fail("trials ran after a parameter error"))
         out = tmp_path / "x.csv"
@@ -500,3 +502,41 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert len(data_rows(out)) == 2
+
+
+def test_outputs_overwrite_longer_files_in_place(tmp_path):
+    # Existing regular files are rewritten in place and cut to the new
+    # length: the same bytes as fresh files, and no stale tail.
+    def argv(out, summary):
+        return ["channel-exp", "--d", "8", "--r", "2", "--kappa", "30", "--mcode", "8",
+                "--trials", "50", "--seed", "3", "--output", str(out), "--summary", str(summary)]
+
+    fresh_out, fresh_summary = tmp_path / "fresh.csv", tmp_path / "fresh.json"
+    assert main(argv(fresh_out, fresh_summary)) == 0
+    out, summary = tmp_path / "old.csv", tmp_path / "old.json"
+    out.write_text("stale\n" * 10000)
+    summary.write_text("stale\n" * 10000)
+    inode = out.stat().st_ino
+    assert main(argv(out, summary)) == 0
+    assert data_rows(out) == data_rows(fresh_out)
+    assert summary.read_bytes() == fresh_summary.read_bytes()
+    assert out.stat().st_ino == inode
+
+
+def test_output_to_a_device_is_written_without_truncation(tmp_path, run_config):
+    path, _ = run_config
+    assert main(["sample", "--config", str(path), "--output", os.devnull]) == 0
+
+
+def test_failed_write_leaves_no_stale_tail(tmp_path):
+    # A row that fails mid-table leaves what was written, as "w" mode did.
+    out = tmp_path / "t.csv"
+    out.write_text("stale\n" * 1000)
+
+    def lines():
+        yield "1,2"
+        raise ParameterError("bad row")
+
+    with pytest.raises(ParameterError):
+        cli._write_lines(str(out), ["a", "b"], lines())
+    assert data_rows(out) == ["a,b\n", "1,2\n"]

@@ -7,7 +7,7 @@ from smoothscore import (CoDiagonalLawPair, GaussianTarget, ParameterError,
                          build_grid, empirical_covariance, eval_sq_sum,
                          exact_accuracy, independent_accuracy, kl_codiagonal,
                          law_of_alg1, law_of_alg2, law_of_alg3_ideal,
-                         sampler_params, tv_bound, tv_gaussians_1d)
+                         sampler_params, tv_bound)
 from smoothscore.diagnostics import summary
 from smoothscore.quadrature import SincGrid
 
@@ -83,6 +83,48 @@ class TestTvBound:
         a = tv_gaussians_1d(0.0, 1.0, 0.5, 2.0)
         b = tv_gaussians_1d(0.5, 2.0, 0.0, 1.0)
         assert a == pytest.approx(b, abs=1e-8)
+
+
+def _normal_mass(lo: float, hi: float) -> float:
+    # Standard normal mass of [lo, hi], each bound's tail taken from erfc so
+    # that a deep tail keeps its relative accuracy.
+    r = math.sqrt(0.5)
+    if lo >= 0.0:
+        return 0.5 * (math.erfc(lo * r) - math.erfc(hi * r))
+    if hi <= 0.0:
+        return 0.5 * (math.erfc(-hi * r) - math.erfc(-lo * r))
+    return 1.0 - 0.5 * (math.erfc(-lo * r) + math.erfc(hi * r))
+
+
+def tv_gaussians_1d(mean1: float, var1: float, mean2: float, var2: float) -> float:
+    """Scalar TV distance between N(mean1, var1) and N(mean2, var2), in
+    closed form to about 1e-15.
+
+    The densities cross at the roots of a quadratic; the TV distance is the
+    difference of the two laws' masses between them.  Equal variances give
+    erf(|mean2 - mean1| / (2 sqrt(2 var))).  It checks that the Pinsker
+    certificate really is an upper bound.
+    """
+    m1, v1, m2, v2 = float(mean1), float(var1), float(mean2), float(var2)
+    if not (math.isfinite(m1) and math.isfinite(m2)):
+        raise ParameterError("means must be finite")
+    if not (0.0 < v1 < math.inf and 0.0 < v2 < math.inf):
+        raise ParameterError("variances must be positive and finite")
+    delta = m2 - m1
+    if v1 == v2:
+        return math.erf(abs(delta) / (2.0 * math.sqrt(2.0 * v1)))
+    # Relative to mean1 the crossings solve (v1 - v2) t^2 - 2 v1 delta t
+    # + v1 (delta^2 + v2 L) = 0, L = log(v2/v1).  Each root is formed
+    # without subtracting nearly equal terms, so nearly equal variances keep
+    # the near root (towards delta/2) accurate while the far one runs off.
+    log_ratio = math.log1p((v2 - v1) / v1)
+    far = v1 * delta + math.copysign(math.sqrt(v1 * v2 * (delta**2 + (v2 - v1) * log_ratio)),
+                                     delta)
+    near = v1 * (delta**2 + v2 * log_ratio) / far
+    lo, hi = sorted((near, far / (v1 - v2)))
+    s1, s2 = math.sqrt(v1), math.sqrt(v2)
+    return abs(_normal_mass(lo / s1, hi / s1)
+               - _normal_mass((lo - delta) / s2, (hi - delta) / s2))
 
 
 def tv_by_quadrature(m1, v1, m2, v2):

@@ -146,6 +146,26 @@ def test_every_query_path_rejects_out_of_domain_input_unrecorded(rotated, call):
     assert o.tape.bits_sent == 0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("eigvals, kappa, mean, call", [
+    ([1.0, 1e8], 1e8, None, lambda o: o.smoothed_scores([1e-9], np.array([1.0, 1e301]))),
+    ([1.0, 2.0], 2.0, [1e308, 0.0], lambda o: o.smoothed_score(1.0, np.array([-1e308, 0.0]))),
+    ([1.0, 2.0], 2.0, [1e308, 0.0],
+     lambda o: o.finite_bit_query([1.0], np.array([-1e308, 0.0]), lambda g: (g, no_bits(1)), 0)),
+], ids=["divide", "subtract", "finite-bit-subtract"])
+def test_overflowing_scores_are_refused_unrecorded(rotated, eigvals, kappa, mean, call):
+    # Finite points whose score, or whose y - mu, overflows float64 used to be
+    # answered with inf and an overflow RuntimeWarning.
+    t = GaussianTarget(eigvals=eigvals, kappa=kappa, mean=mean,
+                       basis=random_rotation(2, np.random.default_rng(2)) if rotated else None)
+    o = ScoreOracle(t)
+    with pytest.raises(ParameterError, match="overflows"):
+        call(o)
+    assert o.tape.query_count == 0
+    assert o.tape.bits_sent == 0
+
+
 def per_query_scores(oracle, taus, y):
     """Reference: one smoothed_score call per shift."""
     points = y if np.ndim(y) == 2 else [y] * len(taus)
