@@ -13,7 +13,8 @@ import numpy as np
 from smoothscore import (GaussianTarget, ScoreOracle, build_grid,
                          empirical_covariance, estimate_mean, eval_r,
                          exact_accuracy, independent_accuracy, lambda_norm,
-                         sample_exact, sample_independent, sample_uncentered)
+                         run_streams, sample_exact, sample_independent,
+                         sample_many, sample_uncentered)
 from smoothscore.diagnostics import law_of_alg1, law_of_alg2, summary
 
 kappa = 1e4
@@ -42,8 +43,7 @@ print(f"queries: {rep2.query_count}  tv_bound={cert2['tv_bound']:.4f} "
 print()
 print("=== empirical covariance vs the exact output law (20k runs, d=3) ===")
 n = 20_000
-samples = np.stack([sample_exact(target, delta_tv, s).output
-                    for s in np.random.default_rng(1).spawn(n)])
+samples = sample_many("exact", target, delta_tv, run_streams(1, n)).outputs
 emp = empirical_covariance(samples)
 want = eval_r(grid, target.eigvals) ** 2
 print("empirical diag:", np.array_str(np.diag(emp), precision=5))

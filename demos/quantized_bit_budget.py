@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from smoothscore import GaussianTarget, sample_quantized, sampler_params
+from smoothscore import (GaussianTarget, run_streams, sample_many, sample_quantized,
+                         sampler_params)
 from smoothscore.diagnostics import summary
 
 d, delta_tv = 4, 0.2
@@ -43,6 +44,6 @@ print(f"ideal dithered-law certificate: tv_bound={cert['tv_bound']:.4f} "
 
 print()
 print("=== clip frequency over 2000 runs (budgeted at delta_tv/3) ===")
-clips = sum(sample_quantized(target, delta_tv, s).clip_overflow
-            for s in np.random.default_rng(8).spawn(2000))
+block = sample_many("quantized", target, delta_tv, run_streams(8, 2000))
+clips = int(np.sum(block.clip_overflow))
 print(f"observed {clips}/2000 = {clips / 2000:.4f}   budget {delta_tv / 3:.3f}")

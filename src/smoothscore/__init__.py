@@ -15,9 +15,9 @@ from .gaussian import (GaussianTarget, OracleTape, ScoreOracle, lambda_norm,
 from .quantizer import (QuantizerConfig, decode_vector, quantize_vector,
                         smallest_bit_depth)
 from .samplers import (SampleBlock, SampleReport, SamplerParams, estimate_mean,
-                       exact_accuracy, independent_accuracy, sample_exact,
-                       sample_independent, sample_many, sample_quantized,
-                       sample_uncentered, sampler_params)
+                       exact_accuracy, independent_accuracy, run_streams,
+                       sample_exact, sample_independent, sample_many,
+                       sample_quantized, sample_uncentered, sampler_params)
 from .diagnostics import (CoDiagonalLawPair, empirical_covariance, kl_codiagonal,
                           law_of_alg1, law_of_alg2, law_of_alg3_ideal, tv_bound)
 from .channel import (ConverseInput, ExperimentResult, betainc_reg,

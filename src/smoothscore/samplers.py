@@ -21,9 +21,13 @@ q and Q.  The per-run samplers are its one-run calls.
 Randomness contract: one generator per run, draws in a fixed order (Z first,
 then the dither G; per-shift vectors Z_j in index order, drawn as one (q, d)
 array), so runs are bit-reproducible from the seed, alone or in a block.
-Unlike the channel experiments, which spawn one stream per block of trials,
-the samplers keep one stream per run: the ``sample`` command's rows stay the
-same per seed, and the benchmark's checks rebuild Z from this contract.
+Run i of a seeded call draws from the i-th child of ``SeedSequence(seed)``,
+the stream ``np.random.default_rng(seed).spawn(runs)[i]``; :func:`run_streams`
+builds those same generators, state for state, in a few array operations
+instead of numpy's per-child set-up.  Unlike the channel experiments, which
+spawn one stream per block of trials, the samplers keep one stream per run:
+the ``sample`` command's rows stay the same per seed, and the benchmark's
+checks rebuild Z from this contract with numpy's own ``spawn``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import diagnostics
 from .errors import ParameterError, check_count
@@ -49,6 +54,7 @@ __all__ = [
     "exact_accuracy",
     "independent_accuracy",
     "sampler_params",
+    "run_streams",
     "sample_many",
     "sample_exact",
     "sample_independent",
@@ -84,6 +90,11 @@ def _require_centered(target: GaussianTarget) -> None:
     if not target.is_centered:
         raise ParameterError("this sampler requires a centered target; "
                              "use sample_uncentered for nonzero means")
+
+
+def _check_delta_mu(delta_mu: float) -> None:
+    if not (isinstance(delta_mu, numbers.Real) and 0.0 < delta_mu < math.inf):
+        raise ParameterError(f"delta_mu must be positive and finite, got {delta_mu!r}")
 
 
 def exact_accuracy(dim: int, delta_tv: float) -> float:
@@ -201,6 +212,79 @@ def _encode_terms(cfg: QuantizerConfig, grid: SincGrid, z: np.ndarray, g: np.nda
     return w, quantize_vector(cfg, w.reshape(-1, w.shape[-1]))[1]
 
 
+# numpy.random.SeedSequence's hashing (NEP 19, after O'Neill's seed_seq for
+# PCG).  Its k-th hash of an entropy word XORs in INIT_A * MULT_A**k and
+# multiplies by the next constant; mixing a hashed word into a pool word
+# weighs them by MIX_MULT_L and MIX_MULT_R; generate_state hashes the pool
+# with the INIT_B/MULT_B constants.  All arithmetic is mod 2**32, and every
+# hash ends by XORing in the word shifted right by 16.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_MAX_KEYS = 2**32
+
+
+def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = first, ..., first + count - 1."""
+    return np.array([init * pow(mult, k, 2**32) % 2**32 for k in range(first, first + count)],
+                    dtype=np.uint32)
+
+
+# generate_state(4, np.uint64) hashes the pool twice over, as eight 32-bit
+# words: word 4a + b comes from pool word b.
+_STATE_CONSTS = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL + 1)
+_STATE_XOR = _STATE_CONSTS[:-1].reshape(2, _POOL)
+_STATE_MULT = _STATE_CONSTS[1:].reshape(2, _POOL)
+
+
+class _PresetState(ISeedSequence):
+    """Hands a PCG64 the four uint64 seed words its SeedSequence would
+    generate.  It cannot spawn, so neither can the generator built on it."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("holds only the four uint64 words that seed a PCG64")
+        return self._words
+
+
+def run_streams(seed: int, runs: int, start: int = 0) -> list[np.random.Generator]:
+    """The generators ``np.random.default_rng(seed).spawn(start + runs)[start:]``,
+    with the same PCG64 states, in about a seventh of numpy's time per child.
+
+    Child i of SeedSequence(seed) hashes the seed's 32-bit words, zero-padded
+    to the pool's four, and then its spawn key i as one last word.  Up to
+    that word it is the parent, whose pool numpy computes once.  The key word
+    and the eight state words are then hashed for all runs at once, in uint32
+    arrays that wrap mod 2**32 as the reference does.  Keys stop below 2**32,
+    where numpy's take a second word.
+    """
+    seed = check_count("seed", seed, 0, math.inf)
+    runs = check_count("runs", runs, 0, _MAX_KEYS)
+    start = check_count("start", start, 0, _MAX_KEYS)
+    if start + runs > _MAX_KEYS:
+        raise ParameterError(f"start + runs must be at most 2**32, got {start} + {runs}")
+    # The parent made one hash per pool word, one per ordered pair of pool
+    # words and four per seed word beyond the fourth: four per padded word.
+    words = max(_POOL, -(-seed.bit_length() // 32))
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * words, _POOL + 1)
+    h = (np.arange(start, start + runs, dtype=np.uint32)[:, None] ^ consts[:-1]) * consts[1:]
+    pool = _MIX_MULT_L * np.random.SeedSequence(seed).pool - _MIX_MULT_R * (h ^ h >> _SHIFT)
+    pool ^= pool >> _SHIFT
+    state = (pool[:, None] ^ _STATE_XOR) * _STATE_MULT
+    state ^= state >> _SHIFT
+    # Word pairs join little-endian, as numpy joins them.
+    seeds = (state.reshape(runs, 2 * _POOL).astype("<u4", copy=False)
+             .view("<u8").astype(np.uint64, copy=False))
+    return [np.random.Generator(np.random.PCG64(_PresetState(row))) for row in seeds]
+
+
 @dataclass
 class SampleBlock:
     """n runs of one sampler on one target.  Row i of ``outputs`` and entry
@@ -242,30 +326,29 @@ def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float, streams
     spends them.
 
     The spec always comes from :func:`sampler_params` on (delta_tv, kappa,
-    d).  With no streams only the parameters are checked.
+    d).  With no streams the call still makes every check a run makes before
+    its first query (the roundoff floor at unit scale, as no mean is
+    estimated) and returns an empty block.
     """
     streams = list(streams)
     n, d = len(streams), target.dim
     spec = sampler_params(algorithm, d, target.kappa, delta_tv)
-    if algorithm == "uncentered" and delta_mu is None:
+    if algorithm != "uncentered":
+        _require_centered(target)
+    elif delta_mu is None:
         raise ParameterError("uncentered sampling requires delta_mu")
+    else:
+        _check_delta_mu(delta_mu)
     cfg = None if spec.bits is None else QuantizerConfig(bits=spec.bits, clip_radius=spec.r_clip)
     g = spec.grid
     params = {"eta": g.eta, "h": g.h, "M": g.M, "N": g.N, "sigma2": spec.sigma2,
               "r_clip": spec.r_clip, "bits": spec.bits, "delta_tv": float(delta_tv)}
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return SampleBlock(np.empty((0, d)), empty, empty, np.empty(0, dtype=bool),
-                           None if cfg is None else np.empty(0), spec, params, 1.0 / g.alphas)
-
     shift, shared = None, 0
-    if algorithm == "uncentered":
+    if algorithm == "uncentered" and n:
         mean_oracle = ScoreOracle(target)
         shift = estimate_mean(target, delta_mu, oracle=mean_oracle)
         shared = mean_oracle.tape.query_count
         params.update(delta_mu=float(delta_mu), mu_hat=shift)
-    else:
-        _require_centered(target)
     # The queries are made at z + shift, so the floor scales with it.
     taus = _shift_levels(g, 1.0 if shift is None else max(1.0, float(np.abs(shift).max())))
     y = np.empty((n, d))
@@ -302,8 +385,7 @@ def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float, streams
         y /= math.sqrt(g.L_h)
     if shift is not None:
         y += shift
-    return SampleBlock(y, query_counts, bits_totals, clip, quant_errors, spec, params,
-                       1.0 / g.alphas)
+    return SampleBlock(y, query_counts, bits_totals, clip, quant_errors, spec, params, taus)
 
 
 def sample_exact(target: GaussianTarget, delta_tv: float,
@@ -365,8 +447,7 @@ def estimate_mean(target: GaussianTarget, delta_mu: float,
     checked).  A mean so large that ||b|| or tau_mu overflows float64 is
     rejected too.
     """
-    if not 0.0 < delta_mu < math.inf:
-        raise ParameterError(f"delta_mu must be positive and finite, got {delta_mu}")
+    _check_delta_mu(delta_mu)
     if oracle is None:
         oracle = ScoreOracle(target)
     origin = np.zeros(target.dim)

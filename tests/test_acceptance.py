@@ -92,17 +92,10 @@ def test_criterion_04_quantized_sampler_decomposition():
     part_a = tv_ideal <= dtv / 6
 
     n = 10_000
-    clips = 0
-    part_c = True
-    part_d = True
-    master = np.random.default_rng(20_240_817)
-    for stream in master.spawn(n):
-        rep = ss.sample_quantized(target, dtv, stream)
-        clips += rep.clip_overflow
-        if not rep.clip_overflow and rep.quant_error_norm > sigma * dtv:
-            part_c = False
-        if rep.bits_total != d * rep.params["bits"] * rep.query_count:
-            part_d = False
+    block = ss.sample_many("quantized", target, dtv, ss.run_streams(20_240_817, n))
+    clips = int(np.sum(block.clip_overflow))
+    part_c = bool(np.all(block.quant_error_norms[~block.clip_overflow] <= sigma * dtv))
+    part_d = bool(np.all(block.bits_totals == d * block.params["bits"] * block.query_counts))
     p_budget = dtv / 3
     se = math.sqrt(p_budget * (1 - p_budget) / n)
     part_b = clips / n <= p_budget + 3 * se

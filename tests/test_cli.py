@@ -10,7 +10,7 @@ import pytest
 from smoothscore import (build_grid, law_of_alg1, law_of_alg2, law_of_alg3_ideal,
                          sample_exact, sample_independent, sample_quantized,
                          sample_uncentered, sampler_params, target_from_dict, tv_bound)
-from smoothscore import channel, cli
+from smoothscore import channel, cli, samplers
 from smoothscore.cli import main
 from smoothscore.errors import ParameterError
 
@@ -127,6 +127,11 @@ class TestSample:
          "target": {"dim": 2, "kappa": 1e100, "eigvals": [1.0, 1e100]}},
         {"algorithm": "quantized", "runs": 0,
          "target": {"dim": 2, "kappa": 1e100, "eigvals": [1.0, 1e100]}},
+        # With no runs a block still checks the target and the roundoff floor.
+        {"runs": 0, "target": {"dim": 2, "kappa": 100.0, "eigvals": [1.0, 100.0],
+                               "mean": [1.0, -1.0]}},
+        {"runs": 0, "delta_tv": 1e-7, "target": {"dim": 2, "kappa": 4.0, "eigvals": [1.0, 4.0]}},
+        {"runs": 0, "algorithm": "uncentered", "delta_mu": -1.0},
         pytest.param("[1, 2]", id="not-an-object"),
         pytest.param('{"seed": 7,', id="not-json"),
         {"seed": -1},
@@ -165,8 +170,8 @@ class TestSample:
         path.write_text(json.dumps({**cfg, "runs": runs}))
         monkeypatch.setattr(cli, "SAMPLE_MAX_ENTRIES", cap)
         seeds = []
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda *a, make=np.random.default_rng: seeds.append(a) or make(*a))
+        monkeypatch.setattr(samplers, "run_streams",
+                            lambda *a, make=samplers.run_streams: seeds.append(a) or make(*a))
         out = tmp_path / "x.csv"
         assert main(["sample", "--config", str(path), "--output", str(out)]) == code
         if code == 2:

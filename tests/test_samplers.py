@@ -8,8 +8,9 @@ from smoothscore import (GaussianTarget, ParameterError, QuantizerConfig,
                          ScoreOracle, build_grid, decode_vector,
                          estimate_mean, eval_r, exact_accuracy,
                          independent_accuracy, lambda_norm, quantize_vector,
-                         sample_exact, sample_independent, sample_many,
-                         sample_quantized, sample_uncentered, sampler_params)
+                         run_streams, sample_exact, sample_independent,
+                         sample_many, sample_quantized, sample_uncentered,
+                         sampler_params)
 
 
 class FixedNormals:
@@ -57,13 +58,12 @@ def loop_quantized(target, delta_tv, rng):
     return y, clipped, float(np.linalg.norm(quant_error))
 
 
-def mc_second_moment(algorithm, target, delta_tv, master, n, chunk=20_000):
-    """(1/n) sum_k y_k y_k^T over n runs on the streams master.spawn(n),
-    drawn in blocks of ``chunk`` runs (successive spawns continue the same
-    sequence of streams)."""
+def mc_second_moment(algorithm, target, delta_tv, seed, n, chunk=20_000):
+    """(1/n) sum_k y_k y_k^T over n runs on the streams
+    np.random.default_rng(seed).spawn(n), drawn in blocks of ``chunk`` runs."""
     acc = np.zeros((target.dim, target.dim))
     for start in range(0, n, chunk):
-        streams = master.spawn(min(chunk, n - start))
+        streams = run_streams(seed, min(chunk, n - start), start)
         y = sample_many(algorithm, target, delta_tv, streams).outputs
         acc += y.T @ y
     return acc / n
@@ -107,7 +107,7 @@ class TestSampleExact:
         t = GaussianTarget(eigvals=[1.0, 10.0, 100.0], kappa=100.0)
         grid = build_grid(exact_accuracy(3, 0.2), 100.0)
         n = 200_000
-        emp = mc_second_moment("exact", t, 0.2, np.random.default_rng(123), n)
+        emp = mc_second_moment("exact", t, 0.2, 123, n)
         sig = eval_r(grid, t.eigvals)
         for i in range(3):
             for j in range(3):
@@ -353,6 +353,73 @@ class TestSampleMany:
         with pytest.raises(ParameterError):
             sample_many("exact", block_target(2, False, centered=False), 0.1, streams)
 
+    # Each pair raises with one run; a block of no runs used to return before
+    # these checks, so the CLI wrote an empty table with exit code 0.
+    @pytest.mark.parametrize("algorithm", ["exact", "independent", "quantized"])
+    @pytest.mark.parametrize("runs", [0, 1])
+    def test_zero_runs_still_require_a_centered_target(self, algorithm, runs):
+        t = block_target(2, rotated=False, centered=False)
+        with pytest.raises(ParameterError, match="centered"):
+            sample_many(algorithm, t, 0.1, run_streams(0, runs))
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("runs", [0, 1])
+    def test_zero_runs_still_meet_the_roundoff_floor(self, algorithm, runs):
+        # d = 2, kappa = 4, delta_tv = 1e-7 lies below the floor at unit
+        # scale; the quantized sampler's B exceeds 52 there first.
+        centered = algorithm != "uncentered"
+        t = GaussianTarget(eigvals=[1.0, 4.0], kappa=4.0, mean=None if centered else [1.0, -1.0])
+        with pytest.raises(ParameterError):
+            sample_many(algorithm, t, 1e-7, run_streams(0, runs), delta_mu=0.1)
+
+    @pytest.mark.parametrize("delta_mu", [-1.0, 0.0, math.inf, math.nan, "0.1"])
+    @pytest.mark.parametrize("runs", [0, 1])
+    def test_zero_runs_still_check_delta_mu(self, delta_mu, runs):
+        t = block_target(2, rotated=False, centered=False)
+        with pytest.raises(ParameterError, match="delta_mu"):
+            sample_many("uncentered", t, 0.1, run_streams(0, runs), delta_mu=delta_mu)
+
+
+class TestRunStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 + 5, 10**40])
+    @pytest.mark.parametrize("runs", [0, 1, 2, 257])
+    @pytest.mark.parametrize("start", [0, 3])
+    def test_states_equal_numpy_spawn(self, seed, runs, start):
+        got = run_streams(seed, runs, start)
+        want = np.random.default_rng(seed).spawn(start + runs)[start:]
+        assert len(got) == len(want) == runs
+        for a, b in zip(got, want):
+            assert a.bit_generator.state == b.bit_generator.state
+        assert [a.standard_normal() for a in got] == [b.standard_normal() for b in want]
+
+    def test_numpy_integer_seed(self):
+        got = run_streams(np.uint64(2**63 + 1), 3, np.int32(1))
+        want = np.random.default_rng(2**63 + 1).spawn(4)[1:]
+        assert [a.bit_generator.state for a in got] == [b.bit_generator.state for b in want]
+
+    def test_last_one_word_key(self):
+        # Key 2**32 - 1 is the last that numpy writes as one 32-bit word.
+        got, = run_streams(9, 1, 2**32 - 1)
+        child = np.random.SeedSequence(9, spawn_key=(2**32 - 1,))
+        assert got.bit_generator.state == np.random.PCG64(child).state
+
+    @pytest.mark.parametrize("seed, runs, start", [
+        (-1, 1, 0), (1.5, 1, 0), ("7", 1, 0), (True, 1, 0), (None, 1, 0),
+        (0, -1, 0), (0, 2.0, 0), (0, False, 0),
+        (0, 1, -1), (0, 1, 0.5),
+        (0, 2**32 + 1, 0), (0, 1, 2**32), (0, 2**31 + 1, 2**31),
+    ])
+    def test_rejects_bad_arguments(self, seed, runs, start):
+        # Keys from 2**32 on take a second word.  The last three cases are
+        # refused before any array is made: 2**31 generators alone would
+        # take hours and over a terabyte.
+        with pytest.raises(ParameterError):
+            run_streams(seed, runs, start)
+
+    def test_streams_do_not_spawn(self):
+        with pytest.raises(TypeError):
+            run_streams(3, 1)[0].spawn(1)
+
 
 class TestSampleIndependent:
     def test_ratio_deviation_bound(self):
@@ -372,7 +439,7 @@ class TestSampleIndependent:
         v = np.sum(grid.coeffs**2 / (t.eigvals[:, None] + grid.alphas[None, :])**2,
                    axis=1) / grid.L_h
         n = 100_000
-        emp = mc_second_moment("independent", t, 0.5, np.random.default_rng(55), n)
+        emp = mc_second_moment("independent", t, 0.5, 55, n)
         want = np.diag(v)
         for i in range(2):
             for j in range(2):
@@ -404,13 +471,10 @@ class TestSampleQuantized:
         t = GaussianTarget(eigvals=[1.0, 100.0, 1.0, 100.0], kappa=100.0)
         p = sampler_params("quantized", 4, 100.0, 0.3)
         sigma = math.sqrt(p.sigma2)
-        seen_no_clip = 0
-        for s in np.random.default_rng(77).spawn(300):
-            rep = sample_quantized(t, 0.3, s)
-            if not rep.clip_overflow:
-                seen_no_clip += 1
-                assert rep.quant_error_norm <= sigma * 0.3
-        assert seen_no_clip > 0
+        block = sample_many("quantized", t, 0.3, run_streams(77, 300))
+        no_clip = block.quant_error_norms[~block.clip_overflow]
+        assert no_clip.size > 0
+        assert np.all(no_clip <= sigma * 0.3)
 
     def test_bit_depth_above_52_rejected_but_budget_reported(self):
         lam = [1.0, 1e33, 1e66, 1e100]
