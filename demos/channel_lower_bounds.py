@@ -19,7 +19,7 @@ from smoothscore import (binary_subchannel_experiment, bit_lower_bound_table,
 print("=== tube probability: Monte Carlo vs Beta CDF ===")
 print(f"{'d':>4} {'r':>3} {'theta':>7} {'empirical':>10} {'analytic':>10}")
 for d, r, theta in ((8, 2, 0.4), (20, 5, 0.5), (64, 8, 0.45)):
-    emp, ana = tube_probability(d, r, theta, 50_000, np.random.default_rng(d))
+    (emp,), (ana,) = tube_probability(d, r, [theta], 50_000, np.random.default_rng(d))
     print(f"{d:4d} {r:3d} {theta:7.2f} {emp:10.5f} {ana:10.5f}")
 
 print()

@@ -20,10 +20,9 @@ from .samplers import (SampleBlock, SampleReport, SamplerParams, estimate_mean,
                        sample_quantized, sample_uncentered, sampler_params)
 from .diagnostics import (CoDiagonalLawPair, empirical_covariance, kl_codiagonal,
                           law_of_alg1, law_of_alg2, law_of_alg3_ideal, tv_bound)
-from .channel import (ConverseInput, ExperimentResult, betainc_reg,
-                      binary_subchannel_experiment, bit_lower_bound_table,
-                      converse_bound, fixed_error_bound, good_event_rate,
-                      run_coding_experiment, subspace_distance_samples,
-                      tube_probability)
+from .channel import (ExperimentResult, betainc_reg, binary_subchannel_experiment,
+                      bit_lower_bound_table, converse_bound, fixed_error_bound,
+                      good_event_rate, run_coding_experiment,
+                      subspace_distance_samples, tube_probability)
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ A finite-bit sampler that is delta_tv-accurate for every covariance in the
 class simulates the covariance-to-sample channel, so any code for that
 channel converts simulation accuracy into a transcript-size lower bound:
 
-    Q >= k' - log2(1 / (1 - delta_tv - eps(k'))).
+    Q >= k' - log2(1 / (1 - delta_tv - eps(k'))),
 
+vacuous once delta_tv + eps >= 1, where :func:`converse_bound` returns None.
 The experiments here measure achievable one-shot error rates eps(k') for two
 explicit code families (random low-rank subspace codes decoded by nearest
 subspace, and a diagonal binary-variance product code decoded by maximum
@@ -32,9 +33,8 @@ a uniform other message.  Trial i draws, interleaved per trial, its message
 and one index among the m - 1 others from the message stream, chi^2_r and
 chi^2_(d-r) from the noise stream, and one uniform that decides the error
 from the codebook stream.  A fixed codebook is one (m, d, r) normal array,
-orthonormalized by one vectorized Gram-Schmidt and drawn again while it is
-rank-deficient (probability zero), all from the caller's generator before
-the blocks are spawned; a single code is studied through
+orthonormalized by one vectorized Gram-Schmidt, drawn from the caller's
+generator before the blocks are spawned; a single code is studied through
 ``run_coding_experiment(fresh_codebook=False)``.  Its trials draw their
 messages as one array per block and their noise (G, H) in R^(r+d) in trial
 order, and each output is decoded in closed form to the codeword maximizing
@@ -43,10 +43,6 @@ ceil(m*d/64) uniform 64-bit words, unpacked least-significant bit first and
 row-major over (m, d); the padding bits of its last word are dropped.  Its
 noise lies in R^d, and its chunks are decoded by one stacked matrix product.
 
-Contract v2 replaced one spawned stream per trial, which cost more than the
-coding of a small trial, and the sufficient-statistic draw replaced m*d*r
-normals and a Gram-Schmidt per fresh trial.  Each changed the values of a
-seed but not their law.
 The samplers keep one stream per run (see ``samplers.py``): the ``sample``
 command's rows stay the same per seed, and the benchmark's checks rebuild Z
 from that contract.
@@ -55,6 +51,7 @@ from that contract.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -63,7 +60,6 @@ import numpy as np
 from .errors import ParameterError, check_count
 
 __all__ = [
-    "ConverseInput",
     "converse_bound",
     "fixed_error_bound",
     "bit_lower_bound_table",
@@ -101,38 +97,29 @@ GOOD_H = 2.0
 # ---------------------------------------------------------------------------
 # Converse arithmetic
 
-@dataclass(frozen=True)
-class ConverseInput:
-    """Inputs to the transcript lower bound: message bits, simulation accuracy,
-    and the achievable channel error at that message size."""
-
-    k_prime: float
-    delta_tv: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.k_prime):
-            raise ParameterError(f"k_prime must be finite, got {self.k_prime}")
-        if not 0.0 <= self.delta_tv < 1.0:
-            raise ParameterError(f"delta_tv must lie in [0, 1), got {self.delta_tv}")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ParameterError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-
-
-def converse_bound(k_prime: float, delta_tv: float, epsilon: float) -> float:
+def converse_bound(k_prime: float, delta_tv: float, epsilon: float) -> float | None:
     """Transcript bits needed by any delta_tv-accurate simulator, given a
-    k_prime-bit code with error epsilon: k' - log2(1/(1 - delta - eps))."""
-    ConverseInput(k_prime, delta_tv, epsilon)
-    slack = 1.0 - delta_tv - epsilon
-    if slack <= 0.0:
-        raise ParameterError(
-            f"vacuous regime: delta_tv + epsilon = {delta_tv + epsilon} >= 1")
-    return k_prime + math.log2(slack)
+    k_prime-bit code with error epsilon: k' - log2(1/(1 - delta - eps)), or
+    None when the bound is vacuous, delta_tv + epsilon >= 1.  k_prime must be
+    finite, delta_tv lie in [0, 1) and the error epsilon in [0, 1]."""
+    if not all(isinstance(x, numbers.Real) for x in (k_prime, delta_tv, epsilon)):
+        raise ParameterError(f"converse inputs must be real numbers, got "
+                             f"{k_prime!r}, {delta_tv!r}, {epsilon!r}")
+    if not math.isfinite(k_prime):
+        raise ParameterError(f"k_prime must be finite, got {k_prime}")
+    if not 0.0 <= delta_tv < 1.0:
+        raise ParameterError(f"delta_tv must lie in [0, 1), got {delta_tv}")
+    if not 0.0 <= epsilon <= 1.0:
+        raise ParameterError(f"epsilon must lie in [0, 1], got {epsilon}")
+    if delta_tv + epsilon >= 1.0:
+        return None
+    return k_prime + math.log2(1.0 - delta_tv - epsilon)
 
 
-def fixed_error_bound(k_prime: float, delta_tv: float) -> float:
+def fixed_error_bound(k_prime: float, delta_tv: float) -> float | None:
     """Fixed-error specialization with epsilon = (1 - delta_tv)/2:
-    Q >= k' - log2(2/(1 - delta_tv))."""
+    Q >= k' - log2(2/(1 - delta_tv)); None only at delta_tv = 1 - 2**-53,
+    where delta_tv + epsilon rounds to 1."""
     return converse_bound(k_prime, delta_tv, (1.0 - delta_tv) / 2.0)
 
 
@@ -140,19 +127,19 @@ def bit_lower_bound_table(kappa_list, delta_tv: float, empirical_errors) -> list
     """Instantiate the converse with measured errors, one row per kappa.
 
     ``empirical_errors`` holds one (d, k_prime, eps_hat) triple per kappa as
-    measured by :func:`run_coding_experiment`.  Rows with
-    delta_tv + eps_hat >= 1 are flagged vacuous, never dropped.
+    measured by :func:`run_coding_experiment`.  Rows where
+    :func:`converse_bound` is vacuous are flagged, never dropped.
     """
     rows = []
     for kappa, (d, k_prime, eps_hat) in zip(kappa_list, empirical_errors, strict=True):
-        vacuous = delta_tv + eps_hat >= 1.0
+        q_lower = converse_bound(k_prime, delta_tv, eps_hat)
         rows.append({
             "d": int(d),
             "kappa": float(kappa),
             "k_prime": float(k_prime),
             "eps_hat": float(eps_hat),
-            "q_lower": None if vacuous else converse_bound(k_prime, delta_tv, eps_hat),
-            "vacuous": vacuous,
+            "q_lower": q_lower,
+            "vacuous": q_lower is None,
         })
     return rows
 
@@ -249,30 +236,25 @@ def _check_code(d, r, m_code) -> tuple[int, int, int]:
     return d, r, m_code
 
 
-def _orthonormalize(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _orthonormalize(raw: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt of every (d, r) matrix of the stack raw (..., d, r)
     at once.  Returns the basis columns (r, ..., d), cols[k] holding the k-th
-    basis vector of every matrix, and a mask (...) of rank-deficient ones."""
+    basis vector of every matrix; a zero column stays zero."""
     cols = np.ascontiguousarray(np.moveaxis(raw, -1, 0))
-    deficient = np.zeros(raw.shape[:-2], dtype=bool)
     for j, v in enumerate(cols):
         for u in cols[:j]:
             v -= np.einsum("...d,...d->...", u, v)[..., None] * u
         norm = np.sqrt(np.einsum("...d,...d->...", v, v))
-        deficient |= norm == 0.0
         v /= np.where(norm == 0.0, 1.0, norm)[..., None]
-    return cols, deficient
+    return cols
 
 
 def _draw_code(rng, m_code: int, d: int, r: int) -> np.ndarray:
     """Basis columns (r, m_code, d) of one codebook, drawn from rng as one
-    (m_code, d, r) normal array, and drawn again from rng while it is
-    rank-deficient.  Every basis must pass max |Q^T Q - I| <= _ORTHO_TOL."""
-    raw = rng.standard_normal((m_code, d, r))
-    cols, deficient = _orthonormalize(raw)
-    while deficient.any():
-        rng.standard_normal(out=raw)
-        cols, deficient = _orthonormalize(raw)
+    (m_code, d, r) normal array.  Every basis must pass
+    max |Q^T Q - I| <= _ORTHO_TOL, so a rank-deficient draw (probability
+    zero) raises ParameterError."""
+    cols = _orthonormalize(rng.standard_normal((m_code, d, r)))
     gram = np.einsum("imd,jmd->mij", cols, cols)
     resid = np.max(np.abs(gram - np.eye(r)), initial=0.0)
     if not resid <= _ORTHO_TOL:
@@ -306,8 +288,8 @@ class ExperimentResult:
 
     trials: int
     errors: int
-    messages: np.ndarray | None = None
-    decoded: np.ndarray | None = None
+    messages: np.ndarray
+    decoded: np.ndarray
 
     @property
     def error_rate(self) -> float:
@@ -414,33 +396,32 @@ def subspace_distance_samples(d: int, r: int, trials: int, rng) -> np.ndarray:
     return tail / np.sum(sq, axis=1)
 
 
-def tube_probability(d: int, r: int, thetas, trials: int, rng):
-    """Empirical and analytic probability that a uniform sphere point lies
-    within normalized distance theta of a fixed r-subspace: floats for one
-    theta, arrays for a sequence.  All thetas count the same points, drawn in
+def tube_probability(d: int, r: int, thetas, trials: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical and analytic probabilities that a uniform sphere point lies
+    within normalized distance theta of a fixed r-subspace, one per theta of
+    the 1-d sequence ``thetas``.  All thetas count the same points, drawn in
     chunks as one :func:`subspace_distance_samples` call draws them.  The
     analytic value, the Beta((d-r)/2, r/2) CDF at theta^2 by the in-house
     continued fraction, is what the Monte Carlo side cross-checks.  A chunk
     holds at least one point, so d is at most ``DRAW_MAX_ENTRIES``.
     """
-    thetas_1d = [float(theta) for theta in np.atleast_1d(thetas)]
-    if not all(0.0 < theta < 1.0 for theta in thetas_1d):
+    if np.ndim(thetas) != 1:
+        raise ParameterError(f"thetas must be a 1-d sequence, got {thetas!r}")
+    thetas = [float(theta) for theta in thetas]
+    if not all(0.0 < theta < 1.0 for theta in thetas):
         raise ParameterError(f"need thetas in (0, 1), got {thetas}")
     d, r = _check_subspace(d, r, proper=True)
     trials = _check_trials(trials)
     # theta**2 in Python float arithmetic, shared by the counts and the CDF.
-    radii2 = [theta**2 for theta in thetas_1d]
+    radii2 = [theta**2 for theta in thetas]
     rng = np.random.default_rng(rng)
     counts = np.zeros(len(radii2), dtype=np.int64)
     rows = max(1, CHUNK_ENTRIES // d)
     for start in range(0, trials, rows):
         dist2 = subspace_distance_samples(d, r, min(rows, trials - start), rng)
         counts += np.count_nonzero(dist2 <= np.array(radii2)[:, None], axis=1)
-    empirical = counts / trials
     analytic = np.array([betainc_reg((d - r) / 2.0, r / 2.0, x) for x in radii2])
-    if np.ndim(thetas) == 0:
-        return float(empirical[0]), float(analytic[0])
-    return empirical, analytic
+    return counts / trials, analytic
 
 
 def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,

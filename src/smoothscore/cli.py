@@ -51,7 +51,7 @@ def _open_output(path: str):
     place and cut to the new length when the block ends.  Truncating a file
     to zero before rewriting it makes ext4 start its writeback at close, which
     took 110-230 us per file against 20-30 us in place, and longer while the
-    disk was busy; pipes and devices are opened as before."""
+    disk was busy; pipes and devices are never truncated."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w") as fh:
         try:
@@ -178,15 +178,13 @@ def _cmd_channel_exp(args) -> int:
     _write_lines(args.output, ["trial", "message", "decoded", "correct"], lines)
 
     k_prime = int(math.floor(math.log2(args.mcode)))
-    vacuous = args.delta_tv + result.error_rate >= 1.0
+    q_lower = channel.converse_bound(k_prime, args.delta_tv, result.error_rate)
     summary = {
         "d": args.d, "r": args.r, "kappa": args.kappa, "m_code": args.mcode,
         "trials": args.trials, "errors": result.errors,
         "error_rate": result.error_rate, "stderr": result.stderr,
         "k_prime": k_prime, "delta_tv": args.delta_tv,
-        "vacuous": vacuous,
-        "q_lower": None if vacuous else channel.converse_bound(
-            k_prime, args.delta_tv, result.error_rate),
+        "vacuous": q_lower is None, "q_lower": q_lower,
     }
     summary_path = args.summary or args.output + ".summary.json"
     with _open_output(summary_path) as fh:

@@ -87,6 +87,8 @@ def empirical_covariance(samples) -> np.ndarray:
         Y = Y[:, None]
     if Y.shape[0] < 2:
         raise ParameterError("need at least 2 samples")
+    if not np.all(np.isfinite(Y)):
+        raise ParameterError("samples must be finite")
     return Y.T @ Y / Y.shape[0]
 
 

@@ -271,8 +271,12 @@ def _swap(a: np.ndarray) -> np.ndarray:
 
 
 def lambda_norm(target: GaussianTarget, v: np.ndarray) -> float:
-    """Precision-weighted norm ||v||_Lambda = sqrt(v^T Lambda v)."""
-    w = target.to_eigenbasis(np.asarray(v, dtype=np.float64))
+    """Precision-weighted norm ||v||_Lambda = sqrt(v^T Lambda v) of one vector v
+    of shape (d,)."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (target.dim,):
+        raise ParameterError(f"v must have shape ({target.dim},), got {v.shape}")
+    w = target.to_eigenbasis(v)
     with np.errstate(over="ignore"):
         norm = float(np.sqrt(np.sum(target.eigvals * w**2)))
     if np.isinf(norm) and np.all(np.isfinite(w)):

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -73,8 +73,8 @@ class SampleReport:
     bits_total: int
     clip_overflow: bool
     params: dict
-    noise_levels: np.ndarray = field(default_factory=lambda: np.empty(0))
-    quant_error_norm: float | None = None
+    noise_levels: np.ndarray
+    quant_error_norm: float | None
 
 
 def _check_delta(delta_tv: float) -> float:
@@ -328,17 +328,18 @@ def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float, streams
     The spec always comes from :func:`sampler_params` on (delta_tv, kappa,
     d).  With no streams the call still makes every check a run makes before
     its first query (the roundoff floor at unit scale, as no mean is
-    estimated) and returns an empty block.
+    estimated) and returns an empty block.  A given ``delta_mu`` must be
+    positive and finite for every algorithm; only the uncentered one uses it.
     """
     streams = list(streams)
     n, d = len(streams), target.dim
     spec = sampler_params(algorithm, d, target.kappa, delta_tv)
+    if delta_mu is not None:
+        _check_delta_mu(delta_mu)
+    elif algorithm == "uncentered":
+        raise ParameterError("uncentered sampling requires delta_mu")
     if algorithm != "uncentered":
         _require_centered(target)
-    elif delta_mu is None:
-        raise ParameterError("uncentered sampling requires delta_mu")
-    else:
-        _check_delta_mu(delta_mu)
     cfg = None if spec.bits is None else QuantizerConfig(bits=spec.bits, clip_radius=spec.r_clip)
     g = spec.grid
     params = {"eta": g.eta, "h": g.h, "M": g.M, "N": g.N, "sigma2": spec.sigma2,

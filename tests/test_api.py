@@ -1,5 +1,6 @@
 """The package's public surface: every exported name resolves, the package
-re-exports only names its modules export, and deleted names stay gone."""
+re-exports only names its modules export, deleted names stay gone, and bad
+inputs raise ParameterError."""
 
 import ast
 import importlib
@@ -7,9 +8,11 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import smoothscore
+from smoothscore import ParameterError
 
 # Every module but __main__, which runs the CLI when imported.
 MODULES = sorted(m.name for m in pkgutil.iter_modules(smoothscore.__path__)
@@ -20,6 +23,8 @@ DELETED = [("channel", "SubspaceCode"), ("channel", "build_subspace_code"),
            ("channel", "channel_draw"), ("channel", "decode_nearest"),
            ("samplers", "sample_exact_with_grid"),
            ("samplers", "sample_independent_with_grid"),
+           # converse_bound checks its own inputs.
+           ("channel", "ConverseInput"),
            # A test oracle only; it lives in tests/test_diagnostics.py.
            ("diagnostics", "tv_gaussians_1d")]
 
@@ -51,3 +56,20 @@ def test_coding_experiment_takes_no_worker_count():
     # The blocks run on the calling thread; there is no thread pool to size.
     params = inspect.signature(smoothscore.run_coding_experiment).parameters
     assert "workers" not in params
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda: smoothscore.tube_probability(8, 2, [[0.3, 0.5]], 10, np.random.default_rng(0)),
+    lambda: smoothscore.tube_probability(8, 2, 0.3, 10, np.random.default_rng(0)),
+    lambda: smoothscore.lambda_norm(smoothscore.GaussianTarget(eigvals=[1.0, 4.0], kappa=4.0),
+                                    np.ones(3)),
+    lambda: smoothscore.lambda_norm(smoothscore.GaussianTarget(eigvals=[1.0, 4.0], kappa=4.0),
+                                    np.ones((2, 2))),
+    lambda: smoothscore.empirical_covariance([[1.0, 0.0], [np.nan, 2.0]]),
+    lambda: smoothscore.empirical_covariance([[1.0, 0.0], [np.inf, 2.0]]),
+], ids=["tube-2d-thetas", "tube-scalar-theta", "lambda-norm-length", "lambda-norm-2d",
+        "covariance-nan", "covariance-inf"])
+def test_bad_inputs_raise_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import betainc as scipy_betainc
 
-from smoothscore import (ConverseInput, ParameterError, betainc_reg,
+from smoothscore import (ParameterError, betainc_reg,
                          binary_subchannel_experiment, bit_lower_bound_table,
                          converse_bound, fixed_error_bound, good_event_rate,
                          run_coding_experiment, subspace_distance_samples,
@@ -68,21 +68,40 @@ class TestConverseArithmetic:
             if delta == 0.0 and eps == 0.0:
                 assert q == k
 
-    def test_vacuous_regime_raises(self):
-        with pytest.raises(ParameterError):
-            converse_bound(5, 0.7, 0.4)
+    def test_vacuous_regime_returns_none(self):
+        # The vacuous regime is not an error: the bound is None.
+        assert converse_bound(5, 0.7, 0.4) is None
+        assert converse_bound(5, 0.0, 1.0) is None
+        # delta_tv + (1 - delta_tv) / 2 rounds to 1 only one ulp below 1.
+        assert fixed_error_bound(5, 1 - 2**-53) is None
+        assert fixed_error_bound(5, 1 - 2**-52) == 5 - 53
 
     @pytest.mark.filterwarnings("error")
     def test_input_validation(self):
-        with pytest.raises(ParameterError):
-            ConverseInput(5, 1.0, 0.0)
-        with pytest.raises(ParameterError):
-            ConverseInput(5, 0.2, -0.1)
-        for k_prime in (math.nan, math.inf, -math.inf):
+        for delta_tv, epsilon in ((1.0, 0.0), (-0.1, 0.2), (math.nan, 0.2),
+                                  (0.2, -0.1), (0.2, 1.5), (0.2, math.nan),
+                                  ("0.2", 0.1), (0.2, None)):
             with pytest.raises(ParameterError):
-                ConverseInput(k_prime, 0.2, 0.1)
+                converse_bound(5, delta_tv, epsilon)
+        for k_prime in (math.nan, math.inf, -math.inf, "10"):
             with pytest.raises(ParameterError):
                 converse_bound(k_prime, 0.5, 0.25)
+            with pytest.raises(ParameterError):
+                converse_bound(k_prime, 0.7, 0.3)  # checked in the vacuous regime too
+
+    @pytest.mark.parametrize("delta_tv", [0.5, 0.7, 0.9])
+    def test_one_vacuity_verdict(self, delta_tv):
+        # 1 - 0.7 - 0.3 is 5.6e-17 in float64, yet 0.7 + 0.3 == 1.0: the sum
+        # decides, so that point is vacuous everywhere.
+        eps = [0.0, 0.05, 0.1, 0.3, 0.4999, 0.5, 0.6, 0.9, 1.0]
+        rows = bit_lower_bound_table([1.0] * len(eps), delta_tv, [(8, 10, e) for e in eps])
+        for e, row in zip(eps, rows):
+            q = converse_bound(10, delta_tv, e)
+            assert row["vacuous"] is (q is None) is (delta_tv + e >= 1.0)
+            assert row["q_lower"] == q
+            if q is not None:
+                assert q == 10 + math.log2(1.0 - delta_tv - e)
+        assert converse_bound(10, 0.7, 0.3) is None
 
     def test_table_flags_vacuous_rows(self):
         rows = bit_lower_bound_table(
@@ -164,27 +183,18 @@ class TestSubspaceCode:
                                     fresh_codebook=fresh)
         assert res.trials == 1 and 0 <= res.messages[0] < 1024
 
-    def test_rank_deficient_code_is_drawn_again_from_the_same_stream(self, monkeypatch):
-        class ZeroColumnOnFirstDraws:
-            # A stream whose first ``bad`` draws have a zero column in codeword 1.
-            def __init__(self, seed, bad):
-                self.rng = np.random.default_rng(seed)
-                self.bad = bad
-                self.calls = 0
-
-            def standard_normal(self, size=None, out=None):
-                out = self.rng.standard_normal(size, out=out)
-                if self.calls < self.bad:
-                    out[1, :, 0] = 0.0
-                self.calls += 1
+    def test_rank_deficient_code_is_rejected(self, monkeypatch):
+        class ZeroColumn:
+            # A stream whose draws have a zero column in codeword 1.
+            def standard_normal(self, size):
+                out = np.random.default_rng(20).standard_normal(size)
+                out[1, :, 0] = 0.0
                 return out
 
-        stream = ZeroColumnOnFirstDraws(20, bad=2)
-        cols = channel._draw_code(stream, 3, 6, 2)
-        assert stream.calls == 3
-        clean = np.random.default_rng(20)
-        clean.standard_normal((2, 3, 6, 2))
-        assert np.array_equal(cols, draw_code(6, 2, 3, clean))
+        # A rank-deficient draw (probability zero) fails the orthonormality
+        # guard; it is not drawn again.
+        with pytest.raises(ParameterError, match="orthonormal"):
+            channel._draw_code(ZeroColumn(), 3, 6, 2)
 
         # The fixed codebook comes from the caller's generator; a fresh
         # codebook is never drawn.
@@ -338,7 +348,7 @@ class TestCodingExperiment:
         # The unchunked Monte Carlo helpers and the tube check trials alike.
         for call in (lambda: good_event_rate(8, 3, trials, object()),
                      lambda: subspace_distance_samples(8, 3, trials, object()),
-                     lambda: tube_probability(8, 3, 0.5, trials, object())):
+                     lambda: tube_probability(8, 3, [0.5], trials, object())):
             with pytest.raises(ParameterError, match="trials"):
                 call()
 
@@ -426,9 +436,9 @@ class TestCodingExperiment:
         orthonormalize = channel._orthonormalize
 
         def skewed(raw):
-            cols, deficient = orthonormalize(raw)
+            cols = orthonormalize(raw)
             cols[1, -1, -1] *= 1.0 + 1e-9  # the last codeword
-            return cols, deficient
+            return cols
 
         monkeypatch.setattr(channel, "_orthonormalize", skewed)
         with pytest.raises(ParameterError, match="orthonormal"):
@@ -472,35 +482,35 @@ class TestCodingExperiment:
 
 class TestTubeLaw:
     def test_arcsine_case_exact(self):
-        _, analytic = tube_probability(2, 1, math.sqrt(0.5), 10, np.random.default_rng(0))
+        _, (analytic,) = tube_probability(2, 1, [math.sqrt(0.5)], 10, np.random.default_rng(0))
         assert analytic == pytest.approx(0.5, abs=1e-10)
         closed_form = (2.0 / math.pi) * math.asin(math.sqrt(0.5))
         assert analytic == pytest.approx(closed_form, abs=1e-10)
 
     def test_theta_near_one_saturates(self):
-        emp, analytic = tube_probability(10, 3, 0.999999, 2000, np.random.default_rng(1))
+        (emp,), (analytic,) = tube_probability(10, 3, [0.999999], 2000, np.random.default_rng(1))
         assert analytic > 0.999
         assert emp > 0.99
 
     def test_monte_carlo_agreement(self):
-        emp, analytic = tube_probability(20, 5, 0.3, 100_000, np.random.default_rng(2))
+        (emp,), (analytic,) = tube_probability(20, 5, [0.3], 100_000, np.random.default_rng(2))
         se = math.sqrt(max(analytic * (1 - analytic), 1e-12) / 100_000)
         assert abs(emp - analytic) <= 4 * se + 1e-9
 
     def test_moderate_probability_agreement(self):
-        emp, analytic = tube_probability(8, 4, 0.6, 100_000, np.random.default_rng(3))
+        (emp,), (analytic,) = tube_probability(8, 4, [0.6], 100_000, np.random.default_rng(3))
         se = math.sqrt(analytic * (1 - analytic) / 100_000)
         assert abs(emp - analytic) <= 4 * se
 
     def test_domain_checks(self):
         with pytest.raises(ParameterError):
-            tube_probability(5, 5, 0.3, 10, np.random.default_rng(0))
+            tube_probability(5, 5, [0.3], 10, np.random.default_rng(0))
         with pytest.raises(ParameterError):
-            tube_probability(5, 2, 1.5, 10, np.random.default_rng(0))
+            tube_probability(5, 2, [1.5], 10, np.random.default_rng(0))
         with pytest.raises(ParameterError):
             tube_probability(5, 2, [0.3, 0.0], 10, np.random.default_rng(0))
         with pytest.raises(ParameterError):
-            tube_probability(5, 2, 0.3, 0, np.random.default_rng(0))
+            tube_probability(5, 2, [0.3], 0, np.random.default_rng(0))
 
     def test_chunked_counts_equal_one_draw(self, monkeypatch):
         d, r, trials = 8, 3, 1001
@@ -513,8 +523,6 @@ class TestTubeLaw:
             emp, analytic = tube_probability(d, r, thetas, trials, np.random.default_rng(40))
             assert emp.tolist() == want
             assert analytic.tolist() == [betainc_reg(2.5, 1.5, theta**2) for theta in thetas]
-        one = tube_probability(d, r, 0.6, trials, np.random.default_rng(40))
-        assert one == (want[1], betainc_reg(2.5, 1.5, 0.6**2))
 
 
 def packed_bits(words, count):
@@ -679,8 +687,8 @@ class TestBinarySubchannel:
     lambda rng: run_coding_experiment(4, 1.5, 10.0, 2, 10, rng),
     lambda rng: run_coding_experiment(4, 1, 10.0, 2.5, 10, rng),
     lambda rng: run_coding_experiment(4, 1, 10.0, True, 10, rng),
-    lambda rng: tube_probability(8.5, 3, 0.5, 10, rng),
-    lambda rng: tube_probability(8, 1.5, 0.5, 10, rng),
+    lambda rng: tube_probability(8.5, 3, [0.5], 10, rng),
+    lambda rng: tube_probability(8, 1.5, [0.5], 10, rng),
     lambda rng: subspace_distance_samples(8, 1.5, 10, rng),
     lambda rng: subspace_distance_samples(8.5, 3, 10, rng),
     lambda rng: good_event_rate(8, 1.5, 10, rng),
@@ -698,7 +706,7 @@ def test_shapes_and_thresholds_are_checked(call):
     (good_event_rate, (8, 3, channel.DRAW_MAX_ENTRIES // 8 + 1)),
     (subspace_distance_samples, (8, 3, channel.DRAW_MAX_ENTRIES // 8 + 1)),
     (subspace_distance_samples, (10**10, 3, 1)),  # one row of 74.5 GiB
-    (tube_probability, (10**10, 3, 0.5, 1)),
+    (tube_probability, (10**10, 3, [0.5], 1)),
 ], ids=["good-event", "distances", "distances-one-row", "tube-one-row"])
 def test_one_shot_draws_are_capped_before_allocation(fn, args):
     with pytest.raises(ParameterError, match="exceeds the cap"):

@@ -145,6 +145,10 @@ class TestSample:
         {"target": {"dim": 2, "kappa": 100.0, "eigvals": [1.0, 100.0], "mean": [1, "a"]}},
         {"target": {"dim": 2, "kappa": 100.0, "eigvals": [1.0, 100.0],
                     "basis": [1.0, 0.0, 0.0, "q"]}},
+        # delta_mu is checked whenever it is given, not only where it is used.
+        {"delta_mu": -5},
+        {"algorithm": "independent", "delta_mu": 0.0},
+        {"algorithm": "quantized", "runs": 0, "delta_mu": -1.0},
     ])
     def test_domain_errors_exit_2(self, tmp_path, capsys, run_config, mutate):
         # A dict changes fields of a valid descriptor; a str is the whole file.
@@ -295,6 +299,23 @@ class TestChannelExp:
         assert 0.0 <= doc["error_rate"] <= 1.0
         if not doc["vacuous"]:
             assert doc["q_lower"] <= doc["k_prime"]
+
+    @pytest.mark.parametrize("delta_tv, errors", [(0.7, 3), (0.7, 2), (0.5, 5), (0.9, 0)])
+    def test_summary_takes_the_verdict_of_converse_bound(self, tmp_path, monkeypatch,
+                                                         delta_tv, errors):
+        # eps = errors / 10; at delta_tv = 0.7, eps = 0.3 sums to exactly 1.0.
+        decoded = (np.arange(10) < errors).astype(np.int64)
+        monkeypatch.setattr(channel, "run_coding_experiment", lambda *a, **k:
+                            channel.ExperimentResult(10, errors, np.zeros(10, np.int64), decoded))
+        summ = tmp_path / "ch.json"
+        assert main(["channel-exp", "--d", "8", "--r", "2", "--kappa", "100",
+                     "--mcode", "4", "--trials", "10", "--seed", "5",
+                     "--delta-tv", str(delta_tv), "--output", str(tmp_path / "ch.csv"),
+                     "--summary", str(summ)]) == 0
+        doc = json.loads(summ.read_text())
+        want = channel.converse_bound(2, delta_tv, errors / 10)
+        assert doc["q_lower"] == want
+        assert doc["vacuous"] is (want is None) is (delta_tv + errors / 10 >= 1.0)
 
     def test_zero_trials_exit_2(self, tmp_path):
         assert main(["channel-exp", "--d", "8", "--r", "2", "--kappa", "100",

@@ -372,12 +372,14 @@ class TestSampleMany:
         with pytest.raises(ParameterError):
             sample_many(algorithm, t, 1e-7, run_streams(0, runs), delta_mu=0.1)
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("delta_mu", [-1.0, 0.0, math.inf, math.nan, "0.1"])
     @pytest.mark.parametrize("runs", [0, 1])
-    def test_zero_runs_still_check_delta_mu(self, delta_mu, runs):
-        t = block_target(2, rotated=False, centered=False)
+    def test_zero_runs_still_check_delta_mu(self, delta_mu, runs, algorithm):
+        # A given delta_mu is checked for every algorithm, not only where it is used.
+        t = block_target(2, rotated=False, centered=algorithm != "uncentered")
         with pytest.raises(ParameterError, match="delta_mu"):
-            sample_many("uncentered", t, 0.1, run_streams(0, runs), delta_mu=delta_mu)
+            sample_many(algorithm, t, 0.1, run_streams(0, runs), delta_mu=delta_mu)
 
 
 class TestRunStreams:
