@@ -43,6 +43,13 @@ ceil(m*d/64) uniform 64-bit words, unpacked least-significant bit first and
 row-major over (m, d); the padding bits of its last word are dropped.  Its
 noise lies in R^d, and its chunks are decoded by one stacked matrix product.
 
+The tube and good-event Monte Carlo draw from the caller's generator, with
+no blocks, and also through sufficient statistics: a point or trial draws
+||P g||^2 ~ chi^2_r and ||P_perp g||^2 ~ chi^2_(d-r), interleaved per point,
+in place of d standard normals, since a sum of k squared standard normals is
+chi^2_k.  The tube law, Beta((d-r)/2, r/2), is only checked against these
+draws, never used to make them.
+
 The samplers keep one stream per run (see ``samplers.py``): the ``sample``
 command's rows stay the same per seed, and the benchmark's checks rebuild Z
 from that contract.
@@ -75,7 +82,7 @@ __all__ = [
 _ORTHO_TOL = 1e-10
 # Cap on m * d * r, the entries of one subspace codebook (32 MiB of float64).
 CODE_MAX_ENTRIES = 2**22
-# Coding trials and tube points run in chunks of about this many floats.
+# Coding trials and tube draws run in chunks of about this many floats.
 CHUNK_ENTRIES = 2**17
 # Trials per random block (contract v2).  Changing it changes every seed's
 # trials, so it is part of the contract and not a memory setting.
@@ -86,8 +93,9 @@ SUBCHANNEL_MAX_ENTRIES = 2**22
 # Cap on the trials of one coding or subchannel call, checked before any
 # stream is spawned; the result holds two int64 arrays of this many entries.
 MAX_TRIALS = 2**22
-# Cap on trials * d, the normal entries one subspace_distance_samples or
-# good_event_rate call draws at once (64 MiB); the largest caller draws 100000 x 64.
+# Cap on trials * d, the coordinates of the points one subspace_distance_samples
+# or good_event_rate call stands for (it draws two chi-square values a point);
+# the largest caller asks for 100000 points at d = 64.
 DRAW_MAX_ENTRIES = 2**23
 # The paper's good-event thresholds: ||G|| >= GOOD_G sqrt(r), ||H|| <= GOOD_H sqrt(d).
 GOOD_G = 0.5
@@ -303,11 +311,10 @@ class ExperimentResult:
 
 def _check_trials(trials, d: int | None = None) -> int:
     """``trials`` as an int in [1, ``MAX_TRIALS``]; bools and non-integers are
-    refused.  With ``d``, a draw of trials x d entries must not exceed
-    ``DRAW_MAX_ENTRIES``."""
+    refused.  With ``d``, trials * d must not exceed ``DRAW_MAX_ENTRIES``."""
     n = check_count("trials", trials, 1, MAX_TRIALS)
     if d is not None and n * d > DRAW_MAX_ENTRIES:
-        raise ParameterError(f"a draw of {n} x {d} entries exceeds the cap of "
+        raise ParameterError(f"trials x d = {n} x {d} exceeds the cap of "
                              f"{DRAW_MAX_ENTRIES}; lower trials or d")
     return n
 
@@ -340,8 +347,8 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
     both paths.  The blocks run on the calling thread.
     """
     trials = _check_trials(trials)
-    if not 1.0 <= kappa < math.inf:
-        raise ParameterError(f"kappa must be finite and >= 1, got {kappa}")
+    if not (isinstance(kappa, numbers.Real) and 1.0 <= kappa < math.inf):
+        raise ParameterError(f"kappa must be a real number, finite and >= 1, got {kappa!r}")
     d, r, m_code = _check_code(d, r, m_code)
     rng = np.random.default_rng(rng)
 
@@ -385,38 +392,41 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
 
 def subspace_distance_samples(d: int, r: int, trials: int, rng) -> np.ndarray:
     """Squared normalized distances of uniform sphere points to a fixed
-    r-dimensional subspace; distributed Beta((d-r)/2, r/2).  ``trials`` lies
-    in [1, ``MAX_TRIALS``] and trials * d is at most ``DRAW_MAX_ENTRIES``."""
+    r-dimensional subspace; distributed Beta((d-r)/2, r/2).  The points are
+    drawn as their two chi-square statistics (see the module docstring) by one
+    ``rng.chisquare([r, d - r], size=(trials, 2))`` call.  ``trials`` lies in
+    [1, ``MAX_TRIALS``] and trials * d is at most ``DRAW_MAX_ENTRIES``."""
     d, r = _check_subspace(d, r, proper=True)
     trials = _check_trials(trials, d)
     rng = np.random.default_rng(rng)
-    g = rng.standard_normal((trials, d))
-    sq = g**2
-    tail = np.sum(sq[:, r:], axis=1)
-    return tail / np.sum(sq, axis=1)
+    g2, h2 = rng.chisquare([r, d - r], size=(trials, 2)).T
+    return h2 / (g2 + h2)
 
 
 def tube_probability(d: int, r: int, thetas, trials: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Empirical and analytic probabilities that a uniform sphere point lies
     within normalized distance theta of a fixed r-subspace, one per theta of
     the 1-d sequence ``thetas``.  All thetas count the same points, drawn in
-    chunks as one :func:`subspace_distance_samples` call draws them.  The
-    analytic value, the Beta((d-r)/2, r/2) CDF at theta^2 by the in-house
-    continued fraction, is what the Monte Carlo side cross-checks.  A chunk
-    holds at least one point, so d is at most ``DRAW_MAX_ENTRIES``.
+    chunks of about ``CHUNK_ENTRIES // 2`` points as one
+    :func:`subspace_distance_samples` call draws them.  The analytic value,
+    the Beta((d-r)/2, r/2) CDF at theta^2 by the in-house continued
+    fraction, is what the Monte Carlo side cross-checks.  A chunk holds at
+    least one point and at most ``DRAW_MAX_ENTRIES // d``, so d is at most
+    ``DRAW_MAX_ENTRIES``.
     """
     if np.ndim(thetas) != 1:
         raise ParameterError(f"thetas must be a 1-d sequence, got {thetas!r}")
+    if not all(isinstance(theta, numbers.Real) and 0.0 < theta < 1.0 for theta in thetas):
+        raise ParameterError(f"need real thetas in (0, 1), got {thetas!r}")
     thetas = [float(theta) for theta in thetas]
-    if not all(0.0 < theta < 1.0 for theta in thetas):
-        raise ParameterError(f"need thetas in (0, 1), got {thetas}")
     d, r = _check_subspace(d, r, proper=True)
     trials = _check_trials(trials)
     # theta**2 in Python float arithmetic, shared by the counts and the CDF.
     radii2 = [theta**2 for theta in thetas]
     rng = np.random.default_rng(rng)
     counts = np.zeros(len(radii2), dtype=np.int64)
-    rows = max(1, CHUNK_ENTRIES // d)
+    # Two chi-square values per point; each call stays within its trials * d cap.
+    rows = max(1, min(CHUNK_ENTRIES // 2, DRAW_MAX_ENTRIES // d))
     for start in range(0, trials, rows):
         dist2 = subspace_distance_samples(d, r, min(rows, trials - start), rng)
         counts += np.count_nonzero(dist2 <= np.array(radii2)[:, None], axis=1)
@@ -446,10 +456,10 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
     if workers is not None and (isinstance(workers, bool) or workers != 1):
         raise ParameterError(f"workers must be None or 1, got {workers!r}")
     d = check_count("d", d, 1, SUBCHANNEL_MAX_ENTRIES)
-    if not rate > 0.0:
-        raise ParameterError(f"rate must be positive, got {rate}")
-    if not 1.0 < kappa < math.inf:
-        raise ParameterError(f"kappa must be finite and exceed 1, got {kappa}")
+    if not (isinstance(rate, numbers.Real) and rate > 0.0):
+        raise ParameterError(f"rate must be a positive real number, got {rate!r}")
+    if not (isinstance(kappa, numbers.Real) and 1.0 < kappa < math.inf):
+        raise ParameterError(f"kappa must be a real number, finite and above 1, got {kappa!r}")
     trials = _check_trials(trials)
     # The min keeps 2**(rate*d) finite; any exponent that large is over the cap.
     m_code = int(math.floor(2.0 ** min(rate * d, 1023.0)))
@@ -488,11 +498,12 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
 def good_event_rate(d: int, r: int, trials: int, rng) -> float:
     """Measured failure rate of the decoding good event
     {||G|| >= GOOD_G sqrt(r)} and {||H|| <= GOOD_H sqrt(d)} for G in R^r,
-    H in R^{d-r}, with the paper's constants GOOD_G = 1/2 and GOOD_H = 2."""
+    H in R^{d-r}, with the paper's constants GOOD_G = 1/2 and GOOD_H = 2.
+    ||G||^2 and ||H||^2 are drawn as in :func:`subspace_distance_samples`;
+    trials * d is at most ``DRAW_MAX_ENTRIES``."""
     d, r = _check_subspace(d, r, proper=True)
     trials = _check_trials(trials, d)
     rng = np.random.default_rng(rng)
-    g2 = np.sum(rng.standard_normal((trials, r)) ** 2, axis=1)
-    h2 = np.sum(rng.standard_normal((trials, d - r)) ** 2, axis=1)
+    g2, h2 = rng.chisquare([r, d - r], size=(trials, 2)).T
     bad = (g2 < (GOOD_G**2) * r) | (h2 > (GOOD_H**2) * d)
     return float(np.mean(bad))

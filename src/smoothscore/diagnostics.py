@@ -81,8 +81,11 @@ def law_of_alg3_ideal(target: GaussianTarget, grid: SincGrid, sigma2: float) -> 
 
 
 def empirical_covariance(samples) -> np.ndarray:
-    """Mean-zero covariance estimator (1/n) sum_k y_k y_k^T for centered laws."""
+    """Mean-zero covariance estimator (1/n) sum_k y_k y_k^T for centered laws,
+    from n samples given as an (n, d) or (n,) array."""
     Y = np.asarray(samples, dtype=np.float64)
+    if Y.ndim not in (1, 2):
+        raise ParameterError(f"samples must be a 1-d or 2-d array, got shape {Y.shape}")
     if Y.ndim == 1:
         Y = Y[:, None]
     if Y.shape[0] < 2:

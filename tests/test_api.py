@@ -68,8 +68,12 @@ def test_coding_experiment_takes_no_worker_count():
                                     np.ones((2, 2))),
     lambda: smoothscore.empirical_covariance([[1.0, 0.0], [np.nan, 2.0]]),
     lambda: smoothscore.empirical_covariance([[1.0, 0.0], [np.inf, 2.0]]),
+    lambda: smoothscore.tube_probability(8, 2, ["a"], 10, np.random.default_rng(0)),
+    lambda: smoothscore.empirical_covariance(np.ones((3, 2, 2))),
+    lambda: smoothscore.empirical_covariance(3.0),
 ], ids=["tube-2d-thetas", "tube-scalar-theta", "lambda-norm-length", "lambda-norm-2d",
-        "covariance-nan", "covariance-inf"])
+        "covariance-nan", "covariance-inf", "tube-theta-str", "covariance-3d",
+        "covariance-scalar"])
 def test_bad_inputs_raise_parameter_error(call):
     with pytest.raises(ParameterError):
         call()

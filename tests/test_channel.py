@@ -517,12 +517,49 @@ class TestTubeLaw:
         thetas = [0.3, 0.6, 0.8, 0.95]
         dist2 = subspace_distance_samples(d, r, trials, np.random.default_rng(40))
         want = [np.count_nonzero(dist2 <= theta**2) / trials for theta in thetas]
-        # 8 rows per chunk over 1001 rows: 125 full chunks and a partial one.
-        for entries in (64, 8 * 1001, 2**30):
+        # Two draws per point: 64 entries make 31 full chunks of 32 points and
+        # a partial one, and 2 entries one point per chunk.
+        for entries in (2, 64, 8 * 1001, 2**30):
             monkeypatch.setattr(channel, "CHUNK_ENTRIES", entries)
             emp, analytic = tube_probability(d, r, thetas, trials, np.random.default_rng(40))
             assert emp.tolist() == want
             assert analytic.tolist() == [betainc_reg(2.5, 1.5, theta**2) for theta in thetas]
+
+    def test_chunks_stay_within_the_draw_cap(self, monkeypatch):
+        # A tube call accepts every size it accepted when each chunk was d
+        # normals a point: its chunks shrink to DRAW_MAX_ENTRIES // d points.
+        d, r, trials = 64, 8, 1000
+        dist2 = subspace_distance_samples(d, r, trials, np.random.default_rng(41))
+        sizes = []
+        draw = channel.subspace_distance_samples
+        monkeypatch.setattr(channel, "subspace_distance_samples",
+                            lambda *args: sizes.append(args[2]) or draw(*args))
+        monkeypatch.setattr(channel, "DRAW_MAX_ENTRIES", 64 * 100)
+        (emp,), _ = tube_probability(d, r, [0.9], trials, np.random.default_rng(41))
+        assert sizes == [100] * 10
+        assert emp == np.count_nonzero(dist2 <= 0.81) / trials
+
+    def test_points_are_drawn_from_their_chi_square_statistics(self):
+        # Point i takes chi^2_r, then chi^2_(d-r), from the caller's
+        # generator, one point after another.
+        d, r = 12, 5
+        got = subspace_distance_samples(d, r, 300, np.random.default_rng(42))
+        rng = np.random.default_rng(42)
+        for value in got:
+            g2, h2 = rng.chisquare([r, d - r])
+            assert value == h2 / (g2 + h2)
+        head = subspace_distance_samples(d, r, 37, np.random.default_rng(42))
+        assert np.array_equal(head, got[:37])
+
+    @pytest.mark.parametrize("d, r", [(2, 1), (10, 1), (10, 9)])
+    def test_edge_shapes_follow_the_beta_law(self, d, r):
+        # Two-sided KS at alpha = 1e-3 against the in-house Beta CDF, at the
+        # chi^2_1 edges: r = 1, d - r = 1 and both.
+        n = 50_000
+        dist2 = np.sort(subspace_distance_samples(d, r, n, np.random.default_rng(100 * d + r)))
+        cdf = betainc_reg((d - r) / 2.0, r / 2.0, dist2)
+        stat = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert stat < math.sqrt(-math.log(0.5e-3) / 2.0) / math.sqrt(n)
 
 
 def packed_bits(words, count):
@@ -692,13 +729,26 @@ class TestBinarySubchannel:
     lambda rng: subspace_distance_samples(8, 1.5, 10, rng),
     lambda rng: subspace_distance_samples(8.5, 3, 10, rng),
     lambda rng: good_event_rate(8, 1.5, 10, rng),
+    lambda rng: run_coding_experiment(8, 2, "4", 4, 10, rng),
+    lambda rng: run_coding_experiment(8, 2, 4j, 4, 10, rng),
+    lambda rng: binary_subchannel_experiment(8, "4", 0.2, 10, rng),
+    lambda rng: binary_subchannel_experiment(8, 4.0, "0.2", 10, rng),
+    lambda rng: binary_subchannel_experiment(8, 4.0, None, 10, rng),
+    lambda rng: tube_probability(8, 2, ["a"], 10, rng),
+    lambda rng: tube_probability(8, 2, [0.5, None], 10, rng),
+    lambda rng: tube_probability(8, 2, ["0.5"], 10, rng),
 ], ids=["subchannel-d0", "subchannel-d-float", "subchannel-d-bool", "subchannel-d-negative",
         "coding-d-float", "coding-r-float", "coding-m-float", "coding-m-bool",
         "tube-d-float", "tube-r-float", "distances-r-float", "distances-d-float",
-        "good-event-r-float"])
+        "good-event-r-float", "coding-kappa-str", "coding-kappa-complex",
+        "subchannel-kappa-str", "subchannel-rate-str", "subchannel-rate-none",
+        "tube-theta-str", "tube-theta-none", "tube-theta-numeric-str"])
 def test_shapes_and_thresholds_are_checked(call):
     with pytest.raises(ParameterError):
         call(np.random.default_rng(0))
+    # default_rng rejects a bare object: the check comes before any stream.
+    with pytest.raises(ParameterError):
+        call(object())
 
 
 @pytest.mark.filterwarnings("error")
@@ -719,6 +769,22 @@ class TestGoodEvent:
         for seed, (d, r) in enumerate([(16, 8), (32, 8), (32, 16), (64, 8), (64, 32)]):
             rate = good_event_rate(d, r, 100_000, np.random.default_rng(seed))
             assert rate <= 0.05
+
+    @pytest.mark.parametrize("d, r", [(8, 2), (10, 1), (16, 8), (64, 8)])
+    def test_rate_matches_the_chi_square_law(self, d, r):
+        # The good event fails with probability
+        # 1 - P(chi^2_r >= r/4) P(chi^2_(d-r) <= 4d).
+        trials = 100_000
+        want = 1.0 - (stats.chi2.sf(channel.GOOD_G**2 * r, r)
+                      * stats.chi2.cdf(channel.GOOD_H**2 * d, d - r))
+        rate = good_event_rate(d, r, trials, np.random.default_rng(50 + d + r))
+        assert abs(rate - want) <= 4.0 * math.sqrt(want * (1.0 - want) / trials)
+
+    def test_trials_are_drawn_from_their_chi_square_statistics(self):
+        d, r, trials = 9, 4, 500
+        g2, h2 = np.random.default_rng(51).chisquare([r, d - r], size=(trials, 2)).T
+        want = np.mean((g2 < r / 4.0) | (h2 > 4.0 * d))
+        assert good_event_rate(d, r, trials, np.random.default_rng(51)) == want
 
     @pytest.mark.filterwarnings("error")
     def test_trials_validation(self):

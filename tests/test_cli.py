@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -384,6 +385,15 @@ class TestTube:
         want = [f"{theta!r},{float(np.mean(dist2 <= theta**2))!r},"
                 f"{channel.betainc_reg(28.0, 4.0, theta**2)!r}\n" for theta in thetas]
         assert data_rows(out)[1:] == want
+
+    def test_rows_are_pinned_per_seed(self, tmp_path):
+        # SHA-256 of the header and data rows of the benchmark's tube table at
+        # 20000 points: each point is drawn as chi^2_8, then chi^2_56.
+        out = tmp_path / "t.csv"
+        assert main(["tube", "--d", "64", "--r", "8", "--thetas", "0.88,0.9,0.92,0.94,0.97",
+                     "--trials", "20000", "--seed", "3", "--output", str(out)]) == 0
+        digest = hashlib.sha256("".join(data_rows(out)).encode()).hexdigest()
+        assert digest == "66e7b9d79c5425b704f13fb9e7f7af256f48cc753a2a139ec12c8ca2d4d45710"
 
     def test_bad_theta_exit_2(self, tmp_path, capsys):
         for thetas, seed in [("1.2", "0"), ("0.5,abc", "0"), ("0.5", "-1")]:
