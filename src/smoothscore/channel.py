@@ -138,8 +138,12 @@ def bit_lower_bound_table(kappa_list, delta_tv: float, empirical_errors) -> list
     measured by :func:`run_coding_experiment`.  Rows where
     :func:`converse_bound` is vacuous are flagged, never dropped.
     """
+    kappa_list, empirical_errors = list(kappa_list), list(empirical_errors)
+    if len(kappa_list) != len(empirical_errors):
+        raise ParameterError(f"{len(kappa_list)} kappas but {len(empirical_errors)} "
+                             "measured errors")
     rows = []
-    for kappa, (d, k_prime, eps_hat) in zip(kappa_list, empirical_errors, strict=True):
+    for kappa, (d, k_prime, eps_hat) in zip(kappa_list, empirical_errors):
         q_lower = converse_bound(k_prime, delta_tv, eps_hat)
         rows.append({
             "d": int(d),

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, as_real_array, check_count
 
 __all__ = [
     "GaussianTarget",
@@ -53,12 +55,12 @@ class GaussianTarget:
     basis: np.ndarray | None = None
 
     def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.eigvals, dtype=np.float64))
+        lam = np.atleast_1d(as_real_array("eigvals", self.eigvals))
         if lam.ndim != 1 or lam.size == 0:
             raise ParameterError("eigvals must be a nonempty 1-d array")
+        if not (isinstance(self.kappa, numbers.Real) and 1.0 <= self.kappa <= sys.float_info.max):
+            raise ParameterError(f"kappa must be a finite real number >= 1, got {self.kappa!r}")
         kappa = float(self.kappa)
-        if not (np.isfinite(kappa) and kappa >= 1.0):
-            raise ParameterError(f"kappa must be finite and >= 1, got {kappa}")
         if not np.all(np.isfinite(lam)):
             raise ParameterError("eigvals must be finite")
         if np.any(lam < 1.0 - _SPEC_SLACK) or np.any(lam > kappa * (1.0 + _SPEC_SLACK)):
@@ -66,14 +68,14 @@ class GaussianTarget:
                 f"precision eigenvalues must lie in [1, kappa={kappa}], "
                 f"got range [{lam.min()}, {lam.max()}]")
         d = lam.size
-        mean = np.zeros(d) if self.mean is None else np.asarray(self.mean, dtype=np.float64)
+        mean = np.zeros(d) if self.mean is None else as_real_array("mean", self.mean)
         if mean.shape != (d,):
             raise ParameterError(f"mean must have shape ({d},), got {mean.shape}")
         if not np.all(np.isfinite(mean)):
             raise ParameterError("mean must be finite")
         basis = self.basis
         if basis is not None:
-            basis = np.asarray(basis, dtype=np.float64)
+            basis = as_real_array("basis", basis)
             if basis.shape != (d, d):
                 raise ParameterError(f"basis must be {d}x{d}, got {basis.shape}")
             if not np.all(np.isfinite(basis)):
@@ -197,8 +199,8 @@ class ScoreOracle:
         # calls only), then records.
         # One query is a scalar tau with y of shape (d,); a batch is 1-d taus
         # with y of shape (d,), (q, d), (n, 1, d) or (n, q, d).
-        taus = np.asarray(taus, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
+        taus = as_real_array("tau", taus)
+        y = as_real_array("y", y)
         if taus.ndim != (0 if one else 1) or not ((taus > 0.0) & (taus < np.inf)).all():
             want = "one positive finite level" if one else "a 1-d array of positive finite levels"
             raise ParameterError(f"tau must be {want}, got {taus}")
@@ -209,6 +211,10 @@ class ScoreOracle:
                                  f"in dimension {d}")
         if not np.isfinite(y).all():
             raise ParameterError("query points must be finite")
+        if encoder is not None:
+            bits = check_count("bits", bits, 0, sys.maxsize)
+            if bits % d:
+                raise ParameterError(f"bits must be a multiple of d={d}, got {bits}")
         # Rows are points and the basis acts on columns, hence the swaps; a
         # stacked matmul applies the basis to each run's (d, k) block with the
         # BLAS call a single run makes, so a block of runs is answered bit for
@@ -224,11 +230,12 @@ class ScoreOracle:
         lead = y.shape[:-2] + taus.shape  # run-major: run 0's q queries first
         if encoder is not None:
             kept, messages = encoder(g)
-            count = math.prod(lead)
-            if not (isinstance(messages, np.ndarray) and messages.dtype == np.uint8
-                    and messages.shape == (count, bits) and messages.max(initial=0) <= 1):
-                raise ParameterError(
-                    f"encoder must return a ({count}, {bits}) uint8 array of 0/1 bits")
+            count, width = math.prod(lead), bits // d
+            if not (isinstance(messages, np.ndarray) and messages.dtype == np.uint64
+                    and messages.shape == (count, d)
+                    and int(messages.max(initial=0)) >> width == 0):
+                raise ParameterError(f"encoder must return a ({count}, {d}) uint64 array "
+                                     f"of fields below 2**{width}")
         # broadcast_to costs more than one query's arithmetic: skip it where
         # the shapes already agree, as for every one-query call.
         self.tape.record(taus if taus.shape == lead else np.broadcast_to(taus, lead),
@@ -255,12 +262,15 @@ class ScoreOracle:
     def finite_bit_query(self, taus, y: np.ndarray, encoder, bits: int):
         """Finite-bit queries in one call: the oracle computes the scores
         s_{tau_j}(y_j), ``y`` shaped as in :meth:`smoothed_scores`, and
-        returns ``encoder(scores)``, a pair ``(kept, messages)``.  Only
-        ``messages``, a (queries, bits) uint8 array of 0s and 1s with one row
-        of the declared length ``bits`` per query in the tape's order,
-        crosses the channel: its shape and alphabet are checked, and the
-        tape records the queries of ``bits`` bits.  Both are handed back,
-        ``messages`` for the receiver to decode and ``kept`` for the
+        returns ``encoder(scores)``, a pair ``(kept, messages)``.
+
+        ``bits`` is the declared length of one message, d * B for fields of
+        B bits, and must be a nonnegative multiple of d.  Only ``messages``
+        crosses the channel: a (queries, d) uint64 array, one row of d
+        fields per query in the tape's order, every field below 2**B.  Its
+        dtype, shape and range are checked before anything is recorded; the
+        tape then records each query as ``bits`` bits.  Both are handed
+        back, ``messages`` for the receiver to decode and ``kept`` for the
         caller's report.
         """
         return self._query(taus, y, encoder, bits)
@@ -273,7 +283,7 @@ def _swap(a: np.ndarray) -> np.ndarray:
 def lambda_norm(target: GaussianTarget, v: np.ndarray) -> float:
     """Precision-weighted norm ||v||_Lambda = sqrt(v^T Lambda v) of one vector v
     of shape (d,)."""
-    v = np.asarray(v, dtype=np.float64)
+    v = as_real_array("v", v)
     if v.shape != (target.dim,):
         raise ParameterError(f"v must have shape ({target.dim},), got {v.shape}")
     w = target.to_eigenbasis(v)
@@ -313,12 +323,12 @@ def target_from_dict(doc) -> GaussianTarget:
     :func:`target_from_json` reads from its text."""
     try:
         d = operator.index(doc["dim"])  # an integer, not truncated
-        kappa = float(doc["kappa"])
-        eigvals = np.asarray(doc["eigvals"], dtype=np.float64)
-        mean = np.asarray(doc.get("mean", np.zeros(d)), dtype=np.float64)
+        kappa = doc["kappa"]
+        eigvals = as_real_array("eigvals", doc["eigvals"])
+        mean = as_real_array("mean", doc.get("mean", np.zeros(d)))
         basis = doc.get("basis")
         if basis is not None:
-            basis = np.asarray(basis, dtype=np.float64)
+            basis = as_real_array("basis", basis)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed target descriptor: {exc}") from exc
     if eigvals.shape != (d,):

@@ -206,10 +206,11 @@ _BLOCK_ENTRIES = 2**17
 
 def _encode_terms(cfg: QuantizerConfig, grid: SincGrid, z: np.ndarray, g: np.ndarray):
     """Finite-bit encoder: the resolvent terms W_j of every run, quantized
-    into one message per query.  W itself stays off the channel, kept for
-    the run reports."""
+    into one message of level fields per query; their values are left to
+    the decoder.  W itself stays off the channel, kept for the run
+    reports."""
     w = _resolvent_terms(grid, z, g)
-    return w, quantize_vector(cfg, w.reshape(-1, w.shape[-1]))[1]
+    return w, quantize_vector(cfg, w.reshape(-1, w.shape[-1]), values=False)[1]
 
 
 # numpy.random.SeedSequence's hashing (NEP 19, after O'Neill's seed_seq for

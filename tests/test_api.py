@@ -71,9 +71,40 @@ def test_coding_experiment_takes_no_worker_count():
     lambda: smoothscore.tube_probability(8, 2, ["a"], 10, np.random.default_rng(0)),
     lambda: smoothscore.empirical_covariance(np.ones((3, 2, 2))),
     lambda: smoothscore.empirical_covariance(3.0),
+    lambda: smoothscore.quantize_vector(smoothscore.QuantizerConfig(bits=3, clip_radius=1.0),
+                                        ["a"]),
+    lambda: smoothscore.smallest_bit_depth("3"),
+    lambda: smoothscore.GaussianTarget(np.ones(2), "x"),
+    lambda: smoothscore.GaussianTarget(["a"], 2.0),
+    lambda: smoothscore.GaussianTarget(np.ones(2), 10**400),
+    lambda: smoothscore.GaussianTarget(np.ones(2), 2.0, mean=["a", 0.0]),
+    lambda: smoothscore.GaussianTarget(np.ones(2), 2.0, basis=[["1", "0"], ["0", "1"]]),
+    lambda: smoothscore.lambda_norm(smoothscore.GaussianTarget(eigvals=[1.0, 4.0], kappa=4.0),
+                                    ["a", "b"]),
+    lambda: smoothscore.bit_lower_bound_table([1, 2], 0.1, [(4, 3, 0.1)]),
 ], ids=["tube-2d-thetas", "tube-scalar-theta", "lambda-norm-length", "lambda-norm-2d",
         "covariance-nan", "covariance-inf", "tube-theta-str", "covariance-3d",
-        "covariance-scalar"])
+        "covariance-scalar", "quantize-str", "bit-depth-str", "target-kappa-str",
+        "target-eigvals-str", "target-kappa-huge-int", "target-mean-str", "target-basis-str",
+        "lambda-norm-str", "converse-table-lengths"])
 def test_bad_inputs_raise_parameter_error(call):
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda o: o.smoothed_score(1.0, ["a", "b"]),
+    lambda o: o.smoothed_score("1", np.zeros(2)),
+    lambda o: o.smoothed_scores(["1", "2"], np.zeros(2)),
+    lambda o: o.smoothed_scores([1.0, 2.0], [[0.0, 0.0], [0.0]]),
+    lambda o: o.finite_bit_query([1.0], ["0", "0"],
+                                 lambda g: (g, np.zeros((1, 2), dtype=np.uint64)), 0),
+], ids=["score-point-str", "score-tau-numeric-str", "scores-taus-numeric-str",
+        "scores-ragged-points", "finite-bit-point-str"])
+def test_bad_queries_raise_parameter_error_unrecorded(call):
+    oracle = smoothscore.ScoreOracle(smoothscore.GaussianTarget(eigvals=[1.0, 4.0], kappa=4.0))
+    with pytest.raises(ParameterError):
+        call(oracle)
+    assert oracle.tape.query_count == 0
+    assert oracle.tape.bits_sent == 0

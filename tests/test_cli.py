@@ -257,6 +257,29 @@ class TestSample:
             want.append(",".join(cli._fmt(v) for v in row) + "\n")
         assert data_rows(out)[1:] == want
 
+    @pytest.mark.parametrize("d, kappa, rotated, digest", [
+        (3, 1e4, False, "24ba8500a1fa00db75a0c751527aa711866459c4f862688c2596e2147106370c"),
+        (64, 1e8, True, "a824cc356047345e6306f7b57d3805dbbccea0adbb3f4105bcceddbe11b3c8de"),
+    ])
+    def test_quantized_rows_are_pinned_per_seed(self, tmp_path, d, kappa, rotated, digest):
+        # SHA-256 of the header and data rows of a seeded quantized block.
+        # The basis is a Householder reflection I - 2 v v^T / (v^T v), built
+        # elementwise; every row spends Q = d * B * q bits.
+        doc = {"dim": d, "kappa": kappa, "eigvals": np.geomspace(1.0, kappa, d).tolist()}
+        if rotated:
+            v = np.cos(np.arange(1.0, d + 1.0))
+            doc["basis"] = (np.eye(d) - 2.0 * np.outer(v, v) / np.sum(v * v)).reshape(-1).tolist()
+        cfg = {"algorithm": "quantized", "target": doc, "delta_tv": 0.1, "seed": 11, "runs": 6}
+        path, out = tmp_path / "run.json", tmp_path / "s.csv"
+        path.write_text(json.dumps(cfg))
+        assert main(["sample", "--config", str(path), "--output", str(out)]) == 0
+        rows = data_rows(out)
+        assert hashlib.sha256("".join(rows).encode()).hexdigest() == digest
+        spec = sampler_params("quantized", d, kappa, 0.1)
+        for line in rows[1:]:
+            q, bits = map(int, line.split(",")[d + 1:d + 3])
+            assert (q, bits) == (spec.grid.query_budget, d * spec.bits * q)
+
 
 class TestScaling:
     def test_columns_and_determinism(self, tmp_path):

@@ -14,14 +14,15 @@ def random_rotation(d, rng):
     return np.linalg.qr(rng.standard_normal((d, d)))[0]
 
 
-def bits_of(*messages):
-    """'0'/'1' strings as the (len(messages), bits) uint8 array a finite-bit
-    encoder returns."""
-    return np.array([[int(c) for c in m] for m in messages], dtype=np.uint8)
+def fields(*messages):
+    """Rows of level fields as the (len(messages), d) uint64 array a
+    finite-bit encoder returns."""
+    return np.array(messages, dtype=np.uint64)
 
 
-def no_bits(count):
-    return np.zeros((count, 0), dtype=np.uint8)
+def no_bits(count, d):
+    """Messages of d zero-bit fields: ``bits`` = 0 admits only the field 0."""
+    return np.zeros((count, d), dtype=np.uint64)
 
 
 class TestTargetValidation:
@@ -111,7 +112,7 @@ class TestSmoothedScore:
         with pytest.raises(ParameterError):
             o.smoothed_score(0.0, np.array([1.0]))
         with pytest.raises(ParameterError):
-            o.finite_bit_query([-1.0], np.array([1.0]), lambda g: (None, no_bits(1)), 0)
+            o.finite_bit_query([-1.0], np.array([1.0]), lambda g: (None, no_bits(1, 1)), 0)
 
 
 INF, NAN = float("inf"), float("nan")
@@ -122,7 +123,7 @@ INF, NAN = float("inf"), float("nan")
 @pytest.mark.parametrize("call", [
     lambda o: o.smoothed_score(INF, np.zeros(3)),
     lambda o: o.smoothed_scores([1.0, INF], np.zeros(3)),
-    lambda o: o.finite_bit_query([INF], np.zeros(3), lambda g: (g, no_bits(1)), 0),
+    lambda o: o.finite_bit_query([INF], np.zeros(3), lambda g: (g, no_bits(1, 3)), 0),
     lambda o: o.smoothed_score(np.array([1.0, 2.0]), np.zeros(3)),
     lambda o: o.smoothed_score(np.array([1.0]), np.zeros(3)),
     lambda o: o.smoothed_score(1.0, np.ones((5, 3))),
@@ -130,7 +131,7 @@ INF, NAN = float("inf"), float("nan")
     lambda o: o.smoothed_score(1.0, np.array([0.0, NAN, 0.0])),
     lambda o: o.smoothed_scores([1.0, 2.0], np.array([[0.0, 0.0, INF], [0.0, 0.0, 0.0]])),
     lambda o: o.finite_bit_query([1.0], np.full((2, 1, 3), -INF),
-                                 lambda g: (g, no_bits(2)), 0),
+                                 lambda g: (g, no_bits(2, 3)), 0),
 ], ids=["score-tau-inf", "scores-tau-inf", "finite-bit-tau-inf", "score-tau-array",
         "score-tau-one-entry-array", "score-five-points", "score-wrong-dim",
         "score-nan-point", "scores-inf-point", "finite-bit-inf-point"])
@@ -152,7 +153,8 @@ def test_every_query_path_rejects_out_of_domain_input_unrecorded(rotated, call):
     ([1.0, 1e8], 1e8, None, lambda o: o.smoothed_scores([1e-9], np.array([1.0, 1e301]))),
     ([1.0, 2.0], 2.0, [1e308, 0.0], lambda o: o.smoothed_score(1.0, np.array([-1e308, 0.0]))),
     ([1.0, 2.0], 2.0, [1e308, 0.0],
-     lambda o: o.finite_bit_query([1.0], np.array([-1e308, 0.0]), lambda g: (g, no_bits(1)), 0)),
+     lambda o: o.finite_bit_query([1.0], np.array([-1e308, 0.0]), lambda g: (g, no_bits(1, 2)),
+                                 0)),
 ], ids=["divide", "subtract", "finite-bit-subtract"])
 def test_overflowing_scores_are_refused_unrecorded(rotated, eigvals, kappa, mean, call):
     # Finite points whose score, or whose y - mu, overflows float64 used to be
@@ -291,40 +293,83 @@ class TestTapeAccounting:
 
     def test_zero_bit_encoder_counts_query_only(self):
         o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0))
-        kept, msgs = o.finite_bit_query([1.0], np.zeros(2), lambda g: (g, no_bits(1)), 0)
-        assert msgs.shape == (1, 0)
+        kept, msgs = o.finite_bit_query([1.0], np.zeros(2), lambda g: (g, no_bits(1, 2)), 0)
+        assert msgs.shape == (1, 2)
         assert kept.shape == (1, 2)
         assert o.tape.query_count == 1
         assert o.tape.bits_sent == 0
 
     def test_bit_budgets_add(self):
+        # d = 2: 3-bit fields make 6-bit messages, 5-bit fields 10-bit ones.
         o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0))
-        o.finite_bit_query([1.0], np.zeros(2), lambda g: (None, bits_of("010")), 3)
+        o.finite_bit_query([1.0], np.zeros(2), lambda g: (None, fields([7, 0])), 6)
         o.finite_bit_query([2.0, 3.0], np.zeros(2),
-                           lambda g: (None, bits_of("10110", "00000")), 5)
-        assert o.tape.bits_sent == 13
+                           lambda g: (None, fields([31, 5], [0, 16])), 10)
+        assert o.tape.bits_sent == 26
         assert o.tape.query_count == 3
 
+    @pytest.mark.parametrize("taus, messages, bits", [
+        ([1.0], fields([0, 1]).astype(np.uint8), 4),
+        ([1.0], fields([0, 1]).astype(np.int64), 4),
+        ([1.0], fields([0, 1]).astype(np.float64), 4),
+        ([1.0], fields([0, 1]).astype(">u8"), 4),
+        ([1.0], fields([0, 1]), 3),
+        ([1.0], fields([0, 1]), 5),
+        ([1.0], fields([0, 1]), -2),
+        ([1.0], fields([0, 1]), 4.0),
+        ([1.0], fields([0, 1]), None),
+        ([1.0], fields([0, 1]), True),
+        ([1.0], fields([0, 1]), np.float64(4.0)),
+        ([1.0], fields([4, 1]), 4),
+        ([1.0], fields([0, 1]), 0),
+        ([1.0, 2.0], fields([3, 3], [0, 2**63]), 126),
+    ], ids=["uint8", "int64", "float", "big-endian", "bits-3-at-d-2",
+            "bits-5-at-d-2", "negative-bits", "float-bits", "no-bits", "bool-bits",
+            "numpy-float-bits", "field-2**B", "field-1-at-0-bits", "field-2**63-at-63-bits"])
+    def test_message_contract_enforced(self, taus, messages, bits):
+        # A wrong dtype, bits that are not a multiple of d and a field of
+        # 2**B or more all raise before the tape records.
+        o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0))
+        o.finite_bit_query([0.5], np.zeros(2), lambda g: (None, fields([1, 2])), 4)
+        with pytest.raises(ParameterError):
+            o.finite_bit_query(taus, np.zeros(2), lambda g: (None, messages), bits)
+        assert o.tape.query_count == 1
+        assert o.tape.bits_sent == 4
+
     def test_encoder_length_contract_enforced(self):
-        # Wrong length, values other than 0 and 1, a dtype other than uint8,
-        # ragged rows, a flat message and a message count other than q all
-        # raise before the tape records.
-        o = ScoreOracle(GaussianTarget(eigvals=[1.0], kappa=1.0))
-        for taus, messages, bits in [([1.0], bits_of("01"), 3),
-                                     ([1.0], np.array([[0, 2]], dtype=np.uint8), 2),
-                                     ([1.0], np.array([[0, 1]]), 2),
-                                     ([1.0], bits_of("01").astype(bool), 2),
-                                     ([1.0, 2.0], [bits_of("011")[0], bits_of("01")[0]], 3),
-                                     ([1.0], bits_of("011")[0], 3),
-                                     ([1.0, 2.0], bits_of(*["011"] * 3), 3)]:
+        # Rows of d + 1 fields, a flat message, and a message count other
+        # than q raise before the tape records.
+        o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0))
+        o.finite_bit_query([0.5], np.zeros(2), lambda g: (None, fields([1, 2])), 4)
+        for taus, messages in [([1.0], fields([0, 1, 2])),
+                               ([1.0], fields([0, 1])[0]),
+                               ([1.0, 2.0], fields([0, 1])),
+                               ([1.0], fields([0, 1], [1, 0])),
+                               ([1.0, 2.0], fields([0, 1], [1, 0], [1, 1]))]:
             with pytest.raises(ParameterError):
-                o.finite_bit_query(taus, np.zeros(1), lambda g: (None, messages), bits)
-        assert o.tape.query_count == 0
+                o.finite_bit_query(taus, np.zeros(2), lambda g: (None, messages), 4)
+        assert o.tape.query_count == 1
+        assert o.tape.bits_sent == 4
+
+    @pytest.mark.parametrize("width", [*range(65), 100])
+    def test_fields_must_fit_the_declared_width(self, width):
+        # At d = 2 and bits = 2B a field of 2**B - 1 passes and one of 2**B
+        # raises before recording.  From B = 64 on every uint64 passes: a
+        # message declared wider than its fields is charged as declared.
+        o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0))
+        top = fields([0, min(2**width, 2**64) - 1])
+        assert o.finite_bit_query([1.0], np.zeros(2), lambda g: (None, top), 2 * width)[1] is top
+        if width < 64:
+            with pytest.raises(ParameterError):
+                o.finite_bit_query([1.0], np.zeros(2), lambda g: (None, top + np.uint64(1)),
+                                   2 * width)
+        assert o.tape.query_count == 1
+        assert o.tape.bits_sent == 2 * width
 
     @pytest.mark.parametrize("messages", [[b"01"], ["0\u00e9"], ["01", b"01"],
                                           ["1-"], ["01", " 1"]])
     def test_non_str_non_ascii_or_sign_message_rejected(self, messages):
-        # Messages are uint8 bit arrays; lists of strings or bytes, '0'/'1'
+        # Messages are uint64 field arrays; lists of strings or bytes, '0'/'1'
         # ones included, never cross the channel.
         o = ScoreOracle(GaussianTarget(eigvals=[1.0], kappa=1.0))
         with pytest.raises(ParameterError):
@@ -334,31 +379,32 @@ class TestTapeAccounting:
         assert o.tape.bits_sent == 0
 
     def test_quantizer_encoder_sends_d_times_b_bits(self):
-        from smoothscore import QuantizerConfig, quantize_vector
+        from smoothscore import QuantizerConfig, decode_vector, quantize_vector
         d, bits = 3, 5
         cfg = QuantizerConfig(bits=bits, clip_radius=2.0)
         o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0, 4.0], kappa=4.0))
         taus = [0.5, 2.0]
-        _, msgs = o.finite_bit_query(taus, np.array([0.4, -1.0, 2.0]),
-                                     lambda g: quantize_vector(cfg, g), d * bits)
-        assert msgs.shape == (2, d * bits)
+        values, msgs = o.finite_bit_query(taus, np.array([0.4, -1.0, 2.0]),
+                                          lambda g: quantize_vector(cfg, g), d * bits)
+        assert msgs.shape == (2, d) and msgs.dtype == np.uint64
+        assert np.array_equal(decode_vector(cfg, msgs), values)
         assert o.tape.bits_sent == 2 * d * bits
         assert [tau for tau, _ in o.tape.queries] == taus
 
     def test_tape_keeps_bits_per_query_and_messages_are_returned(self):
         o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0))
         o.smoothed_score(1.0, np.zeros(2))
-        messages = bits_of("010", "110", "000", "111")
+        messages = fields([0, 1], [2, 3], [3, 0], [1, 1])
         _, sent = o.finite_bit_query([1.0, 2.0], np.zeros((2, 1, 2)),
-                                     lambda g: (None, messages), 3)
+                                     lambda g: (None, messages), 4)
         assert sent is messages
-        assert o.tape.bits.tolist() == [0, 3, 3, 3, 3]
-        assert o.tape.bits_sent == 12
+        assert o.tape.bits.tolist() == [0, 4, 4, 4, 4]
+        assert o.tape.bits_sent == 16
 
     def test_finite_bit_scores_match_exact_queries(self):
         t = GaussianTarget(eigvals=[1.0, 2.0, 4.0], kappa=4.0, mean=[0.5, 0.0, -1.0])
         y = np.arange(6.0).reshape(2, 3)
-        g, _ = ScoreOracle(t).finite_bit_query([0.5, 2.0], y, lambda g: (g, no_bits(2)), 0)
+        g, _ = ScoreOracle(t).finite_bit_query([0.5, 2.0], y, lambda g: (g, no_bits(2, 3)), 0)
         assert np.array_equal(g, ScoreOracle(t).smoothed_scores([0.5, 2.0], y))
 
 
@@ -402,8 +448,14 @@ class TestJsonDescriptor:
         '{"dim": 2, "kappa": 3.0,',
         'not json',
         b'\xff\xfe',
+        '{"dim": 2, "kappa": "3.0", "eigvals": [1.0, 3.0]}',
+        '{"dim": 2, "kappa": 3.0, "eigvals": ["1.0", "3.0"]}',
+        '{"dim": 2, "kappa": 3.0, "eigvals": [1.0, 3.0], "mean": ["0", "0"]}',
+        '{"dim": 2, "kappa": 3.0, "eigvals": [1.0, 3.0], "basis": ["1", "0", "0", "1"]}',
+        '{"dim": 2, "kappa": 1%s, "eigvals": [1.0, 3.0]}' % ("0" * 400),
     ], ids=["mean", "basis", "ragged-mean", "infinite-dim", "fractional-dim", "truncated",
-            "not-json", "not-utf8"])
+            "not-json", "not-utf8", "numeric-str-kappa", "numeric-str-eigvals",
+            "numeric-str-mean", "numeric-str-basis", "huge-int-kappa"])
     def test_reader_rejects_malformed_entries(self, text):
         with pytest.raises(ParameterError):
             target_from_json(text)

@@ -6,16 +6,6 @@ from smoothscore import (ParameterError, QuantizerConfig, decode_vector,
 from smoothscore.quantizer import MAX_BITS
 
 
-def loop_pack(levels, bits):
-    """Reference packer: each index MSB-first from format(), reversed to LSB first."""
-    return "".join(format(int(level), f"0{bits}b")[::-1] for level in levels)
-
-
-def bit_chars(message):
-    """A message's 0/1 bits as the '0'/'1' characters loop_pack writes."""
-    return (message + ord("0")).tobytes().decode("ascii")
-
-
 def roundtrip(cfg, t):
     """Quantized values of t, checked to survive the wire format unchanged."""
     values, message = quantize_vector(cfg, t)
@@ -100,11 +90,11 @@ class TestQuantizeVector:
         qw, _ = quantize_vector(cfg23, np.zeros(4))
         assert np.array_equal(qw, [-1.0, -1.0, -1.0, -1.0])
 
-    def test_bitstring_length(self):
+    def test_fields_are_one_uint64_per_coordinate(self):
         cfg = QuantizerConfig(bits=7, clip_radius=1.0)
-        _, msg = quantize_vector(cfg, np.linspace(-2, 2, 5))
-        assert msg.dtype == np.uint8
-        assert msg.shape == (5 * 7,)
+        _, fields = quantize_vector(cfg, np.linspace(-2, 2, 5))
+        assert fields.dtype == np.uint64
+        assert fields.shape == (5,)
 
     def test_sup_norm_bound_without_clipping(self):
         rng = np.random.default_rng(1)
@@ -131,34 +121,42 @@ class TestQuantizeVector:
             qw, msg = quantize_vector(cfg, w)
             assert np.array_equal(decode_vector(cfg, msg), qw)
 
-    def test_wire_format_little_endian_coordinate_order(self):
+    def test_fields_are_the_level_indices_in_coordinate_order(self):
         cfg = QuantizerConfig(bits=2, clip_radius=3.0)
-        # indices: 0.4 -> 2, 5 -> 3, -7 -> 0, 0 -> 1; LSB first per index
-        _, msg = quantize_vector(cfg, np.array([0.4, 5.0, -7.0, 0.0]))
-        assert bit_chars(msg) == "01" + "11" + "00" + "10"
+        # indices: 0.4 -> 2, 5 -> 3, -7 -> 0, 0 -> 1
+        _, fields = quantize_vector(cfg, np.array([0.4, 5.0, -7.0, 0.0]))
+        assert fields.tolist() == [2, 3, 0, 1]
 
-    def test_rows_encode_one_bitstring_per_row(self):
+    def test_rows_encode_one_field_row_per_row(self):
         cfg = QuantizerConfig(bits=7, clip_radius=2.0)
         rows = np.random.default_rng(4).standard_normal((5, 3)) * 2.5
-        values, msgs = quantize_vector(cfg, rows)
+        values, fields = quantize_vector(cfg, rows)
         per_row = [quantize_vector(cfg, row) for row in rows]
-        assert msgs.shape == (5, 3 * 7)
-        assert np.array_equal(msgs, np.array([m for _, m in per_row]))
+        assert fields.shape == (5, 3) and fields.dtype == np.uint64
+        assert np.array_equal(fields, np.array([f for _, f in per_row]))
         assert np.array_equal(values, np.array([v for v, _ in per_row]))
-        assert np.array_equal(decode_vector(cfg, msgs), values)
+        assert np.array_equal(decode_vector(cfg, fields), values)
 
-    def test_decode_keeps_the_row_shape(self, cfg23):
-        # Rows of messages decode row by row; joined into one message they
-        # decode to the flattened rows.
-        values, msgs = quantize_vector(cfg23, np.array([[0.3, -1.2], [2.0, 0.0]]))
-        assert np.array_equal(decode_vector(cfg23, msgs), values)
-        assert np.array_equal(decode_vector(cfg23, msgs.ravel()), values.ravel())
-        with pytest.raises(ParameterError):
-            decode_vector(cfg23, msgs.ravel()[:-1])
+    def test_decode_keeps_the_shape(self, cfg23):
+        # Each field decodes to one value: rows row by row, the joined rows
+        # to the joined values, a block of runs to a block.
+        values, fields = quantize_vector(cfg23, np.array([[0.3, -1.2], [2.0, 0.0]]))
+        assert np.array_equal(decode_vector(cfg23, fields), values)
+        assert np.array_equal(decode_vector(cfg23, fields.ravel()), values.ravel())
+        block = fields.reshape(2, 1, 2)
+        assert np.array_equal(decode_vector(cfg23, block), values.reshape(2, 1, 2))
+
+    def test_values_false_sends_only_the_fields(self, cfg23):
+        w = np.array([[0.3, -1.2], [2.0, 0.0]])
+        values, fields = quantize_vector(cfg23, w)
+        skipped, same = quantize_vector(cfg23, w, values=False)
+        assert skipped is None
+        assert np.array_equal(same, fields) and same.dtype == np.uint64
 
     def test_decode_rejects_ragged_message(self, cfg23):
         with pytest.raises(ParameterError):
-            decode_vector(cfg23, np.array([0, 1, 0], dtype=np.uint8))
+            decode_vector(cfg23, [np.array([0, 1], dtype=np.uint64),
+                                  np.array([2], dtype=np.uint64)])
 
     @pytest.mark.parametrize("bits, message", [(2, "1-"), (2, " 1"), (2, "0 "), (3, "1_0"),
                                                (2, "1+"), (2, "0\u00e9"), (2, b"01"),
@@ -169,11 +167,13 @@ class TestQuantizeVector:
                                                (2, np.array([1, 255], dtype=np.uint8)),
                                                (2, np.array([0, 1])), (2, np.array([0.0, 1.0])),
                                                (2, np.array([False, True])),
-                                               (1, np.array(1, dtype=np.uint8))])
+                                               (1, np.array(1, dtype=np.uint8)),
+                                               (1, np.array(1, dtype=np.uint64)),
+                                               (2, np.array([0, 1], dtype=">u8"))])
     def test_decode_rejects_characters_other_than_bits(self, bits, message):
-        # A message is a uint8 array of 0s and 1s and nothing else: '0'/'1'
-        # strings, their ASCII codes, other dtypes, values above 1 and a
-        # 0-d array are all refused.
+        # A message is a native uint64 array of level fields and nothing
+        # else: '0'/'1' strings, their ASCII codes, 0/1 bit arrays of any
+        # other dtype and 0-d arrays are all refused.
         with pytest.raises(ParameterError):
             decode_vector(QuantizerConfig(bits=bits, clip_radius=3.0), message)
 
@@ -198,82 +198,51 @@ class TestQuantizeDomain:
         assert np.array_equal(roundtrip(cfg23, [[0.4], [-5.0]]), [[1.0], [-3.0]])
 
 
-def bits_of(levels, bits):
-    """The loop_pack reference message of ``levels`` as a uint8 bit array."""
-    return np.frombuffer(loop_pack(levels, bits).encode("ascii"), dtype=np.uint8) - ord("0")
+def unit_step(bits):
+    # R = (2**B - 1)/2 makes the step 1, so level L is the value L - R exactly.
+    return QuantizerConfig(bits=bits, clip_radius=(2**bits - 1) / 2)
 
 
-class TestPackedStreamDecoder:
-    """decode_vector parses the whole message as one packed byte stream, a
-    64-bit word per field; these pin its edges against loop_pack."""
-
-    @staticmethod
-    def unit_step(bits):
-        # R = (2**B - 1)/2 makes the step 1, so level L decodes to L - R exactly.
-        return QuantizerConfig(bits=bits, clip_radius=(2**bits - 1) / 2)
+class TestFieldFormat:
+    """A message is one uint64 level field per coordinate, each below 2**B."""
 
     @pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
-    def test_every_field_count_mod_8_and_both_extreme_last_fields(self, bits):
-        cfg = self.unit_step(bits)
-        rng = np.random.default_rng(1000 + bits)
-        for count in range(1, 18):
-            for last in (0, 2**bits - 1):
-                levels = rng.integers(0, 2**bits, size=count)
-                levels[-1] = last
-                got = decode_vector(cfg, bits_of(levels, bits))
-                assert got.shape == (count,)
-                assert np.array_equal(got, levels - cfg.clip_radius)
+    def test_round_trip_at_every_depth(self, bits):
+        cfg = unit_step(bits)
+        rng = np.random.default_rng(bits)
+        for shape in [(1,), (9,), (3, 5), (4, 1024)]:
+            levels = rng.integers(0, 2**bits, size=shape, dtype=np.uint64)
+            levels.flat[0], levels.flat[-1] = 0, 2**bits - 1
+            w = levels - cfg.clip_radius
+            values, fields = quantize_vector(cfg, w)
+            assert fields.dtype == np.uint64 and fields.shape == shape
+            assert np.array_equal(fields, levels)
+            assert np.array_equal(values, w)
+            assert np.array_equal(decode_vector(cfg, fields), w)
+        # The two extreme fields, alone and in a block of runs.
+        top = np.array([0, 2**bits - 1], dtype=np.uint64)
+        assert decode_vector(cfg, top).tolist() == [-cfg.clip_radius, cfg.clip_radius]
+        assert decode_vector(cfg, top.reshape(2, 1, 1)).shape == (2, 1, 1)
 
     @pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
-    def test_stacked_blocks_equal_per_row_decodes(self, bits):
-        cfg = self.unit_step(bits)
-        rng = np.random.default_rng(2000 + bits)
-        for n, q, d in [(2, 3, 5), (3, 2, 1), (1, 4, 9)]:
-            levels = rng.integers(0, 2**bits, size=(n, q, d))
-            levels[-1, -1, -1] = 2**bits - 1
-            block = np.stack([[bits_of(row, bits) for row in run] for run in levels])
-            assert block.shape == (n, q, d * bits)
-            got = decode_vector(cfg, block)
-            assert got.shape == (n, q, d)
-            per_row = [[decode_vector(cfg, msg) for msg in run] for run in block]
-            assert np.array_equal(got, np.array(per_row))
-            assert np.array_equal(got, levels - cfg.clip_radius)
+    def test_decode_refuses_a_field_of_2_to_the_b(self, bits):
+        cfg, top = unit_step(bits), 2**bits - 1
+        assert decode_vector(cfg, np.array([top], dtype=np.uint64)) == cfg.clip_radius
+        for message in ([0, top + 1], [[top], [top + 1]], [[top + 1, 0]]):
+            with pytest.raises(ParameterError):
+                decode_vector(cfg, np.array(message, dtype=np.uint64))
 
-    @pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
-    def test_empty_messages(self, bits):
-        cfg = self.unit_step(bits)
-        for shape, want in [((0,), (0,)), ((3, 0), (3, 0)), ((0, 2 * bits), (0, 2)),
-                            ((2, 0, bits), (2, 0, 1))]:
-            got = decode_vector(cfg, np.zeros(shape, dtype=np.uint8))
-            assert got.shape == want and got.dtype == np.float64
+    @pytest.mark.parametrize("shape, want", [((0,), (0,)), ((3, 0), (3, 0)), ((0, 2), (0, 2)),
+                                             ((2, 0, 1), (2, 0, 1))])
+    def test_empty_messages(self, shape, want):
+        got = decode_vector(unit_step(13), np.zeros(shape, dtype=np.uint64))
+        assert got.shape == want and got.dtype == np.float64
 
     def test_non_contiguous_rows_decode(self):
-        cfg = self.unit_step(13)
-        levels = np.random.default_rng(5).integers(0, 2**13, size=(6, 4))
-        block = np.stack([bits_of(row, 13) for row in levels])
-        assert np.array_equal(decode_vector(cfg, block[::2]), levels[::2] - cfg.clip_radius)
-
-
-class TestWireFormatReference:
-    @pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
-    def test_matches_loop_packer(self, bits):
-        # With R = (2**B - 1)/2 the step is 1, so w = level - R quantizes to
-        # exactly ``level``, from 0 to 2**B - 1, at every bit depth.
-        cfg = QuantizerConfig(bits=bits, clip_radius=(2**bits - 1) / 2)
-        rng = np.random.default_rng(bits)
-        for d in (1, 3, 1024):
-            levels = rng.integers(0, 2**bits, size=(3, d))
-            levels[0, 0], levels[-1, -1] = 0, 2**bits - 1
-            w = levels - cfg.clip_radius
-            values, msgs = quantize_vector(cfg, w)
-            assert [bit_chars(m) for m in msgs] == [loop_pack(row, bits) for row in levels]
-            assert np.array_equal(values, w)
-            assert np.array_equal(decode_vector(cfg, msgs), w)
-            assert np.array_equal(decode_vector(cfg, msgs.ravel()), w.ravel())
-            for row, want in zip(w, msgs):
-                values, msg = quantize_vector(cfg, row)
-                assert np.array_equal(msg, want)
-                assert np.array_equal(decode_vector(cfg, msg), row)
+        cfg = unit_step(13)
+        levels = np.random.default_rng(5).integers(0, 2**13, size=(6, 4), dtype=np.uint64)
+        assert np.array_equal(decode_vector(cfg, levels[::2, ::-1]),
+                              levels[::2, ::-1] - cfg.clip_radius)
 
 
 class TestSmallestBitDepth:
