@@ -3,7 +3,8 @@
 Subpackages cover: the sinc-quadrature rational approximant (``quadrature``),
 Gaussian targets and the two oracle models (``gaussian``), uniform scalar
 quantization (``quantizer``), the four rational samplers, their parameter
-spec and the mean reduction (``samplers``), deterministic KL/TV certificates
+spec and the mean reduction (``samplers``), numpy's spawned streams built
+in array operations (``streams``), deterministic KL/TV certificates
 (``diagnostics``), and channel-synthesis lower-bound machinery (``channel``).
 """
 

@@ -21,7 +21,10 @@ the noise.  Every draw is made in trial order, as one array per block or in
 slices of at most one chunk of about ``CHUNK_ENTRIES`` entries.  The fills
 are sequential, so trial i's values depend only on the seed, i and the
 problem shape: not on the trial count or the chunk size.  The blocks run in
-order on the calling thread.
+order on the calling thread.  :func:`~.streams.spawn_tree` builds every
+block's three generators in a few array operations, with the states numpy's
+``spawn`` gives them, and advances the caller's spawn counter as
+``rng.spawn`` does; other bit generators go through numpy's own spawn.
 
 A fresh-codebook coding trial is drawn from its sufficient statistics, with
 no codebook.  A wrong codeword is a uniform r-subspace independent of the
@@ -41,7 +44,8 @@ order, and each output is decoded in closed form to the codeword maximizing
 ||Q^T y||.  A binary-subchannel trial's (m, d) codebook of fair bits is
 ceil(m*d/64) uniform 64-bit words, unpacked least-significant bit first and
 row-major over (m, d); the padding bits of its last word are dropped.  Its
-noise lies in R^d, and its chunks are decoded by one stacked matrix product.
+noise lies in R^d.  Each chunk's bits are copied into one float64 buffer
+made once per call and decoded by one stacked matrix product.
 
 The tube and good-event Monte Carlo draw from the caller's generator, with
 no blocks, and also through sufficient statistics: a point or trial draws
@@ -65,6 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, check_count
+from .streams import spawn_tree
 
 __all__ = [
     "converse_bound",
@@ -146,7 +151,7 @@ def bit_lower_bound_table(kappa_list, delta_tv: float, empirical_errors) -> list
     for kappa, (d, k_prime, eps_hat) in zip(kappa_list, empirical_errors):
         q_lower = converse_bound(k_prime, delta_tv, eps_hat)
         rows.append({
-            "d": int(d),
+            "d": check_count("d", d, 1, sys.maxsize),
             "kappa": float(kappa),
             "k_prime": float(k_prime),
             "eps_hat": float(eps_hat),
@@ -327,9 +332,10 @@ def _map_trials(block_fn, rng: np.random.Generator, trials: int) -> ExperimentRe
     """Pool the (messages, decoded) of ``block_fn`` over the blocks of at most
     ``BLOCK_TRIALS`` consecutive trials, run in order on the calling thread.
     Block b draws from the b-th child spawned from rng: ``block_fn`` gets its
-    trial count and the child's codebook, message and noise streams."""
+    trial count and the child's codebook, message and noise streams, built
+    by :func:`~.streams.spawn_tree` with numpy's states."""
     sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
-    outcomes = [block_fn(n, *child.spawn(3)) for child, n in zip(rng.spawn(len(sizes)), sizes)]
+    outcomes = [block_fn(n, *streams) for streams, n in zip(spawn_tree(rng, len(sizes), 3), sizes)]
     messages = np.concatenate([m for m, _ in outcomes])
     decoded = np.concatenate([g for _, g in outcomes])
     return ExperimentResult(trials=trials, errors=int(np.sum(messages != decoded)),
@@ -474,9 +480,13 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
             f"{SUBCHANNEL_MAX_ENTRIES}; lower rate or d")
     words = -(-entries // 64)
     rng = np.random.default_rng(rng)
-    sigma0 = 1.0 / math.sqrt(kappa)
+    # Noise scale of a coordinate whose sent bit is 0 or 1, looked up by the bit.
+    scales = np.array([1.0 / math.sqrt(kappa), 1.0])
     log_kappa = math.log(kappa)
     rows = max(1, CHUNK_ENTRIES // entries)
+    # One float64 copy of a chunk's codebooks, reused by every chunk of the
+    # call; a chunk never spans two blocks.
+    codebooks = np.empty((min(rows, BLOCK_TRIALS, trials), m_code, d))
 
     def block_trials(n, code_rng, message_rng, noise_rng):
         messages = message_rng.integers(m_code, size=n)
@@ -489,10 +499,11 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
             bits = np.unpackbits(raw.astype("<u8", copy=False).view(np.uint8), axis=1,
                                  count=entries, bitorder="little").reshape(k, m_code, d)
             y = noise_rng.standard_normal((k, d))
-            y *= np.where(bits[np.arange(k), messages[lo:lo + k]], 1.0, sigma0)
+            y *= scales.take(bits[np.arange(k), messages[lo:lo + k]])
             # Log-likelihood advantage of bit 1 over bit 0 per coordinate.
             advantage = 0.5 * (kappa - 1.0) * y**2 - 0.5 * log_kappa
-            scores = np.matmul(bits.astype(np.float64), advantage[:, :, None])
+            np.copyto(codebooks[:k], bits)
+            scores = np.matmul(codebooks[:k], advantage[:, :, None])
             decoded[lo:lo + k] = np.argmax(scores[..., 0], axis=1)
         return messages, decoded
 

@@ -58,7 +58,8 @@ class GaussianTarget:
         lam = np.atleast_1d(as_real_array("eigvals", self.eigvals))
         if lam.ndim != 1 or lam.size == 0:
             raise ParameterError("eigvals must be a nonempty 1-d array")
-        if not (isinstance(self.kappa, numbers.Real) and 1.0 <= self.kappa <= sys.float_info.max):
+        if not (isinstance(self.kappa, numbers.Real) and not isinstance(self.kappa, bool)
+                and 1.0 <= self.kappa <= sys.float_info.max):
             raise ParameterError(f"kappa must be a finite real number >= 1, got {self.kappa!r}")
         kappa = float(self.kappa)
         if not np.all(np.isfinite(lam)):

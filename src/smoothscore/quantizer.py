@@ -36,8 +36,8 @@ class QuantizerConfig:
     clip_radius: float
 
     def __post_init__(self):
-        # Integral depths of any numeric type pass; 3.7, NaN and inf do not.
-        if self.bits not in range(1, MAX_BITS + 1):
+        # Integral depths of any numeric type pass; 3.7, NaN, inf and bools do not.
+        if isinstance(self.bits, (bool, np.bool_)) or self.bits not in range(1, MAX_BITS + 1):
             raise ParameterError(f"bits must be an integer in [1, {MAX_BITS}], got {self.bits}")
         object.__setattr__(self, "bits", int(self.bits))
         # The grid -R, -R + step, ..., R must be finite with a nonzero step.

@@ -23,11 +23,13 @@ then the dither G; per-shift vectors Z_j in index order, drawn as one (q, d)
 array), so runs are bit-reproducible from the seed, alone or in a block.
 Run i of a seeded call draws from the i-th child of ``SeedSequence(seed)``,
 the stream ``np.random.default_rng(seed).spawn(runs)[i]``; :func:`run_streams`
-builds those same generators, state for state, in a few array operations
-instead of numpy's per-child set-up.  Unlike the channel experiments, which
-spawn one stream per block of trials, the samplers keep one stream per run:
-the ``sample`` command's rows stay the same per seed, and the benchmark's
-checks rebuild Z from this contract with numpy's own ``spawn``.
+(from ``streams.py``, which also builds the channel experiments' block
+streams) makes those same generators, state for state, in a few array
+operations instead of numpy's per-child set-up.  Unlike the channel
+experiments, which spawn one stream per block of trials, the samplers keep
+one stream per run: the ``sample`` command's rows stay the same per seed,
+and the benchmark's checks rebuild Z from this contract with numpy's own
+``spawn``.
 """
 
 from __future__ import annotations
@@ -39,13 +41,13 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import diagnostics
 from .errors import ParameterError, check_count
 from .gaussian import GaussianTarget, ScoreOracle
 from .quadrature import C0, SincGrid, build_grid
 from .quantizer import QuantizerConfig, decode_vector, quantize_vector, smallest_bit_depth
+from .streams import run_streams
 
 __all__ = [
     "SampleBlock",
@@ -198,9 +200,13 @@ def _resolvent_terms(grid: SincGrid, z: np.ndarray, g: np.ndarray) -> np.ndarray
     return grid.coeffs[:, None] * (t * z + t**2 * g)
 
 
-# Runs are answered in blocks of at most about this many entries (floats per
-# run, shift and coordinate, or message bits), each block by one
-# oracle handle, so memory stays bounded however many runs a call asks for.
+# Runs are answered in blocks of at most about this many entries, each block
+# by one oracle handle, so memory stays bounded however many runs a call asks
+# for.  A run counts q*d entries, one float per shift and coordinate, times
+# the bit depth B for the quantized sampler.  Its message holds only q*d
+# level fields, but its encode and decode keep several (q, d) arrays per run,
+# and blocks sized by q*d alone ran 0.77-0.80x as fast on 20-run d = 1024
+# quantized calls, so B stays as a block-size factor.
 _BLOCK_ENTRIES = 2**17
 
 
@@ -211,79 +217,6 @@ def _encode_terms(cfg: QuantizerConfig, grid: SincGrid, z: np.ndarray, g: np.nda
     reports."""
     w = _resolvent_terms(grid, z, g)
     return w, quantize_vector(cfg, w.reshape(-1, w.shape[-1]), values=False)[1]
-
-
-# numpy.random.SeedSequence's hashing (NEP 19, after O'Neill's seed_seq for
-# PCG).  Its k-th hash of an entropy word XORs in INIT_A * MULT_A**k and
-# multiplies by the next constant; mixing a hashed word into a pool word
-# weighs them by MIX_MULT_L and MIX_MULT_R; generate_state hashes the pool
-# with the INIT_B/MULT_B constants.  All arithmetic is mod 2**32, and every
-# hash ends by XORing in the word shifted right by 16.
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_SHIFT = np.uint32(16)
-_MAX_KEYS = 2**32
-
-
-def _hash_constants(init: int, mult: int, first: int, count: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = first, ..., first + count - 1."""
-    return np.array([init * pow(mult, k, 2**32) % 2**32 for k in range(first, first + count)],
-                    dtype=np.uint32)
-
-
-# generate_state(4, np.uint64) hashes the pool twice over, as eight 32-bit
-# words: word 4a + b comes from pool word b.
-_STATE_CONSTS = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL + 1)
-_STATE_XOR = _STATE_CONSTS[:-1].reshape(2, _POOL)
-_STATE_MULT = _STATE_CONSTS[1:].reshape(2, _POOL)
-
-
-class _PresetState(ISeedSequence):
-    """Hands a PCG64 the four uint64 seed words its SeedSequence would
-    generate.  It cannot spawn, so neither can the generator built on it."""
-
-    __slots__ = ("_words",)
-
-    def __init__(self, words: np.ndarray):
-        self._words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:
-            raise ValueError("holds only the four uint64 words that seed a PCG64")
-        return self._words
-
-
-def run_streams(seed: int, runs: int, start: int = 0) -> list[np.random.Generator]:
-    """The generators ``np.random.default_rng(seed).spawn(start + runs)[start:]``,
-    with the same PCG64 states, in about a seventh of numpy's time per child.
-
-    Child i of SeedSequence(seed) hashes the seed's 32-bit words, zero-padded
-    to the pool's four, and then its spawn key i as one last word.  Up to
-    that word it is the parent, whose pool numpy computes once.  The key word
-    and the eight state words are then hashed for all runs at once, in uint32
-    arrays that wrap mod 2**32 as the reference does.  Keys stop below 2**32,
-    where numpy's take a second word.
-    """
-    seed = check_count("seed", seed, 0, math.inf)
-    runs = check_count("runs", runs, 0, _MAX_KEYS)
-    start = check_count("start", start, 0, _MAX_KEYS)
-    if start + runs > _MAX_KEYS:
-        raise ParameterError(f"start + runs must be at most 2**32, got {start} + {runs}")
-    # The parent made one hash per pool word, one per ordered pair of pool
-    # words and four per seed word beyond the fourth: four per padded word.
-    words = max(_POOL, -(-seed.bit_length() // 32))
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL * words, _POOL + 1)
-    h = (np.arange(start, start + runs, dtype=np.uint32)[:, None] ^ consts[:-1]) * consts[1:]
-    pool = _MIX_MULT_L * np.random.SeedSequence(seed).pool - _MIX_MULT_R * (h ^ h >> _SHIFT)
-    pool ^= pool >> _SHIFT
-    state = (pool[:, None] ^ _STATE_XOR) * _STATE_MULT
-    state ^= state >> _SHIFT
-    # Word pairs join little-endian, as numpy joins them.
-    seeds = (state.reshape(runs, 2 * _POOL).astype("<u4", copy=False)
-             .view("<u8").astype(np.uint64, copy=False))
-    return [np.random.Generator(np.random.PCG64(_PresetState(row))) for row in seeds]
 
 
 @dataclass
@@ -358,7 +291,7 @@ def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float, streams
     bits_totals = np.empty(n, dtype=np.int64)
     clip = np.zeros(n, dtype=bool)
     quant_errors = None if cfg is None else np.empty(n)
-    # A quantized query also carries d*B message bits.
+    # The quantized sampler's blocks are B times narrower (see _BLOCK_ENTRIES).
     width = taus.size * d * (1 if cfg is None else cfg.bits)
     step = max(1, _BLOCK_ENTRIES // max(1, width))
     for lo in range(0, n, step):

@@ -117,6 +117,17 @@ class TestConverseArithmetic:
         q = [row["q_lower"] for row in rows]
         assert q[0] < q[1] < q[2]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", [4.7, 0, -3, True, "8", None])
+    def test_table_refuses_a_dimension_that_is_not_a_count(self, d):
+        # int(4.7) used to report the row at d = 4.
+        with pytest.raises(ParameterError, match="d must be an integer"):
+            bit_lower_bound_table([1.0], 0.1, [(d, 3, 0.1)])
+
+    def test_table_takes_numpy_integer_dimensions(self):
+        row, = bit_lower_bound_table([1.0], 0.1, [(np.int64(8), 3, 0.1)])
+        assert row["d"] == 8 and type(row["d"]) is int
+
 
 class TestBetaInc:
     def test_matches_scipy_across_parameters(self):
@@ -608,6 +619,22 @@ class TestBinarySubchannel:
         assert np.array_equal(res.messages, messages)
         assert np.array_equal(res.decoded, decoded)
         assert res.errors == np.count_nonzero(messages != decoded)
+
+    @pytest.mark.parametrize("d, seed, digest", [
+        (16, 5, "9a26748d9e4f2b3ba43f24138055f96b417f5e7afab2b961a68f6c86794f4050"),
+        (16, 23, "18c769009eb54cb220f54f13c1f9dc38f56f11fd1a690e2419778bc22d4766d7"),
+        (32, 5, "bdfe6d7d67d257ab60446e8f593950d45b7184752f0948ded9db0e03f13a590c"),
+        (32, 23, "bb337a24a8ac1d630ba8cf13242902cf64c17daea74b64d5a2fb05b39c6e3756"),
+        (64, 5, "f6221f7b5820c0446a54ccfc27abba00bd7d85da174264e60766fdd75329d312"),
+        (64, 23, "d31e0b0681c19a31cb7fab2ca286f9bcc37e0c384f907f1be3fd43b6613cc160"),
+    ])
+    def test_outcomes_are_pinned_per_seed(self, d, seed, digest):
+        # SHA-256 of the (messages, decoded) int64 pair at the benchmark's
+        # kappa = 16 and rate 0.1; 600 trials make three blocks, and at d = 64
+        # each block runs in chunks of 24 trials.
+        res = binary_subchannel_experiment(d, 16.0, 0.1, 600, np.random.default_rng(seed))
+        both = np.stack([res.messages, res.decoded]).astype("<i8")
+        assert hashlib.sha256(both.tobytes()).hexdigest() == digest
 
     def test_codebook_bits_are_fair(self, monkeypatch):
         # The decoder's one matrix product per chunk sees every codebook bit.

@@ -376,6 +376,31 @@ class TestChannelExp:
         assert not out.exists()
         assert_parameter_error(capsys)
 
+    @pytest.mark.parametrize("d, r, kappa, m_code, trials, fixed, seed, digest", [
+        (8, 2, "30", 8, 600, False, 3,
+         "e77dec9b23123f8f8c800adf86acfe0c6f4a87aa84b1d7c60b200fe8039f3c27"),
+        (8, 2, "30", 8, 600, False, 19,
+         "cbd644afc8deb725e78e9e01840cb73aead859d1182a71c85fcc6b5674e83d9e"),
+        (8, 2, "30", 8, 600, True, 3,
+         "11c98305e32d593b9b9451f1e45759c8b0365f0e6b1f4fbe27f15fa8e0e9c1c2"),
+        (8, 2, "30", 8, 600, True, 19,
+         "c241754d66173c86553cb03cbf2f76e7dafa9f49619f9bcbecf161c3aca429a0"),
+        (32, 3, "1e4", 64, 600, False, 3,
+         "e079519e78a5c365355dc1d9cf79e9c4941ed9e14a5df7f9ae1ff0e24746a9c7"),
+        (32, 3, "1e4", 1024, 300, True, 19,
+         "d962732a21332516cdfe7f893cb28ce9f6ee78d2d5cffe01f6b4872a48353d6c"),
+    ])
+    def test_rows_are_pinned_per_seed(self, tmp_path, d, r, kappa, m_code, trials, fixed,
+                                      seed, digest):
+        # SHA-256 of the header and data rows; 600 trials make three blocks,
+        # the last one partial.
+        out = tmp_path / "ch.csv"
+        argv = ["channel-exp", "--d", str(d), "--r", str(r), "--kappa", kappa,
+                "--mcode", str(m_code), "--trials", str(trials), "--seed", str(seed),
+                "--output", str(out)]
+        assert main(argv + ["--fixed-codebook"] * fixed) == 0
+        assert hashlib.sha256("".join(data_rows(out)).encode()).hexdigest() == digest
+
     def test_infinite_kappa_exit_2_without_summary(self, tmp_path, capsys):
         # --kappa inf used to exit 0 with "kappa": Infinity, which is not
         # JSON, in the summary.

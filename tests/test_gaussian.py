@@ -36,6 +36,11 @@ class TestTargetValidation:
         with pytest.raises(ParameterError):
             GaussianTarget(eigvals=[1.0], kappa=0.9)
 
+    @pytest.mark.parametrize("kappa", [True, np.True_])
+    def test_bool_kappa_rejected(self, kappa):
+        with pytest.raises(ParameterError, match="kappa"):
+            GaussianTarget([1.0], kappa)
+
     def test_empty_dimension_rejected(self):
         with pytest.raises(ParameterError):
             GaussianTarget(eigvals=[], kappa=2.0)

@@ -34,7 +34,8 @@ class TestConfig:
             with pytest.raises(ParameterError):
                 QuantizerConfig(bits=bits, clip_radius=1.0)
 
-    @pytest.mark.parametrize("bits", [3.7, 0.5, 52.5, float("nan"), float("inf"), "3", None])
+    @pytest.mark.parametrize("bits", [3.7, 0.5, 52.5, float("nan"), float("inf"), "3", None,
+                                      True, np.True_])
     def test_rejects_fractional_or_non_numeric_bits(self, bits):
         with pytest.raises(ParameterError):
             QuantizerConfig(bits=bits, clip_radius=1.0)
