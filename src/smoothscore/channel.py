@@ -62,13 +62,12 @@ from that contract.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_count
+from .errors import ParameterError, as_real_array, check_count, check_real
 from .streams import spawn_tree
 
 __all__ = [
@@ -115,15 +114,9 @@ def converse_bound(k_prime: float, delta_tv: float, epsilon: float) -> float | N
     k_prime-bit code with error epsilon: k' - log2(1/(1 - delta - eps)), or
     None when the bound is vacuous, delta_tv + epsilon >= 1.  k_prime must be
     finite, delta_tv lie in [0, 1) and the error epsilon in [0, 1]."""
-    if not all(isinstance(x, numbers.Real) for x in (k_prime, delta_tv, epsilon)):
-        raise ParameterError(f"converse inputs must be real numbers, got "
-                             f"{k_prime!r}, {delta_tv!r}, {epsilon!r}")
-    if not math.isfinite(k_prime):
-        raise ParameterError(f"k_prime must be finite, got {k_prime}")
-    if not 0.0 <= delta_tv < 1.0:
-        raise ParameterError(f"delta_tv must lie in [0, 1), got {delta_tv}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ParameterError(f"epsilon must lie in [0, 1], got {epsilon}")
+    k_prime = check_real("k_prime", k_prime, -math.inf, math.inf)
+    delta_tv = check_real("delta_tv", delta_tv, 0.0, 1.0, open_high=True)
+    epsilon = check_real("epsilon", epsilon, 0.0, 1.0)
     if delta_tv + epsilon >= 1.0:
         return None
     return k_prime + math.log2(1.0 - delta_tv - epsilon)
@@ -133,6 +126,7 @@ def fixed_error_bound(k_prime: float, delta_tv: float) -> float | None:
     """Fixed-error specialization with epsilon = (1 - delta_tv)/2:
     Q >= k' - log2(2/(1 - delta_tv)); None only at delta_tv = 1 - 2**-53,
     where delta_tv + epsilon rounds to 1."""
+    delta_tv = check_real("delta_tv", delta_tv, 0.0, 1.0, open_high=True)
     return converse_bound(k_prime, delta_tv, (1.0 - delta_tv) / 2.0)
 
 
@@ -152,9 +146,9 @@ def bit_lower_bound_table(kappa_list, delta_tv: float, empirical_errors) -> list
         q_lower = converse_bound(k_prime, delta_tv, eps_hat)
         rows.append({
             "d": check_count("d", d, 1, sys.maxsize),
-            "kappa": float(kappa),
-            "k_prime": float(k_prime),
-            "eps_hat": float(eps_hat),
+            "kappa": check_real("kappa", kappa, 1.0, math.inf),
+            "k_prime": check_real("k_prime", k_prime, -math.inf, math.inf),
+            "eps_hat": check_real("eps_hat", eps_hat, 0.0, 1.0),
             "q_lower": q_lower,
             "vacuous": q_lower is None,
         })
@@ -206,9 +200,9 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
 def betainc_reg(a: float, b: float, x) -> float | np.ndarray:
     """Regularized incomplete beta I_x(a, b), absolute accuracy ~1e-14."""
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise ParameterError(f"beta parameters must be positive and finite, got {a}, {b}")
-    xs = np.asarray(x, dtype=np.float64)
+    a = check_real("a", a, 0.0, math.inf, open_low=True)
+    b = check_real("b", b, 0.0, math.inf, open_low=True)
+    xs = as_real_array("x", x)
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ParameterError("x must lie in [0, 1]")
     scalar = np.isscalar(x) or xs.ndim == 0
@@ -357,8 +351,7 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
     both paths.  The blocks run on the calling thread.
     """
     trials = _check_trials(trials)
-    if not (isinstance(kappa, numbers.Real) and 1.0 <= kappa < math.inf):
-        raise ParameterError(f"kappa must be a real number, finite and >= 1, got {kappa!r}")
+    kappa = check_real("kappa", kappa, 1.0, math.inf)
     d, r, m_code = _check_code(d, r, m_code)
     rng = np.random.default_rng(rng)
 
@@ -424,11 +417,10 @@ def tube_probability(d: int, r: int, thetas, trials: int, rng) -> tuple[np.ndarr
     least one point and at most ``DRAW_MAX_ENTRIES // d``, so d is at most
     ``DRAW_MAX_ENTRIES``.
     """
-    if np.ndim(thetas) != 1:
+    if as_real_array("thetas", thetas).ndim != 1:
         raise ParameterError(f"thetas must be a 1-d sequence, got {thetas!r}")
-    if not all(isinstance(theta, numbers.Real) and 0.0 < theta < 1.0 for theta in thetas):
-        raise ParameterError(f"need real thetas in (0, 1), got {thetas!r}")
-    thetas = [float(theta) for theta in thetas]
+    thetas = [check_real("theta", theta, 0.0, 1.0, open_low=True, open_high=True)
+              for theta in thetas]
     d, r = _check_subspace(d, r, proper=True)
     trials = _check_trials(trials)
     # theta**2 in Python float arithmetic, shared by the counts and the CDF.
@@ -463,13 +455,11 @@ def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,
     run on the calling thread: ``workers`` may only be None or 1, and goes
     with the next change to ``bench/workloads.py``, which passes 1.
     """
-    if workers is not None and (isinstance(workers, bool) or workers != 1):
-        raise ParameterError(f"workers must be None or 1, got {workers!r}")
+    if workers is not None:
+        check_count("workers", workers, 1, 1)
     d = check_count("d", d, 1, SUBCHANNEL_MAX_ENTRIES)
-    if not (isinstance(rate, numbers.Real) and rate > 0.0):
-        raise ParameterError(f"rate must be a positive real number, got {rate!r}")
-    if not (isinstance(kappa, numbers.Real) and 1.0 < kappa < math.inf):
-        raise ParameterError(f"kappa must be a real number, finite and above 1, got {kappa!r}")
+    rate = check_real("rate", rate, 0.0, math.inf, open_low=True)
+    kappa = check_real("kappa", kappa, 1.0, math.inf, open_low=True)
     trials = _check_trials(trials)
     # The min keeps 2**(rate*d) finite; any exponent that large is over the cap.
     m_code = int(math.floor(2.0 ** min(rate * d, 1023.0)))

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import channel, diagnostics, samplers
-from .errors import ParameterError
+from .errors import ParameterError, check_count, check_real
 from .gaussian import ScoreOracle, lambda_norm, target_from_dict, target_from_json
 from .quadrature import build_grid, sup_error_E1, sup_error_E2
 from .samplers import estimate_mean
@@ -80,18 +80,6 @@ def _parse_floats(text: str) -> list[float]:
         raise ParameterError(f"bad number list {text!r}: {exc}") from None
 
 
-def _number(key: str, value, count: bool = False):
-    # A finite JSON number as a float, or with ``count`` a non-negative
-    # integer; bools are neither.
-    ok = not isinstance(value, bool) and isinstance(value, int if count else (int, float))
-    if ok and count and value >= 0:
-        return value
-    if ok and not count and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise ParameterError(
-        f"{key} must be {'an integer >= 0' if count else 'a finite number'}, got {value!r}")
-
-
 def _open_input(path: str, mode: str = "r"):
     try:
         return open(path, mode)
@@ -129,15 +117,13 @@ def _cmd_sample(args) -> int:
     if missing:
         raise ParameterError(f"run descriptor lacks keys: {sorted(missing)}")
     target = target_from_dict(cfg["target"])
-    runs = _number("runs", cfg.get("runs", 1), count=True)
+    runs = check_count("runs", cfg.get("runs", 1), 0, math.inf)
     if runs * target.dim > SAMPLE_MAX_ENTRIES:
         raise ParameterError(f"{runs} runs at d = {target.dim} exceed the cap of "
                              f"{SAMPLE_MAX_ENTRIES} output entries; lower runs")
-    streams = samplers.run_streams(_number("seed", cfg["seed"], count=True), runs)
-    delta_mu = cfg.get("delta_mu")
-    block = samplers.sample_many(
-        cfg.get("algorithm"), target, _number("delta_tv", cfg["delta_tv"]), streams,
-        delta_mu=None if delta_mu is None else _number("delta_mu", delta_mu))
+    streams = samplers.run_streams(cfg["seed"], runs)
+    block = samplers.sample_many(cfg.get("algorithm"), target, cfg["delta_tv"], streams,
+                                 delta_mu=cfg.get("delta_mu"))
     # Written as _fmt writes them: floats by repr, flags as true/false.
     tail = f",{diagnostics.tv_bound(block.spec.law(target))!r}"
     lines = (",".join([str(run), *map(repr, y), str(q), str(bits), _fmt(clip)]) + tail
@@ -166,11 +152,11 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_channel_exp(args) -> int:
-    if not 0.0 <= args.delta_tv < 1.0:
-        raise ParameterError(f"delta_tv must lie in [0, 1), got {args.delta_tv}")
+    # The converse's domain, checked before any trial runs.
+    check_real("delta_tv", args.delta_tv, 0.0, 1.0, open_high=True)
     result = channel.run_coding_experiment(
         args.d, args.r, args.kappa, args.mcode, args.trials,
-        np.random.default_rng(_number("seed", args.seed, count=True)),
+        np.random.default_rng(check_count("seed", args.seed, 0, math.inf)),
         fresh_codebook=not args.fixed_codebook)
     # Written as _fmt writes them: integers by str, flags as true/false.
     lines = (f"{t},{m},{g},{'true' if m == g else 'false'}"
@@ -197,7 +183,7 @@ def _cmd_tube(args) -> int:
     thetas = _parse_floats(args.thetas)
     empirical, analytic = channel.tube_probability(
         args.d, args.r, thetas, args.trials,
-        np.random.default_rng(_number("seed", args.seed, count=True)))
+        np.random.default_rng(check_count("seed", args.seed, 0, math.inf)))
     _write_csv(args.output, ["theta", "empirical", "analytic"],
                zip(thetas, empirical.tolist(), analytic.tolist()))
     return 0

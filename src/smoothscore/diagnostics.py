@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, as_real_array, check_real
 from .gaussian import GaussianTarget
 from .quadrature import SincGrid, eval_r, eval_sq_sum
 
@@ -38,7 +38,7 @@ class CoDiagonalLawPair:
     ratios: np.ndarray
 
     def __post_init__(self):
-        r = np.atleast_1d(np.asarray(self.ratios, dtype=np.float64))
+        r = np.atleast_1d(as_real_array("variance ratios", self.ratios))
         if not np.all((r > 0.0) & (r < np.inf)):
             raise ParameterError("variance ratios must be positive and finite")
         object.__setattr__(self, "ratios", r)
@@ -74,8 +74,7 @@ def law_of_alg2(target: GaussianTarget, grid: SincGrid) -> CoDiagonalLawPair:
 
 def law_of_alg3_ideal(target: GaussianTarget, grid: SincGrid, sigma2: float) -> CoDiagonalLawPair:
     """Ideal dithered law (no quantization error): T_i = lam_i (r(lam_i)^2 + sigma2)."""
-    if sigma2 < 0.0:
-        raise ParameterError("sigma2 must be nonnegative")
+    sigma2 = check_real("sigma2", sigma2, 0.0, math.inf)
     lam = target.eigvals
     return CoDiagonalLawPair(lam * (eval_r(grid, lam) ** 2 + sigma2))
 
@@ -83,7 +82,7 @@ def law_of_alg3_ideal(target: GaussianTarget, grid: SincGrid, sigma2: float) -> 
 def empirical_covariance(samples) -> np.ndarray:
     """Mean-zero covariance estimator (1/n) sum_k y_k y_k^T for centered laws,
     from n samples given as an (n, d) or (n,) array."""
-    Y = np.asarray(samples, dtype=np.float64)
+    Y = as_real_array("samples", samples)
     if Y.ndim not in (1, 2):
         raise ParameterError(f"samples must be a 1-d or 2-d array, got shape {Y.shape}")
     if Y.ndim == 1:

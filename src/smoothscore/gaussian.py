@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, as_real_array, check_count
+from .errors import ParameterError, as_real_array, check_count, check_real
 
 __all__ = [
     "GaussianTarget",
@@ -58,10 +57,7 @@ class GaussianTarget:
         lam = np.atleast_1d(as_real_array("eigvals", self.eigvals))
         if lam.ndim != 1 or lam.size == 0:
             raise ParameterError("eigvals must be a nonempty 1-d array")
-        if not (isinstance(self.kappa, numbers.Real) and not isinstance(self.kappa, bool)
-                and 1.0 <= self.kappa <= sys.float_info.max):
-            raise ParameterError(f"kappa must be a finite real number >= 1, got {self.kappa!r}")
-        kappa = float(self.kappa)
+        kappa = check_real("kappa", self.kappa, 1.0, math.inf)
         if not np.all(np.isfinite(lam)):
             raise ParameterError("eigvals must be finite")
         if np.any(lam < 1.0 - _SPEC_SLACK) or np.any(lam > kappa * (1.0 + _SPEC_SLACK)):
@@ -105,7 +101,7 @@ class GaussianTarget:
     @classmethod
     def from_precision(cls, precision, kappa=None, mean=None) -> "GaussianTarget":
         """Build a target from a dense symmetric precision matrix."""
-        P = np.asarray(precision, dtype=np.float64)
+        P = as_real_array("precision", precision)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ParameterError("precision must be a square matrix")
         if np.max(np.abs(P - P.T)) > _SYM_TOL:
@@ -113,12 +109,12 @@ class GaussianTarget:
         lam, Q = np.linalg.eigh(P)
         if kappa is None:
             kappa = max(float(lam.max()), 1.0)
-        return cls(eigvals=lam, kappa=float(kappa), mean=mean, basis=Q)
+        return cls(eigvals=lam, kappa=kappa, mean=mean, basis=Q)
 
     @classmethod
     def from_covariance(cls, covariance, kappa=None, mean=None) -> "GaussianTarget":
         """Build a target from a dense symmetric covariance matrix."""
-        S = np.asarray(covariance, dtype=np.float64)
+        S = as_real_array("covariance", covariance)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ParameterError("covariance must be a square matrix")
         if np.max(np.abs(S - S.T)) > _SYM_TOL:
@@ -129,7 +125,7 @@ class GaussianTarget:
         lam = 1.0 / sig
         if kappa is None:
             kappa = max(float(lam.max()), 1.0)
-        return cls(eigvals=lam, kappa=float(kappa), mean=mean, basis=Q)
+        return cls(eigvals=lam, kappa=kappa, mean=mean, basis=Q)
 
     def to_eigenbasis(self, v: np.ndarray) -> np.ndarray:
         return v if self.basis is None else self.basis.T @ v
@@ -155,7 +151,7 @@ class OracleTape:
     def record(self, taus, points, bits: int = 0) -> None:
         """Append the queries (taus[i], points[i]), each sending ``bits``
         bits; both arrays share their leading shape, points add a last axis."""
-        taus = np.asarray(taus, dtype=np.float64)
+        taus = as_real_array("tau", taus)
         self._chunks.append((taus, points, bits))
         self.query_count += taus.size
         self.bits_sent += bits * taus.size

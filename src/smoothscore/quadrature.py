@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_count
+from .errors import ParameterError, as_real_array, check_count, check_real
 
 __all__ = [
     "C0",
@@ -85,12 +85,8 @@ def build_grid(eta: float, kappa: float) -> SincGrid:
     Shifts exp(2jh) outside the float64 range (roughly 2 log(C0/eta) +
     log(kappa) > 708) are rejected up front, never returned as 0 or inf.
     """
-    eta = float(eta)
-    kappa = float(kappa)
-    if not (0.0 < eta < 0.5):
-        raise ParameterError(f"eta must lie in (0, 1/2), got {eta}")
-    if not 1.0 <= kappa < math.inf:
-        raise ParameterError(f"kappa must be finite and >= 1, got {kappa}")
+    eta = check_real("eta", eta, 0.0, 0.5, open_low=True, open_high=True)
+    kappa = check_real("kappa", kappa, 1.0, math.inf)
 
     log_ratio = math.log(C0 / eta)
     h = math.pi**2 / log_ratio
@@ -110,12 +106,12 @@ def build_grid(eta: float, kappa: float) -> SincGrid:
 
 
 def _pole_sum(grid: SincGrid, x, name: str, square: bool):
-    """sum_j t_j over the poles for each x > 0, t_j = c_j / (x + alpha_j), or
-    t_j^2 when ``square``.  Points run in chunks of at most
+    """sum_j t_j over the poles for each finite x > 0, t_j = c_j / (x + alpha_j),
+    or t_j^2 when ``square``.  Points run in chunks of at most
     ``EVAL_CHUNK_ENTRIES`` terms; each point's sum is the same in any chunk."""
-    xs = np.asarray(x, dtype=np.float64)
-    if np.any(xs <= 0.0):
-        raise ParameterError(f"{name} requires x > 0")
+    xs = as_real_array("x", x)
+    if not np.all((xs > 0.0) & (xs < math.inf)):
+        raise ParameterError(f"{name} requires finite x > 0")
     flat = xs.reshape(-1)
     out = np.empty(flat.shape)
     rows = max(1, EVAL_CHUNK_ENTRIES // grid.query_budget)
@@ -131,7 +127,7 @@ def _pole_sum(grid: SincGrid, x, name: str, square: bool):
 
 
 def eval_r(grid: SincGrid, x):
-    """Evaluate r(x) = sum_j c_j / (x + alpha_j) for x > 0.
+    """Evaluate r(x) = sum_j c_j / (x + alpha_j) for finite x > 0.
 
     Accepts scalars or arrays; strictly positive and strictly decreasing.
     """
@@ -139,7 +135,7 @@ def eval_r(grid: SincGrid, x):
 
 
 def eval_sq_sum(grid: SincGrid, x):
-    """Evaluate sum_j c_j^2 / (x + alpha_j)^2 for x > 0 (scalar or array)."""
+    """Evaluate sum_j c_j^2 / (x + alpha_j)^2 for finite x > 0 (scalar or array)."""
     return _pole_sum(grid, x, "eval_sq_sum", square=True)
 
 

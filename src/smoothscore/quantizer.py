@@ -11,12 +11,11 @@ exactly d * bits bits; a batch of rows is one such message per row.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, as_real_array
+from .errors import ParameterError, as_real_array, check_real
 
 __all__ = [
     "QuantizerConfig",
@@ -40,12 +39,12 @@ class QuantizerConfig:
         if isinstance(self.bits, (bool, np.bool_)) or self.bits not in range(1, MAX_BITS + 1):
             raise ParameterError(f"bits must be an integer in [1, {MAX_BITS}], got {self.bits}")
         object.__setattr__(self, "bits", int(self.bits))
+        object.__setattr__(self, "clip_radius", check_real(
+            "clip_radius", self.clip_radius, 0.0, math.inf, open_low=True))
         # The grid -R, -R + step, ..., R must be finite with a nonzero step.
-        if not (isinstance(self.clip_radius, numbers.Real) and self.clip_radius > 0.0
-                and self.step > 0.0 and math.isfinite(self.step * (self.levels - 1))):
-            raise ParameterError("clip_radius must be positive and finite with a nonzero "
-                                 f"grid step, got {self.clip_radius} at {self.bits} bits")
-        object.__setattr__(self, "clip_radius", float(self.clip_radius))
+        if not (self.step > 0.0 and math.isfinite(self.step * (self.levels - 1))):
+            raise ParameterError("clip_radius must give a finite grid with a nonzero "
+                                 f"step, got {self.clip_radius} at {self.bits} bits")
 
     @property
     def levels(self) -> int:
@@ -110,9 +109,7 @@ def decode_vector(cfg: QuantizerConfig, message) -> np.ndarray:
 
 def smallest_bit_depth(threshold: float) -> int:
     """Smallest B >= 1 with 2**B - 1 >= threshold."""
-    if not (isinstance(threshold, numbers.Real) and math.isfinite(threshold)):
-        raise ParameterError(
-            f"bit-depth threshold must be a finite real number, got {threshold!r}")
+    threshold = check_real("bit-depth threshold", threshold, -math.inf, math.inf)
     B = 1
     while 2**B - 1 < threshold:
         B += 1

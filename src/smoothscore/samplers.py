@@ -35,7 +35,6 @@ and the benchmark's checks rebuild Z from this contract with numpy's own
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -43,7 +42,7 @@ from functools import partial
 import numpy as np
 
 from . import diagnostics
-from .errors import ParameterError, check_count
+from .errors import ParameterError, check_count, check_real
 from .gaussian import GaussianTarget, ScoreOracle
 from .quadrature import C0, SincGrid, build_grid
 from .quantizer import QuantizerConfig, decode_vector, quantize_vector, smallest_bit_depth
@@ -79,35 +78,22 @@ class SampleReport:
     quant_error_norm: float | None
 
 
-def _check_delta(delta_tv: float) -> float:
-    if not isinstance(delta_tv, numbers.Real):
-        raise ParameterError(f"delta_tv must be a real number, got {delta_tv!r}")
-    delta_tv = float(delta_tv)
-    if not (0.0 < delta_tv < 1.0):
-        raise ParameterError(f"delta_tv must lie in (0, 1), got {delta_tv}")
-    return delta_tv
-
-
 def _require_centered(target: GaussianTarget) -> None:
     if not target.is_centered:
         raise ParameterError("this sampler requires a centered target; "
                              "use sample_uncentered for nonzero means")
 
 
-def _check_delta_mu(delta_mu: float) -> None:
-    if not (isinstance(delta_mu, numbers.Real) and 0.0 < delta_mu < math.inf):
-        raise ParameterError(f"delta_mu must be positive and finite, got {delta_mu!r}")
-
-
 def exact_accuracy(dim: int, delta_tv: float) -> float:
     """Quadrature accuracy used by the one-point sampler: delta_tv / (4 sqrt(d))."""
-    return _check_delta(delta_tv) / (4.0 * math.sqrt(dim))
+    delta_tv = check_real("delta_tv", delta_tv, 0.0, 1.0, open_low=True, open_high=True)
+    return delta_tv / (4.0 * math.sqrt(dim))
 
 
 def independent_accuracy(dim: int, delta_tv: float) -> float:
     """Accuracy for the independent-query sampler:
     delta_tv / (8 sqrt(d) log(C0 sqrt(d)/delta_tv))."""
-    delta_tv = _check_delta(delta_tv)
+    delta_tv = check_real("delta_tv", delta_tv, 0.0, 1.0, open_low=True, open_high=True)
     rd = math.sqrt(dim)
     return delta_tv / (8.0 * rd * math.log(C0 * rd / delta_tv))
 
@@ -154,11 +140,11 @@ def sampler_params(algorithm: str, dim: int, kappa: float, delta_tv: float) -> S
         return SamplerParams(algorithm, build_grid(independent_accuracy(dim, delta_tv), kappa))
     if algorithm != "quantized":
         raise ParameterError(f"unknown algorithm {algorithm!r}")
-    delta_tv = _check_delta(delta_tv)
+    delta_tv = check_real("delta_tv", delta_tv, 0.0, 1.0, open_low=True, open_high=True)
     rd = math.sqrt(dim)
     grid = build_grid(delta_tv / (12.0 * rd), kappa)
     q = grid.query_budget
-    sigma2 = delta_tv / (12.0 * kappa * rd)
+    sigma2 = delta_tv / (12.0 * grid.kappa * rd)
     r_clip = (grid.h / math.pi) * math.sqrt(2.0 * math.log(6.0 * dim * q / delta_tv))
     bits = smallest_bit_depth(q * rd * r_clip / (math.sqrt(sigma2) * delta_tv))
     return SamplerParams(algorithm, grid, sigma2=sigma2, r_clip=r_clip, bits=bits)
@@ -269,7 +255,7 @@ def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float, streams
     n, d = len(streams), target.dim
     spec = sampler_params(algorithm, d, target.kappa, delta_tv)
     if delta_mu is not None:
-        _check_delta_mu(delta_mu)
+        delta_mu = check_real("delta_mu", delta_mu, 0.0, math.inf, open_low=True)
     elif algorithm == "uncentered":
         raise ParameterError("uncentered sampling requires delta_mu")
     if algorithm != "uncentered":
@@ -283,7 +269,7 @@ def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float, streams
         mean_oracle = ScoreOracle(target)
         shift = estimate_mean(target, delta_mu, oracle=mean_oracle)
         shared = mean_oracle.tape.query_count
-        params.update(delta_mu=float(delta_mu), mu_hat=shift)
+        params.update(delta_mu=delta_mu, mu_hat=shift)
     # The queries are made at z + shift, so the floor scales with it.
     taus = _shift_levels(g, 1.0 if shift is None else max(1.0, float(np.abs(shift).max())))
     y = np.empty((n, d))
@@ -382,7 +368,7 @@ def estimate_mean(target: GaussianTarget, delta_mu: float,
     checked).  A mean so large that ||b|| or tau_mu overflows float64 is
     rejected too.
     """
-    _check_delta_mu(delta_mu)
+    delta_mu = check_real("delta_mu", delta_mu, 0.0, math.inf, open_low=True)
     if oracle is None:
         oracle = ScoreOracle(target)
     origin = np.zeros(target.dim)

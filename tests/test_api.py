@@ -5,6 +5,7 @@ inputs raise ParameterError."""
 import ast
 import importlib
 import inspect
+import math
 import pkgutil
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import smoothscore
-from smoothscore import ParameterError
+from smoothscore import ParameterError, errors
 
 # Every module but __main__, which runs the CLI when imported.
 MODULES = sorted(m.name for m in pkgutil.iter_modules(smoothscore.__path__)
@@ -42,6 +43,29 @@ def test_package_imports_only_names_in_a_module_all():
     for node in imports:
         exported = importlib.import_module(f"smoothscore.{node.module}").__all__
         assert [a.name for a in node.names if a.name not in exported] == [], node.module
+
+
+def test_numeric_input_rules_live_in_errors_only():
+    # errors.py alone decides what a real number or an array of reals is:
+    # nowhere else may a module test numbers.Real or convert an input with a
+    # typed np.asarray.  streams._words sizes a seed by numbers.Integral,
+    # which dispatches on a type and checks nothing.
+    found = []
+    for path in sorted(Path(smoothscore.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                found.append((path.name, node.lineno, "from numbers import"))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "numbers"
+                  and (path.name, node.attr) != ("streams.py", "Integral")):
+                found.append((path.name, node.lineno, f"numbers.{node.attr}"))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "asarray"
+                  and (len(node.args) > 1 or any(k.arg == "dtype" for k in node.keywords))):
+                found.append((path.name, node.lineno, "typed asarray"))
+    assert found == []
 
 
 @pytest.mark.parametrize("module, name", DELETED)
@@ -82,11 +106,61 @@ def test_coding_experiment_takes_no_worker_count():
     lambda: smoothscore.lambda_norm(smoothscore.GaussianTarget(eigvals=[1.0, 4.0], kappa=4.0),
                                     ["a", "b"]),
     lambda: smoothscore.bit_lower_bound_table([1, 2], 0.1, [(4, 3, 0.1)]),
+    lambda: errors.check_real("x", True, 0.0, 2.0),
+    lambda: errors.check_real("x", np.True_, 0.0, 2.0),
+    lambda: errors.check_real("x", "0.5", 0.0, 1.0),
+    lambda: errors.check_real("x", 0.5 + 0j, 0.0, 1.0),
+    lambda: errors.check_real("x", None, 0.0, 1.0),
+    lambda: errors.check_real("x", [0.5], 0.0, 1.0),
+    lambda: errors.check_real("x", np.array(0.5), 0.0, 1.0),
+    lambda: errors.check_real("x", math.nan, -math.inf, math.inf),
+    lambda: errors.check_real("x", math.inf, 0.0, math.inf),
+    lambda: errors.check_real("x", -math.inf, -math.inf, 0.0),
+    lambda: errors.check_real("x", 10**400, 0.0, math.inf),
+    lambda: errors.check_real("x", 0.0, 0.0, 1.0, open_low=True),
+    lambda: errors.check_real("x", 1, 0.0, 1.0, open_high=True),
+    lambda: errors.check_real("x", 1.5, 0.0, 1.0),
+    lambda: errors.check_real("x", -0.5, 0.0, 1.0),
+    lambda: smoothscore.build_grid(0.1, True),
+    lambda: smoothscore.sampler_params("exact", 2, True, 0.1),
+    lambda: smoothscore.converse_bound(True, 0.1, 0.1),
+    lambda: smoothscore.fixed_error_bound(True, 0.1),
+    lambda: smoothscore.fixed_error_bound(5, "0.1"),
+    lambda: smoothscore.bit_lower_bound_table(["x"], 0.1, [(8, 3, 0.1)]),
+    lambda: smoothscore.bit_lower_bound_table([True], 0.1, [(8, 3, 0.1)]),
+    lambda: smoothscore.betainc_reg("1", 2, 0.5),
+    lambda: smoothscore.betainc_reg(1, 2, "0.5"),
+    lambda: smoothscore.betainc_reg(1, 2, True),
+    lambda: smoothscore.estimate_mean(smoothscore.GaussianTarget([1.0, 4.0], 4.0), True),
+    lambda: smoothscore.smallest_bit_depth(True),
+    lambda: smoothscore.GaussianTarget.from_precision([[1, 0], [0]]),
+    lambda: smoothscore.GaussianTarget.from_precision([["1", "0"], ["0", "5"]]),
+    lambda: smoothscore.GaussianTarget.from_precision(np.diag([1.0, 5.0]), kappa="5"),
+    lambda: smoothscore.GaussianTarget.from_covariance([[1, 0], [0]]),
+    lambda: smoothscore.GaussianTarget.from_covariance(np.diag([1.0, 0.2]), kappa="5"),
+    lambda: smoothscore.law_of_alg3_ideal(smoothscore.GaussianTarget([1.0, 4.0], 4.0),
+                                          smoothscore.build_grid(0.1, 4.0), "0.1"),
+    lambda: smoothscore.empirical_covariance([["1"], ["2"]]),
+    lambda: smoothscore.CoDiagonalLawPair(["1.0"]),
+    lambda: smoothscore.eval_r(smoothscore.build_grid(0.1, 10.0), math.nan),
+    lambda: smoothscore.eval_r(smoothscore.build_grid(0.1, 10.0), math.inf),
+    lambda: smoothscore.eval_sq_sum(smoothscore.build_grid(0.1, 10.0), [1.0, math.nan]),
+    lambda: smoothscore.eval_r(smoothscore.build_grid(0.1, 10.0), "1.0"),
 ], ids=["tube-2d-thetas", "tube-scalar-theta", "lambda-norm-length", "lambda-norm-2d",
         "covariance-nan", "covariance-inf", "tube-theta-str", "covariance-3d",
         "covariance-scalar", "quantize-str", "bit-depth-str", "target-kappa-str",
         "target-eigvals-str", "target-kappa-huge-int", "target-mean-str", "target-basis-str",
-        "lambda-norm-str", "converse-table-lengths"])
+        "lambda-norm-str", "converse-table-lengths",
+        "real-bool", "real-numpy-bool", "real-str", "real-complex", "real-none", "real-list",
+        "real-0d-array", "real-nan", "real-inf", "real-minus-inf", "real-huge-int",
+        "real-open-low", "real-open-high", "real-above", "real-below",
+        "grid-kappa-bool", "params-kappa-bool", "converse-bool", "fixed-error-bool",
+        "fixed-error-delta-str", "converse-table-kappa-str", "converse-table-kappa-bool",
+        "betainc-a-str", "betainc-x-str", "betainc-x-bool", "mean-delta-mu-bool",
+        "bit-depth-bool", "precision-ragged", "precision-str", "precision-kappa-str",
+        "covariance-matrix-ragged", "covariance-matrix-kappa-str", "alg3-sigma2-str",
+        "empirical-covariance-str", "law-pair-str", "eval-r-nan", "eval-r-inf",
+        "eval-sq-sum-nan", "eval-r-str"])
 def test_bad_inputs_raise_parameter_error(call):
     with pytest.raises(ParameterError):
         call()

@@ -764,12 +764,23 @@ class TestBinarySubchannel:
     lambda rng: tube_probability(8, 2, ["a"], 10, rng),
     lambda rng: tube_probability(8, 2, [0.5, None], 10, rng),
     lambda rng: tube_probability(8, 2, ["0.5"], 10, rng),
+    lambda rng: run_coding_experiment(8, 2, True, 4, 10, rng),
+    lambda rng: run_coding_experiment(8, 2, np.True_, 4, 10, rng),
+    lambda rng: binary_subchannel_experiment(8, 4.0, True, 10, rng),
+    lambda rng: binary_subchannel_experiment(8, 4.0, np.True_, 10, rng),
+    lambda rng: binary_subchannel_experiment(8, 4.0, 0.2, 10, rng, workers=1.0),
+    lambda rng: tube_probability(8, 2, [True], 10, rng),
+    lambda rng: tube_probability(8, 2, [np.True_], 10, rng),
+    lambda rng: tube_probability(8, 2, [[0.3], 0.5], 10, rng),
 ], ids=["subchannel-d0", "subchannel-d-float", "subchannel-d-bool", "subchannel-d-negative",
         "coding-d-float", "coding-r-float", "coding-m-float", "coding-m-bool",
         "tube-d-float", "tube-r-float", "distances-r-float", "distances-d-float",
         "good-event-r-float", "coding-kappa-str", "coding-kappa-complex",
         "subchannel-kappa-str", "subchannel-rate-str", "subchannel-rate-none",
-        "tube-theta-str", "tube-theta-none", "tube-theta-numeric-str"])
+        "tube-theta-str", "tube-theta-none", "tube-theta-numeric-str",
+        "coding-kappa-bool", "coding-kappa-numpy-bool", "subchannel-rate-bool",
+        "subchannel-rate-numpy-bool", "subchannel-workers-float",
+        "tube-theta-bool", "tube-theta-numpy-bool", "tube-thetas-ragged"])
 def test_shapes_and_thresholds_are_checked(call):
     with pytest.raises(ParameterError):
         call(np.random.default_rng(0))

@@ -150,6 +150,8 @@ class TestSample:
         {"delta_mu": -5},
         {"algorithm": "independent", "delta_mu": 0.0},
         {"algorithm": "quantized", "runs": 0, "delta_mu": -1.0},
+        {"delta_tv": True},
+        {"delta_mu": True},
     ])
     def test_domain_errors_exit_2(self, tmp_path, capsys, run_config, mutate):
         # A dict changes fields of a valid descriptor; a str is the whole file.

@@ -47,7 +47,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("bits, radius", [(3, float("inf")), (3, -float("inf")),
                                               (3, float("nan")), (3, -1.0), (3, "1.0"),
-                                              (3, 1e308), (1, 1e308), (52, 5e-324)])
+                                              (3, 1e308), (1, 1e308), (52, 5e-324),
+                                              (3, True)])
     def test_rejects_radius_without_a_finite_nonzero_step(self, bits, radius):
         # An infinite radius makes the step infinite; 1e308 overflows the
         # grid span 2R; a subnormal radius at 52 bits rounds the step to 0.

@@ -373,7 +373,7 @@ class TestSampleMany:
             sample_many(algorithm, t, 1e-7, run_streams(0, runs), delta_mu=0.1)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("delta_mu", [-1.0, 0.0, math.inf, math.nan, "0.1"])
+    @pytest.mark.parametrize("delta_mu", [-1.0, 0.0, math.inf, math.nan, "0.1", True])
     @pytest.mark.parametrize("runs", [0, 1])
     def test_zero_runs_still_check_delta_mu(self, delta_mu, runs, algorithm):
         # A given delta_mu is checked for every algorithm, not only where it is used.
