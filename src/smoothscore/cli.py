@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import channel, diagnostics, samplers
-from .errors import ParameterError, check_count, check_real
+from .errors import ParameterError, check_count, check_real, parse_json
 from .gaussian import ScoreOracle, lambda_norm, target_from_dict, target_from_json
 from .quadrature import build_grid, sup_error_E1, sup_error_E2
 from .samplers import estimate_mean
@@ -80,9 +80,10 @@ def _parse_floats(text: str) -> list[float]:
         raise ParameterError(f"bad number list {text!r}: {exc}") from None
 
 
-def _open_input(path: str, mode: str = "r"):
+def _read_bytes(path: str) -> bytes:
     try:
-        return open(path, mode)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise ParameterError(f"cannot open {path}: {exc.strerror}") from None
 
@@ -106,16 +107,23 @@ def _cmd_validate_quadrature(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    with _open_input(args.config) as fh:
-        try:
-            cfg = json.load(fh)
-        except ValueError as exc:
-            raise ParameterError(f"run descriptor is not JSON: {exc}") from exc
+    data = _read_bytes(args.config)
+    cfg = parse_json(data, "run descriptor")
     if not isinstance(cfg, dict):
         raise ParameterError(f"run descriptor must be a JSON object, got {type(cfg).__name__}")
     missing = {"target", "delta_tv", "seed"} - cfg.keys()
     if missing:
         raise ParameterError(f"run descriptor lacks keys: {sorted(missing)}")
+    if isinstance(cfg["seed"], float):
+        # orjson reads an integer beyond 64 bits as a float, yet a seed may be
+        # any non-negative integer.  This is the one place the stdlib reader
+        # remains: it re-reads the document for the seed as written, and
+        # check_count decides.  Unlike orjson, json can exhaust the recursion
+        # limit on a deeply nested document.
+        try:
+            cfg["seed"] = json.loads(data)["seed"]
+        except RecursionError:
+            raise ParameterError("run descriptor nests too deeply") from None
     target = target_from_dict(cfg["target"])
     runs = check_count("runs", cfg.get("runs", 1), 0, math.inf)
     if runs * target.dim > SAMPLE_MAX_ENTRIES:
@@ -190,8 +198,7 @@ def _cmd_tube(args) -> int:
 
 
 def _cmd_mean_est(args) -> int:
-    with _open_input(args.target, "rb") as fh:
-        target = target_from_json(fh.read())
+    target = target_from_json(_read_bytes(args.target))
     oracle = ScoreOracle(target)
     mu_hat = estimate_mean(target, args.delta_mu, oracle=oracle)
     err = lambda_norm(target, mu_hat - target.mean)

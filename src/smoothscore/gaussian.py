@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, as_real_array, check_count, check_real
+from .errors import ParameterError, as_real_array, check_count, check_real, parse_json
 
 __all__ = [
     "GaussianTarget",
@@ -307,12 +307,9 @@ def target_to_json(target: GaussianTarget) -> str:
 
 
 def target_from_json(text: str | bytes) -> GaussianTarget:
-    """Parse and validate the JSON target descriptor (text, or its bytes)."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise ParameterError(f"target descriptor is not JSON: {exc}") from exc
-    return target_from_dict(doc)
+    """Parse and validate the JSON target descriptor (text, or its UTF-8
+    bytes)."""
+    return target_from_dict(parse_json(text, "target descriptor"))
 
 
 def target_from_dict(doc) -> GaussianTarget:

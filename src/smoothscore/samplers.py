@@ -86,6 +86,7 @@ def _require_centered(target: GaussianTarget) -> None:
 
 def exact_accuracy(dim: int, delta_tv: float) -> float:
     """Quadrature accuracy used by the one-point sampler: delta_tv / (4 sqrt(d))."""
+    dim = check_count("dim", dim, 1, sys.maxsize)
     delta_tv = check_real("delta_tv", delta_tv, 0.0, 1.0, open_low=True, open_high=True)
     return delta_tv / (4.0 * math.sqrt(dim))
 
@@ -93,6 +94,7 @@ def exact_accuracy(dim: int, delta_tv: float) -> float:
 def independent_accuracy(dim: int, delta_tv: float) -> float:
     """Accuracy for the independent-query sampler:
     delta_tv / (8 sqrt(d) log(C0 sqrt(d)/delta_tv))."""
+    dim = check_count("dim", dim, 1, sys.maxsize)
     delta_tv = check_real("delta_tv", delta_tv, 0.0, 1.0, open_low=True, open_high=True)
     rd = math.sqrt(dim)
     return delta_tv / (8.0 * rd * math.log(C0 * rd / delta_tv))

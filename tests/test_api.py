@@ -68,6 +68,85 @@ def test_numeric_input_rules_live_in_errors_only():
     assert found == []
 
 
+def test_json_documents_are_read_in_one_place():
+    # errors.parse_json is the one reader of a JSON document; cli._cmd_sample
+    # re-reads a run descriptor with json.loads only for a seed beyond 64 bits.
+    readers = {"json.load", "json.loads", "orjson.loads"}
+    found = []
+    for path in sorted(Path(smoothscore.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # ast.walk goes breadth first, so a nested function's name wins.
+        owner = {id(node): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("json", "orjson"):
+                found.append((path.name, owner.get(id(node)), f"from {node.module} import"))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name)
+                  and f"{node.func.value.id}.{node.func.attr}" in readers):
+                found.append((path.name, owner.get(id(node)),
+                              f"{node.func.value.id}.{node.func.attr}"))
+    assert sorted(found) == [("cli.py", "_cmd_sample", "json.loads"),
+                             ("errors.py", "parse_json", "orjson.loads")]
+
+
+# 1 + 2**-53, halfway between 1 and the next float64, written out exactly.
+_HALFWAY = "1.00000000000000011102230246251565404236316680908203125"
+_HARD_TOKENS = [
+    _HALFWAY, _HALFWAY[:-1] + "4", _HALFWAY[:-1] + "6",
+    "2.2250738585072011e-308", "2.4703282292062327e-324", "2.4703282292062328e-324",
+    "1.7976931348623157e308",
+    # 400-digit mantissas: the halfway value exactly, and just above it.
+    _HALFWAY + "0" * 346, _HALFWAY + "0" * 345 + "1",
+]
+
+
+def test_json_reader_gives_each_float_the_bits_of_float():
+    # 10**5 random finite bit patterns, each written by repr and by "%.25e",
+    # then the hard rounding cases, all read in one document.
+    x = np.frombuffer(np.random.default_rng(2026).bytes(8 * 101_000), np.float64)
+    x = x[np.isfinite(x)][:100_000]
+    assert x.size == 100_000
+    tokens = [f(v) for v in x.tolist() for f in (repr, "%.25e".__mod__)]
+    tokens += _HARD_TOKENS + ["-" + t for t in _HARD_TOKENS]
+    got = np.array(errors.parse_json("[" + ",".join(tokens) + "]", "floats"))
+    want = np.array([float(t) for t in tokens])
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("data", [
+    b"[NaN]", b"[Infinity]", b"[-Infinity]", b"[1e400]", b'["\\ud800"]',
+    b"\xef\xbb\xbf[1.0]", b"\xff", b"[1.0", "[1, 2",
+], ids=["nan", "inf", "minus-inf", "beyond-float64", "lone-surrogate", "bom", "not-utf8",
+        "truncated", "truncated-str"])
+def test_json_reader_refuses_what_strict_json_refuses(data):
+    with pytest.raises(ParameterError, match="^doc is not JSON"):
+        errors.parse_json(data, "doc")
+
+
+@pytest.mark.parametrize("encode", [str.encode, str])
+def test_json_reader_caps_the_arrays_and_objects_it_opens(encode):
+    cap = errors._MAX_OPENS
+    flat = "[" + '{"a": []},' * ((cap - 2) // 2) + "[]]"
+    assert len(errors.parse_json(encode(flat), "doc")) == cap // 2
+    with pytest.raises(ParameterError, match=f"^doc opens more than {cap} arrays"):
+        errors.parse_json(encode("[" + flat), "doc")
+
+
+@pytest.mark.parametrize("data", [None, 1.5, memoryview(b"[1]")])
+def test_json_reader_takes_text_or_bytes_only(data):
+    with pytest.raises(ParameterError, match="must be text or bytes"):
+        errors.parse_json(data, "doc")
+    assert errors.parse_json(bytearray(b"[1]"), "doc") == [1]
+
+
+def test_json_reader_reads_integers_beyond_64_bits_as_floats():
+    assert errors.parse_json(b"[18446744073709551615, 18446744073709551619]", "doc") == [
+        2**64 - 1, float(2**64 + 3)]
+
+
 @pytest.mark.parametrize("module, name", DELETED)
 def test_deleted_names_are_not_importable(module, name):
     assert not hasattr(smoothscore, name)
@@ -146,6 +225,9 @@ def test_coding_experiment_takes_no_worker_count():
     lambda: smoothscore.eval_r(smoothscore.build_grid(0.1, 10.0), math.inf),
     lambda: smoothscore.eval_sq_sum(smoothscore.build_grid(0.1, 10.0), [1.0, math.nan]),
     lambda: smoothscore.eval_r(smoothscore.build_grid(0.1, 10.0), "1.0"),
+    lambda: smoothscore.exact_accuracy(2.5, 0.1),
+    lambda: smoothscore.independent_accuracy(True, 0.1),
+    lambda: smoothscore.exact_accuracy("3", 0.1),
 ], ids=["tube-2d-thetas", "tube-scalar-theta", "lambda-norm-length", "lambda-norm-2d",
         "covariance-nan", "covariance-inf", "tube-theta-str", "covariance-3d",
         "covariance-scalar", "quantize-str", "bit-depth-str", "target-kappa-str",
@@ -160,7 +242,8 @@ def test_coding_experiment_takes_no_worker_count():
         "bit-depth-bool", "precision-ragged", "precision-str", "precision-kappa-str",
         "covariance-matrix-ragged", "covariance-matrix-kappa-str", "alg3-sigma2-str",
         "empirical-covariance-str", "law-pair-str", "eval-r-nan", "eval-r-inf",
-        "eval-sq-sum-nan", "eval-r-str"])
+        "eval-sq-sum-nan", "eval-r-str", "exact-accuracy-fractional-dim",
+        "independent-accuracy-bool-dim", "exact-accuracy-str-dim"])
 def test_bad_inputs_raise_parameter_error(call):
     with pytest.raises(ParameterError):
         call()

@@ -118,6 +118,26 @@ class TestSample:
             tmp_path, lambda out: ["sample", "--config", str(path), "--output", out])
         assert rows1 == rows2
 
+    @pytest.mark.parametrize("seed", [2**64 + 3, 10**40])
+    def test_seeds_beyond_64_bits_are_read_exactly(self, tmp_path, run_config, seed):
+        # orjson reads such a seed as its nearest float; the CLI re-reads the
+        # seed as written, so the rows are those of the exact integer's streams.
+        path, cfg = run_config
+        path.write_text(json.dumps({**cfg, "seed": seed}))
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--config", str(path), "--output", str(out)]) == 0
+        rows = [line.rstrip("\n").split(",") for line in data_rows(out)[1:]]
+        target = target_from_dict(cfg["target"])
+
+        def block(s):
+            return samplers.sample_many(cfg["algorithm"], target, cfg["delta_tv"],
+                                        samplers.run_streams(s, cfg["runs"]))
+
+        want = block(seed)
+        assert [[float(v) for v in row[1:3]] for row in rows] == want.outputs.tolist()
+        assert [int(row[3]) for row in rows] == want.query_counts.tolist()
+        assert not np.array_equal(block(int(float(seed))).outputs, want.outputs)
+
     @pytest.mark.parametrize("mutate", [
         {"delta_tv": 1.5},
         {"algorithm": "nonsense"},
@@ -152,6 +172,13 @@ class TestSample:
         {"algorithm": "quantized", "runs": 0, "delta_mu": -1.0},
         {"delta_tv": True},
         {"delta_mu": True},
+        # A seed beyond 64 bits is re-read by json, which recurses per level.
+        pytest.param('{"target": {}, "delta_tv": 0.1, "seed": 18446744073709551619, "x": %s}'
+                     % ("[" * 3000 + "]" * 3000), id="deep-nest-big-seed"),
+        # Integral floats and negative seeds beyond 64 bits go through the same re-read.
+        {"seed": 7.0},
+        {"seed": 1e30},
+        {"seed": -2**64 - 3},
     ])
     def test_domain_errors_exit_2(self, tmp_path, capsys, run_config, mutate):
         # A dict changes fields of a valid descriptor; a str is the whole file.
@@ -568,6 +595,19 @@ def test_one_parser_serves_successive_calls(tmp_path, run_config, monkeypatch):
                 main(bad)
             assert exc.value.code == 2
     assert builds == []
+
+
+def test_deep_nest_exits_2(tmp_path):
+    # orjson recurses once per level and overflows the 8 MiB main stack near
+    # 2*10**5 levels; the reader refuses the nest first.  A child process, so
+    # that a crash reads as a failure.
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 300_000 + b"]" * 300_000)
+    proc = subprocess.run([sys.executable, "-m", "smoothscore", "mean-est", "--target", str(deep),
+                           "--delta-mu", "0.1", "--output", str(tmp_path / "m.csv")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("parameter error: target descriptor opens more than")
 
 
 def test_import_leaves_scipy_out():
