@@ -76,6 +76,11 @@ def parse_json(data: bytes | str, what: str):
     beyond 64 bits reads as its nearest float.  Each float token gets the bits
     ``float()`` gives it, in a quarter of the json module's time on a d = 1024
     descriptor.
+
+    The opens cap keeps orjson's recursion inside the 8 MiB main stack and
+    the default thread stacks, but not inside every stack: a 4096-deep
+    document crashed the process (SIGSEGV) in a thread started after
+    ``threading.stack_size(256 * 1024)``, and 512 KiB sufficed.
     """
     if not isinstance(data, (bytes, bytearray, str)):
         raise ParameterError(f"{what} must be text or bytes, got {type(data).__name__}")

@@ -68,11 +68,9 @@ def test_numeric_input_rules_live_in_errors_only():
     assert found == []
 
 
-def test_json_documents_are_read_in_one_place():
-    # errors.parse_json is the one reader of a JSON document; cli._cmd_sample
-    # re-reads a run descriptor with json.loads only for a seed beyond 64 bits.
-    readers = {"json.load", "json.loads", "orjson.loads"}
-    found = []
+def _src_nodes():
+    """(file name, name of the innermost enclosing function, node) for every
+    AST node of the package's modules."""
     for path in sorted(Path(smoothscore.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         # ast.walk goes breadth first, so a nested function's name wins.
@@ -80,15 +78,32 @@ def test_json_documents_are_read_in_one_place():
                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                  for node in ast.walk(fn)}
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module in ("json", "orjson"):
-                found.append((path.name, owner.get(id(node)), f"from {node.module} import"))
-            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and isinstance(node.func.value, ast.Name)
-                  and f"{node.func.value.id}.{node.func.attr}" in readers):
-                found.append((path.name, owner.get(id(node)),
-                              f"{node.func.value.id}.{node.func.attr}"))
+            yield path.name, owner.get(id(node)), node
+
+
+def test_json_documents_are_read_in_one_place():
+    # errors.parse_json is the one reader of a JSON document; cli._cmd_sample
+    # re-reads a run descriptor with json.loads only for a seed beyond 64 bits.
+    readers = {"json.load", "json.loads", "orjson.loads"}
+    found = []
+    for name, owner, node in _src_nodes():
+        if isinstance(node, ast.ImportFrom) and node.module in ("json", "orjson"):
+            found.append((name, owner, f"from {node.module} import"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)
+              and f"{node.func.value.id}.{node.func.attr}" in readers):
+            found.append((name, owner, f"{node.func.value.id}.{node.func.attr}"))
     assert sorted(found) == [("cli.py", "_cmd_sample", "json.loads"),
                              ("errors.py", "parse_json", "orjson.loads")]
+
+
+def test_float_arrays_are_written_in_one_place():
+    # cli._float_rows is the one user of orjson.dumps: it alone knows which
+    # fields orjson lays out unlike repr.
+    found = [(name, owner) for name, owner, node in _src_nodes()
+             if isinstance(node, ast.Attribute) and node.attr == "dumps"
+             and isinstance(node.value, ast.Name) and node.value.id == "orjson"]
+    assert found == [("cli.py", "_float_rows")]
 
 
 # 1 + 2**-53, halfway between 1 and the next float64, written out exactly.

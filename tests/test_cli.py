@@ -6,6 +6,7 @@ import sys
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 
 from smoothscore import (build_grid, law_of_alg1, law_of_alg2, law_of_alg3_ideal,
@@ -48,6 +49,94 @@ def run_config(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     return path, cfg
+
+
+def repr_rows(values):
+    return [",".join(map(repr, row)) for row in values.tolist()]
+
+
+def banded_floats(rng, n):
+    # Random finite bit patterns with binary exponents in [-20, 60], so about
+    # a sixth lie outside [1e-4, 1e16) and orjson formats most of a block.
+    bits = rng.integers(0, 2**52, n, dtype=np.uint64)
+    bits |= rng.integers(1023 - 20, 1023 + 61, n).astype(np.uint64) << np.uint64(52)
+    bits |= rng.integers(0, 2, n).astype(np.uint64) << np.uint64(63)
+    return bits.view(np.float64)
+
+
+# The neighbours of both layout thresholds and the ends of float64.
+EDGE_FLOATS = [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e16, 0.0), 1e16,
+               0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               float("inf"), float("nan")]
+EDGE_FLOATS += [-v for v in EDGE_FLOATS]
+
+ALGORITHMS = ("exact", "independent", "quantized", "uncentered")
+
+
+class TestFloatRows:
+    """cli._float_rows writes each row as ",".join(map(repr, row)) would."""
+
+    @pytest.mark.parametrize("shape", [(1000, 100), (25_000, 4), (1, 100_000)])
+    def test_random_bit_patterns(self, shape):
+        # Whole float64 bit patterns lie mostly outside [1e-4, 1e16), so most
+        # of their fields are rewritten; banded ones are mostly written by
+        # orjson.  The 1 x 10**5 row is longer than a chunk and goes to repr.
+        rng = np.random.default_rng(sum(shape))
+        x = np.frombuffer(rng.bytes(8 * 101_000), np.float64)
+        x = x[np.isfinite(x)][:100_000]
+        for values in (x, banded_floats(rng, 100_000)):
+            values = values.reshape(shape)
+            assert list(cli._float_rows(values)) == repr_rows(values)
+
+    @pytest.mark.parametrize("rows", [1, 3, 40])
+    def test_edge_values_inside_and_outside_orjson_chunks(self, rows):
+        # Among normal values a chunk is written by orjson and only the edge
+        # fields are rewritten; alone they are written by repr.
+        rng = np.random.default_rng(rows)
+        block = rng.standard_normal((rows, 200))
+        for k, v in enumerate(EDGE_FLOATS):
+            block[k % rows, (7 * k) % 200] = v
+        edges = np.array([EDGE_FLOATS])
+        for values in (block, edges, edges.T):
+            got = list(cli._float_rows(values))
+            assert got == repr_rows(values)
+            assert not any("null" in line for line in got)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (0, 1), (7, 1), (300, 1), (1, 9), (1, 300),
+                                       (1, 1)])
+    def test_degenerate_shapes(self, shape):
+        values = np.random.default_rng(5).standard_normal(shape)
+        assert list(cli._float_rows(values)) == repr_rows(values)
+
+    def test_strided_and_integral_input(self):
+        values = np.arange(6000.0).reshape(60, 100)[::2, 1::3]
+        assert list(cli._float_rows(values)) == repr_rows(values)
+
+    @pytest.mark.parametrize("cap", [None, 64])
+    def test_each_orjson_call_is_capped(self, monkeypatch, cap):
+        # Blocks many chunks long never reach orjson in more than
+        # FORMAT_CHUNK_ENTRIES entries at once, rows longer than that never
+        # reach it, and neither do blocks below FORMAT_MIN_ENTRIES.
+        sizes = []
+        monkeypatch.setattr(orjson, "dumps",
+                            lambda obj, *a, dumps=orjson.dumps, **k:
+                            sizes.append(obj.size) or dumps(obj, *a, **k))
+        rng = np.random.default_rng(9)
+        assert list(cli._float_rows(rng.standard_normal((4, 3)))) and sizes == []
+        monkeypatch.setattr(cli, "FORMAT_MIN_ENTRIES", 1)
+        if cap is not None:
+            monkeypatch.setattr(cli, "FORMAT_CHUNK_ENTRIES", cap)
+        cap = cli.FORMAT_CHUNK_ENTRIES
+        for (n, d), calls in [((3 * cap // 5 + 7, 5), 4), ((cap + 1, 1), 2),
+                              ((cap // 2, 2), 1), ((3, cap + 1), 0)]:
+            sizes.clear()
+            values = rng.standard_normal((n, d))
+            lines = cli._float_rows(values)
+            first = next(lines)
+            assert len(sizes) == min(calls, 1)  # lines are yielded chunk by chunk
+            assert [first, *lines] == repr_rows(values)
+            assert len(sizes) == calls and max(sizes, default=0) <= cap
+            assert sum(sizes) == (values.size if calls else 0)
 
 
 class TestValidateQuadrature:
@@ -255,36 +344,53 @@ class TestSample:
         assert certificate == tv_bound(law)
 
 
-    @pytest.mark.parametrize("algorithm", ["exact", "independent", "quantized", "uncentered"])
-    @pytest.mark.parametrize("rotated", [False, True])
-    def test_rows_match_a_per_run_loop(self, tmp_path, algorithm, rotated):
+    @pytest.mark.parametrize("rotated, algorithm, d, kappa, eigvals, runs, digest", [
+        # d = 5, 12 runs: blocks of 60 entries, below FORMAT_MIN_ENTRIES.
+        *(pytest.param(rotated, alg, 5, 1e4, None, 12, None, id=f"{rotated}-{alg}")
+          for rotated in (False, True) for alg in ALGORITHMS),
+        # d = 16, 12 runs: blocks of 192 entries, formatted by orjson.
+        *(pytest.param(rotated, alg, 16, 1e4, None, 12, None, id=f"{rotated}-{alg}-d16")
+          for rotated in (False, True) for alg in ALGORITHMS),
+        # At kappa = 1e8 most coordinates have standard deviations of 1e-4 to
+        # 3e-4, so 98 of the 240 fields are in repr's exponent layout and are
+        # rewritten.  The digest of the header and data rows was taken before
+        # orjson wrote any row.
+        pytest.param(False, "exact", 12, 1e8, [1.0, *np.geomspace(1e7, 1e8, 11).tolist()], 20,
+                     "c1b3bfcd308d157fe2bd74c55371ff2dedec1bba5634dd2039237d5142ff70dc",
+                     id="False-exact-kappa1e8"),
+    ])
+    def test_rows_match_a_per_run_loop(self, tmp_path, rotated, algorithm, d, kappa, eigvals,
+                                       runs, digest):
         # One block call writes the rows a loop of per-run samplers on the
         # spawned streams gives, formatted value by value with _fmt.
         rng = np.random.default_rng(4)
-        d = 5
-        doc = {"dim": d, "kappa": 1e4, "eigvals": np.geomspace(1.0, 1e4, d).tolist(),
+        doc = {"dim": d, "kappa": kappa,
+               "eigvals": eigvals or np.geomspace(1.0, kappa, d).tolist(),
                "mean": (3.0 * rng.standard_normal(d) if algorithm == "uncentered"
                         else np.zeros(d)).tolist()}
         if rotated:
             doc["basis"] = np.linalg.qr(rng.standard_normal((d, d)))[0].reshape(-1).tolist()
         cfg = {"algorithm": algorithm, "target": doc, "delta_tv": 0.1, "delta_mu": 1e-6,
-               "seed": 17, "runs": 12}
+               "seed": 17, "runs": runs}
         path, out = tmp_path / "run.json", tmp_path / "s.csv"
         path.write_text(json.dumps(cfg))
         assert main(["sample", "--config", str(path), "--output", str(out)]) == 0
+        rows = data_rows(out)
+        if digest is not None:
+            assert hashlib.sha256("".join(rows).encode()).hexdigest() == digest
 
         target = target_from_dict(doc)
-        certificate = tv_bound(sampler_params(algorithm, d, 1e4, 0.1).law(target))
+        certificate = tv_bound(sampler_params(algorithm, d, kappa, 0.1).law(target))
         run = {"exact": lambda s: sample_exact(target, 0.1, s),
                "independent": lambda s: sample_independent(target, 0.1, s),
                "quantized": lambda s: sample_quantized(target, 0.1, s),
                "uncentered": lambda s: sample_uncentered(target, 0.1, 1e-6, s)}[algorithm]
         want = []
-        for i, s in enumerate(np.random.default_rng(17).spawn(12)):
+        for i, s in enumerate(np.random.default_rng(17).spawn(runs)):
             rep = run(s)
             row = (i, *rep.output, rep.query_count, rep.bits_total, rep.clip_overflow, certificate)
             want.append(",".join(cli._fmt(v) for v in row) + "\n")
-        assert data_rows(out)[1:] == want
+        assert rows[1:] == want
 
     @pytest.mark.parametrize("d, kappa, rotated, digest", [
         (3, 1e4, False, "24ba8500a1fa00db75a0c751527aa711866459c4f862688c2596e2147106370c"),
@@ -534,6 +640,28 @@ class TestMeanEst:
         assert cols[1] == 2
         assert cols[2] <= 0.1
         assert cols[3:] == [mean, mean]
+
+    def test_estimate_is_written_in_repr_layout(self, tmp_path, monkeypatch):
+        # mu_hat = mu exactly here, and its 130 fields are formatted by one
+        # orjson call; the fields at or beyond 1e16 and below 1e-4 keep repr's
+        # exponent layout.
+        sizes = []
+        monkeypatch.setattr(orjson, "dumps",
+                            lambda obj, *a, dumps=orjson.dumps, **k:
+                            sizes.append(obj.size) or dumps(obj, *a, **k))
+        d = 130
+        mean = [1e17, -3e20, 2.5e-7, 1e16, -9999999999999998.0, 1e-4,
+                *np.random.default_rng(3).standard_normal(d - 6).tolist()]
+        tgt = tmp_path / "t.json"
+        tgt.write_text(json.dumps({"dim": d, "kappa": 4.0,
+                                   "eigvals": np.geomspace(1.0, 4.0, d).tolist(), "mean": mean}))
+        out = tmp_path / "m.csv"
+        assert main(["mean-est", "--target", str(tgt), "--delta-mu", "0.1",
+                     "--output", str(out)]) == 0
+        row = data_rows(out)[1]
+        assert row.startswith("0.1,2,0.0,1e+17,-3e+20,2.5e-07,1e+16,-9999999999999998.0,0.0001,")
+        assert row == ",".join(cli._fmt(v) for v in [0.1, 2, 0.0, *mean]) + "\n"
+        assert sizes == [d]
 
     @pytest.mark.parametrize("text", [
         "not json",
