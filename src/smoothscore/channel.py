@@ -161,12 +161,16 @@ def bit_lower_bound_table(kappa_list, delta_tv: float, empirical_errors) -> list
 _CF_TINY = 1e-300
 _CF_EPS = 1e-15
 _CF_MAXIT = 500
+# Cap on a + b: (a + b + 2 _CF_MAXIT)^2, the largest product the continued
+# fraction forms, stays below the float64 maximum, 1.8e308.
+BETAINC_MAX_AB = 1e154
 
 
-def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
+def _betacf(a, b, x: np.ndarray) -> np.ndarray | None:
     # Modified Lentz evaluation of the standard continued fraction for the
-    # incomplete beta; converged entries are frozen so late factors cannot
-    # drift them.
+    # incomplete beta, a and b scalars or one per entry of x; converged
+    # entries are frozen so late factors cannot drift them.  None if some
+    # entry has not converged.
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = np.ones_like(x)
     d = 1.0 - qab * x / qap
@@ -194,14 +198,18 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
         done |= np.abs(delt - 1.0) < _CF_EPS
         if done.all():
             return h
-    raise ParameterError(
-        f"incomplete beta continued fraction failed to converge for a={a}, b={b}")
+    return None
 
 
 def betainc_reg(a: float, b: float, x) -> float | np.ndarray:
-    """Regularized incomplete beta I_x(a, b), absolute accuracy ~1e-14."""
+    """Regularized incomplete beta I_x(a, b) for a, b > 0, a + b <= ``BETAINC_MAX_AB``;
+    absolute accuracy ~1e-14 up to a + b ~ 100, beyond which the lgamma
+    difference log B(a, b) loses digits.  Entries x >= (a + 1)/(a + b + 2)
+    are 1 - I_(1-x)(b, a), run in the same Lentz loop as the others."""
     a = check_real("a", a, 0.0, math.inf, open_low=True)
     b = check_real("b", b, 0.0, math.inf, open_low=True)
+    if not a + b <= BETAINC_MAX_AB:
+        raise ParameterError(f"a + b = {a + b!r} exceeds {BETAINC_MAX_AB!r}")
     xs = as_real_array("x", x)
     if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ParameterError("x must lie in [0, 1]")
@@ -217,12 +225,20 @@ def betainc_reg(a: float, b: float, x) -> float | np.ndarray:
         xi = xs[interior]
         front = np.exp(a * np.log(xi) + b * np.log1p(-xi) - log_beta)
         direct = xi < (a + 1.0) / (a + b + 2.0)
-        vals = np.empty_like(xi)
-        if np.any(direct):
-            vals[direct] = front[direct] * _betacf(a, b, xi[direct]) / a
-        if np.any(~direct):
-            vals[~direct] = 1.0 - front[~direct] * _betacf(b, a, 1.0 - xi[~direct]) / b
-        out[interior] = vals
+        # A one-branch call, as every coding block is, keeps scalar parameters.
+        if direct.all():
+            ae, be, xe = a, b, xi
+        elif not direct.any():
+            ae, be, xe = b, a, 1.0 - xi
+        else:
+            ae, be = np.where(direct, a, b), np.where(direct, b, a)
+            xe = np.where(direct, xi, 1.0 - xi)
+        cf = _betacf(ae, be, xe)
+        if cf is None:
+            raise ParameterError("incomplete beta continued fraction failed to converge "
+                                 f"for a={a}, b={b}")
+        part = front * cf / ae
+        out[interior] = np.where(direct, part, 1.0 - part)
     return float(out[0]) if scalar else out
 
 
@@ -411,9 +427,9 @@ def tube_probability(d: int, r: int, thetas, trials: int, rng) -> tuple[np.ndarr
     within normalized distance theta of a fixed r-subspace, one per theta of
     the 1-d sequence ``thetas``.  All thetas count the same points, drawn in
     chunks of about ``CHUNK_ENTRIES // 2`` points as one
-    :func:`subspace_distance_samples` call draws them.  The analytic value,
-    the Beta((d-r)/2, r/2) CDF at theta^2 by the in-house continued
-    fraction, is what the Monte Carlo side cross-checks.  A chunk holds at
+    :func:`subspace_distance_samples` call draws them.  The analytic values,
+    the Beta((d-r)/2, r/2) CDF at every theta^2 by one :func:`betainc_reg`
+    call, are what the Monte Carlo side cross-checks.  A chunk holds at
     least one point and at most ``DRAW_MAX_ENTRIES // d``, so d is at most
     ``DRAW_MAX_ENTRIES``.
     """
@@ -432,8 +448,7 @@ def tube_probability(d: int, r: int, thetas, trials: int, rng) -> tuple[np.ndarr
     for start in range(0, trials, rows):
         dist2 = subspace_distance_samples(d, r, min(rows, trials - start), rng)
         counts += np.count_nonzero(dist2 <= np.array(radii2)[:, None], axis=1)
-    analytic = np.array([betainc_reg((d - r) / 2.0, r / 2.0, x) for x in radii2])
-    return counts / trials, analytic
+    return counts / trials, betainc_reg((d - r) / 2.0, r / 2.0, np.array(radii2))
 
 
 def binary_subchannel_experiment(d: int, kappa: float, rate: float, trials: int,

@@ -152,9 +152,41 @@ class TestBetaInc:
         for x in (math.nan, [0.5, math.nan], np.array([[math.nan]])):
             with pytest.raises(ParameterError):
                 betainc_reg(2.0, 3.0, x)
-        for a, b in [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)]:
+        # Beyond a + b = 1e154 the continued fraction's products overflow,
+        # and beyond about 2.6e305 lgamma does.
+        for a, b in [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
+                     (1e300, 1.0), (1.0, 1e300), (1e308, 1e308)]:
             with pytest.raises(ParameterError):
                 betainc_reg(a, b, 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_parameters_still_compute(self):
+        assert betainc_reg(1e154, 1.0, 0.5) == 0.0
+        assert betainc_reg(1e17, 2.0, 0.999999) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_loop_matches_scalar_calls(self):
+        # An array whose entries take both branches runs one Lentz loop with
+        # per-entry parameters; each scalar call runs its own branch with
+        # scalar ones.  Both give the same bits.
+        rng = np.random.default_rng(61)
+        for a, b in [(0.3, 0.7), (0.5, 4.0), (6.0, 0.2), *10.0 ** rng.uniform(-1.5, 2.5, (20, 2))]:
+            switch = (a + 1.0) / (a + b + 2.0)
+            xs = np.concatenate([[0.0, 1.0, switch, np.nextafter(switch, 0.0),
+                                  np.nextafter(switch, 1.0)], rng.random(12)])
+            got = betainc_reg(a, b, xs)
+            assert got.tobytes() == np.array([betainc_reg(a, b, x) for x in xs]).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_convergence_names_the_call(self):
+        with pytest.raises(ParameterError, match="a=1000000.0, b=1000000.0"):
+            betainc_reg(1e6, 1e6, 0.5)
+        # Near the mean the loop needs far more than _CF_MAXIT steps; the
+        # error names the call's a and b on either branch and on both.
+        switch = (1e6 + 1.0) / (2.5e6 + 2.0)
+        for x in ([np.nextafter(switch, 0.0)], [switch, 0.9], [0.1, switch]):
+            with pytest.raises(ParameterError, match="a=1000000.0, b=1500000.0"):
+                betainc_reg(1e6, 1.5e6, x)
 
 
 class TestSubspaceCode:
@@ -522,6 +554,22 @@ class TestTubeLaw:
             tube_probability(5, 2, [0.3, 0.0], 10, np.random.default_rng(0))
         with pytest.raises(ParameterError):
             tube_probability(5, 2, [0.3], 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("d, r, thetas", [(64, 8, [0.88, 0.9, 0.92, 0.94, 0.97]),
+                                              (10, 3, [0.3, 0.8, 0.81, 0.95])])
+    def test_one_beta_call_and_one_loop(self, monkeypatch, d, r, thetas):
+        # The analytic column is one betainc_reg call over every theta, and
+        # that call runs one continued-fraction loop, though the theta^2 lie
+        # on both sides of the switch point (a + 1)/(a + b + 2).
+        a, b = (d - r) / 2.0, r / 2.0
+        switch = (a + 1.0) / (a + b + 2.0)
+        assert min(thetas) ** 2 < switch <= max(thetas) ** 2
+        calls = []
+        for name in ("betainc_reg", "_betacf"):
+            monkeypatch.setattr(channel, name, lambda *args, f=getattr(channel, name), name=name:
+                                calls.append(name) or f(*args))
+        tube_probability(d, r, thetas, 100, np.random.default_rng(0))
+        assert calls == ["betainc_reg", "_betacf"]
 
     def test_chunked_counts_equal_one_draw(self, monkeypatch):
         d, r, trials = 8, 3, 1001

@@ -578,6 +578,17 @@ class TestTube:
         digest = hashlib.sha256("".join(data_rows(out)).encode()).hexdigest()
         assert digest == "66e7b9d79c5425b704f13fb9e7f7af256f48cc753a2a139ec12c8ca2d4d45710"
 
+    def test_rows_on_both_branches_are_pinned(self, tmp_path):
+        # SHA-256 of the header and data rows at (10, 3), 20000 points, as one
+        # betainc_reg call per theta gives the analytic column.  The switch
+        # point of the continued fraction is 9/14, so 0.3 and 0.8 take the
+        # direct branch and 0.81 and 0.95 the reflected one.
+        out = tmp_path / "t.csv"
+        assert main(["tube", "--d", "10", "--r", "3", "--thetas", "0.3,0.8,0.81,0.95",
+                     "--trials", "20000", "--seed", "5", "--output", str(out)]) == 0
+        digest = hashlib.sha256("".join(data_rows(out)).encode()).hexdigest()
+        assert digest == "33c2e8ea1f05e6f167bd19e2e6d6ee99dba34286168caa58ea22c3661c858b58"
+
     def test_bad_theta_exit_2(self, tmp_path, capsys):
         for thetas, seed in [("1.2", "0"), ("0.5,abc", "0"), ("0.5", "-1")]:
             assert main(["tube", "--d", "8", "--r", "2", "--thetas", thetas,
