@@ -10,12 +10,11 @@ KL -> Pinsker total-variation certificate.
 
 import numpy as np
 
-from smoothscore import (GaussianTarget, ScoreOracle, build_grid,
-                         empirical_covariance, estimate_mean, eval_r,
-                         exact_accuracy, independent_accuracy, lambda_norm,
-                         run_streams, sample_exact, sample_independent,
-                         sample_many, sample_uncentered)
-from smoothscore.diagnostics import law_of_alg1, law_of_alg2, summary
+from smoothscore import (GaussianTarget, ScoreOracle, empirical_covariance,
+                         estimate_mean, eval_r, lambda_norm, run_streams,
+                         sample_exact, sample_independent, sample_many,
+                         sample_uncentered, sampler_params)
+from smoothscore.diagnostics import summary
 
 kappa = 1e4
 target = GaussianTarget(eigvals=[1.0, 100.0, kappa], kappa=kappa)
@@ -24,19 +23,18 @@ rng = np.random.default_rng(0)
 
 print("=== one-point sampler ===")
 rep = sample_exact(target, delta_tv, rng)
-grid = build_grid(exact_accuracy(target.dim, delta_tv), kappa)
+spec = sampler_params("exact", target.dim, kappa, delta_tv)
 print(f"sample: {np.array_str(rep.output, precision=4)}")
 print(f"queries: {rep.query_count} (noise levels from {rep.noise_levels[-1]:.2e} "
       f"to {rep.noise_levels[0]:.2e})")
-cert = summary(law_of_alg1(target, grid))
+cert = summary(spec.law(target))
 print(f"certificate: kl={cert['kl']:.3e}  tv_bound={cert['tv_bound']:.4f} "
       f"<= delta_tv={delta_tv}")
 
 print()
 print("=== independent-query variant ===")
 rep2 = sample_independent(target, delta_tv, rng)
-grid2 = build_grid(independent_accuracy(target.dim, delta_tv), kappa)
-cert2 = summary(law_of_alg2(target, grid2))
+cert2 = summary(sampler_params("independent", target.dim, kappa, delta_tv).law(target))
 print(f"queries: {rep2.query_count}  tv_bound={cert2['tv_bound']:.4f} "
       f"<= delta_tv/4={delta_tv / 4}")
 
@@ -45,7 +43,7 @@ print("=== empirical covariance vs the exact output law (20k runs, d=3) ===")
 n = 20_000
 samples = sample_many("exact", target, delta_tv, run_streams(1, n)).outputs
 emp = empirical_covariance(samples)
-want = eval_r(grid, target.eigvals) ** 2
+want = eval_r(spec.grid, target.eigvals) ** 2
 print("empirical diag:", np.array_str(np.diag(emp), precision=5))
 print("law diag:      ", np.array_str(want, precision=5))
 print("target diag:   ", np.array_str(1.0 / target.eigvals, precision=5))

@@ -26,6 +26,7 @@ from .errors import ParameterError, check_count, check_real, parse_json
 from .gaussian import ScoreOracle, lambda_norm, target_from_dict, target_from_json
 from .quadrature import build_grid, sup_error_E1, sup_error_E2
 from .samplers import estimate_mean
+from .streams import run_streams
 
 __all__ = ["main"]
 
@@ -168,7 +169,7 @@ def _cmd_sample(args) -> int:
     if runs * target.dim > SAMPLE_MAX_ENTRIES:
         raise ParameterError(f"{runs} runs at d = {target.dim} exceed the cap of "
                              f"{SAMPLE_MAX_ENTRIES} output entries; lower runs")
-    streams = samplers.run_streams(cfg["seed"], runs)
+    streams = run_streams(cfg["seed"], runs)
     block = samplers.sample_many(cfg.get("algorithm"), target, cfg["delta_tv"], streams,
                                  delta_mu=cfg.get("delta_mu"))
     # Written as _fmt writes them: floats by repr, flags as true/false.

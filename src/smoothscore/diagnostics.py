@@ -2,7 +2,8 @@
 
 Every sampler in this package outputs a Gaussian whose covariance commutes
 with the target's, so the exact KL divergence is a function of the
-per-eigendirection variance ratios T_i.  Pinsker's inequality then turns
+per-eigendirection variance ratios T_i; each sampler's ratios come from its
+spec, ``samplers.SamplerParams.law``.  Pinsker's inequality then turns
 the KL into a deterministic total-variation certificate.  Direct TV
 estimation is statistically hopeless beyond d = 1; the tests check the
 direction of the Pinsker bound against an exact scalar TV distance.
@@ -15,17 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, as_real_array, check_real
-from .gaussian import GaussianTarget
-from .quadrature import SincGrid, eval_r, eval_sq_sum
+from .errors import ParameterError, as_real_array
 
 __all__ = [
     "CoDiagonalLawPair",
     "kl_codiagonal",
     "tv_bound",
-    "law_of_alg1",
-    "law_of_alg2",
-    "law_of_alg3_ideal",
     "empirical_covariance",
     "summary",
 ]
@@ -57,26 +53,6 @@ def kl_codiagonal(pair: CoDiagonalLawPair) -> float:
 def tv_bound(pair: CoDiagonalLawPair) -> float:
     """Pinsker certificate sqrt(KL/2), an upper bound on the TV distance."""
     return math.sqrt(kl_codiagonal(pair) / 2.0)
-
-
-def law_of_alg1(target: GaussianTarget, grid: SincGrid) -> CoDiagonalLawPair:
-    """Exact output law of the one-point rational sampler: T_i = lam_i r(lam_i)^2."""
-    lam = target.eigvals
-    return CoDiagonalLawPair(lam * eval_r(grid, lam) ** 2)
-
-
-def law_of_alg2(target: GaussianTarget, grid: SincGrid) -> CoDiagonalLawPair:
-    """Output law under independent per-shift queries:
-    T_i = (lam_i / L_h) * sum_j c_j^2 / (lam_i + alpha_j)^2."""
-    lam = target.eigvals
-    return CoDiagonalLawPair(lam * eval_sq_sum(grid, lam) / grid.L_h)
-
-
-def law_of_alg3_ideal(target: GaussianTarget, grid: SincGrid, sigma2: float) -> CoDiagonalLawPair:
-    """Ideal dithered law (no quantization error): T_i = lam_i (r(lam_i)^2 + sigma2)."""
-    sigma2 = check_real("sigma2", sigma2, 0.0, math.inf)
-    lam = target.eigvals
-    return CoDiagonalLawPair(lam * (eval_r(grid, lam) ** 2 + sigma2))
 
 
 def empirical_covariance(samples) -> np.ndarray:

@@ -61,11 +61,22 @@ class QuantizerConfig:
         return values
 
 
-def _level_fields(cfg: QuantizerConfig, t: np.ndarray) -> np.ndarray:
+def quantize_vector(cfg: QuantizerConfig, w) -> np.ndarray:
+    """Coordinatewise quantization: the level fields of ``w``'s grid values,
+    which :func:`decode_vector` turns into those values.
+
+    A vector of shape (d,) gives one message of d fields; rows of shape
+    (q, d) give (q, d) fields, one message per row.
+    """
+    w = np.atleast_1d(as_real_array("quantize_vector input", w))
+    if w.ndim > 2:
+        raise ParameterError(f"quantize_vector takes a vector or (q, d) rows, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ParameterError("quantize_vector takes finite entries only")
     # Clip to [-R, R]; then ceil(x - 1/2) rounds exact halves down, i.e.
     # toward the smaller grid point.  x >= -1/2 after the clip, so only the
     # top level needs a bound.
-    x = np.maximum(t, -cfg.clip_radius)
+    x = np.maximum(w, -cfg.clip_radius)
     np.minimum(x, cfg.clip_radius, out=x)
     x += cfg.clip_radius
     x /= cfg.step
@@ -73,25 +84,6 @@ def _level_fields(cfg: QuantizerConfig, t: np.ndarray) -> np.ndarray:
     np.ceil(x, out=x)
     np.minimum(x, cfg.levels - 1, out=x)
     return x.astype(np.uint64)
-
-
-def quantize_vector(cfg: QuantizerConfig, w, *,
-                    values: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
-    """Coordinatewise quantization: the grid values and their level fields.
-
-    A vector of shape (d,) gives one message of d fields; rows of shape
-    (q, d) give (q, d) fields, one message per row.  Decoding the fields
-    reproduces the values exactly.  With ``values=False`` the values are
-    not computed and the first entry is None: a sender needs only the
-    fields.
-    """
-    w = np.atleast_1d(as_real_array("quantize_vector input", w))
-    if w.ndim > 2:
-        raise ParameterError(f"quantize_vector takes a vector or (q, d) rows, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise ParameterError("quantize_vector takes finite entries only")
-    fields = _level_fields(cfg, w)
-    return cfg.level_value(fields) if values else None, fields
 
 
 def decode_vector(cfg: QuantizerConfig, message) -> np.ndarray:

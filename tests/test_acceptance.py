@@ -55,8 +55,7 @@ def test_criterion_02_exact_sampler_tv_certificate():
     detail = ""
     for d, kap, dtv in CERT_GRID:
         eta = ss.exact_accuracy(d, dtv)
-        grid = ss.build_grid(eta, kap)
-        law = dg.law_of_alg1(adversarial_target(d, kap), grid)
+        law = ss.sampler_params("exact", d, kap, dtv).law(adversarial_target(d, kap))
         kl = dg.kl_codiagonal(law)
         tv = dg.tv_bound(law)
         if kl > 1.5 * d * eta**2 or tv > dtv:
@@ -71,11 +70,11 @@ def test_criterion_03_independent_sampler_certificate():
     detail = ""
     for d, kap, dtv in CERT_GRID:
         eta = ss.independent_accuracy(d, dtv)
-        grid = ss.build_grid(eta, kap)
-        law = dg.law_of_alg2(adversarial_target(d, kap), grid)
+        params = ss.sampler_params("independent", d, kap, dtv)
+        law = params.law(adversarial_target(d, kap))
         dev = law.max_deviation
         tv = dg.tv_bound(law)
-        if dev > 2 * eta / grid.L_h or tv > dtv / 4:
+        if dev > 2 * eta / params.grid.L_h or tv > dtv / 4:
             ok = False
             detail = f"d={d}, kappa={kap}, delta={dtv}: dev={dev}, tv={tv}"
     check("criterion 3: independent-query ratios within 2*eta/L_h and "
@@ -88,7 +87,7 @@ def test_criterion_04_quantized_sampler_decomposition():
     params = ss.sampler_params("quantized", d, kap, dtv)
     sigma = math.sqrt(params.sigma2)
 
-    tv_ideal = dg.tv_bound(dg.law_of_alg3_ideal(target, params.grid, params.sigma2))
+    tv_ideal = dg.tv_bound(params.law(target))
     part_a = tv_ideal <= dtv / 6
 
     n = 10_000

@@ -27,7 +27,12 @@ DELETED = [("channel", "SubspaceCode"), ("channel", "build_subspace_code"),
            # converse_bound checks its own inputs.
            ("channel", "ConverseInput"),
            # A test oracle only; it lives in tests/test_diagnostics.py.
-           ("diagnostics", "tv_gaussians_1d")]
+           ("diagnostics", "tv_gaussians_1d"),
+           # Each sampler's law is SamplerParams.law.
+           ("diagnostics", "law_of_alg1"), ("diagnostics", "law_of_alg2"),
+           ("diagnostics", "law_of_alg3_ideal"),
+           # An alias; the package takes run_streams from streams.
+           ("samplers", "run_streams")]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -66,6 +71,19 @@ def test_numeric_input_rules_live_in_errors_only():
                   and (len(node.args) > 1 or any(k.arg == "dtype" for k in node.keywords))):
                 found.append((path.name, node.lineno, "typed asarray"))
     assert found == []
+
+
+def test_diagnostics_imports_only_errors():
+    # Each sampler's law lives in its spec, SamplerParams.law; diagnostics
+    # only turns variance ratios into KL and TV, so it imports no module
+    # that knows a grid, a target or a sampler.
+    tree = ast.parse((Path(smoothscore.__file__).parent / "diagnostics.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {getattr(node, "module", None) or "", *(a.name for a in node.names)}
+    words = {word for name in names for word in name.split(".")}
+    assert words & set(MODULES) == {"errors"}
 
 
 def _src_nodes():
@@ -164,8 +182,10 @@ def test_json_reader_reads_integers_beyond_64_bits_as_floats():
 
 @pytest.mark.parametrize("module, name", DELETED)
 def test_deleted_names_are_not_importable(module, name):
-    assert not hasattr(smoothscore, name)
     assert not hasattr(importlib.import_module(f"smoothscore.{module}"), name)
+    if any(name in importlib.import_module(f"smoothscore.{m}").__all__ for m in MODULES):
+        return  # the package still exports it from its own module
+    assert not hasattr(smoothscore, name)
     with pytest.raises(ImportError):
         exec(f"from smoothscore import {name}", {})
 
@@ -232,8 +252,12 @@ def test_coding_experiment_takes_no_worker_count():
     lambda: smoothscore.GaussianTarget.from_precision(np.diag([1.0, 5.0]), kappa="5"),
     lambda: smoothscore.GaussianTarget.from_covariance([[1, 0], [0]]),
     lambda: smoothscore.GaussianTarget.from_covariance(np.diag([1.0, 0.2]), kappa="5"),
-    lambda: smoothscore.law_of_alg3_ideal(smoothscore.GaussianTarget([1.0, 4.0], 4.0),
-                                          smoothscore.build_grid(0.1, 4.0), "0.1"),
+    lambda: smoothscore.SamplerParams("quantized", smoothscore.build_grid(0.1, 4.0),
+                                      sigma2="0.1").law(
+        smoothscore.GaussianTarget([1.0, 4.0], 4.0)),
+    lambda: smoothscore.SamplerParams("quantized", smoothscore.build_grid(0.1, 4.0),
+                                      sigma2=math.nan).law(
+        smoothscore.GaussianTarget([1.0, 4.0], 4.0)),
     lambda: smoothscore.empirical_covariance([["1"], ["2"]]),
     lambda: smoothscore.CoDiagonalLawPair(["1.0"]),
     lambda: smoothscore.eval_r(smoothscore.build_grid(0.1, 10.0), math.nan),
@@ -256,6 +280,7 @@ def test_coding_experiment_takes_no_worker_count():
         "betainc-a-str", "betainc-x-str", "betainc-x-bool", "mean-delta-mu-bool",
         "bit-depth-bool", "precision-ragged", "precision-str", "precision-kappa-str",
         "covariance-matrix-ragged", "covariance-matrix-kappa-str", "alg3-sigma2-str",
+        "quantized-law-sigma2-nan",
         "empirical-covariance-str", "law-pair-str", "eval-r-nan", "eval-r-inf",
         "eval-sq-sum-nan", "eval-r-str", "exact-accuracy-fractional-dim",
         "independent-accuracy-bool-dim", "exact-accuracy-str-dim"])

@@ -9,10 +9,10 @@ import numpy as np
 import orjson
 import pytest
 
-from smoothscore import (build_grid, law_of_alg1, law_of_alg2, law_of_alg3_ideal,
+from smoothscore import (CoDiagonalLawPair, build_grid, eval_r, eval_sq_sum,
                          sample_exact, sample_independent, sample_quantized,
                          sample_uncentered, sampler_params, target_from_dict, tv_bound)
-from smoothscore import channel, cli, samplers
+from smoothscore import channel, cli, samplers, streams
 from smoothscore.cli import main
 from smoothscore.errors import ParameterError
 
@@ -220,7 +220,7 @@ class TestSample:
 
         def block(s):
             return samplers.sample_many(cfg["algorithm"], target, cfg["delta_tv"],
-                                        samplers.run_streams(s, cfg["runs"]))
+                                        streams.run_streams(s, cfg["runs"]))
 
         want = block(seed)
         assert [[float(v) for v in row[1:3]] for row in rows] == want.outputs.tolist()
@@ -293,8 +293,8 @@ class TestSample:
         path.write_text(json.dumps({**cfg, "runs": runs}))
         monkeypatch.setattr(cli, "SAMPLE_MAX_ENTRIES", cap)
         seeds = []
-        monkeypatch.setattr(samplers, "run_streams",
-                            lambda *a, make=samplers.run_streams: seeds.append(a) or make(*a))
+        monkeypatch.setattr(cli, "run_streams",
+                            lambda *a, make=cli.run_streams: seeds.append(a) or make(*a))
         out = tmp_path / "x.csv"
         assert main(["sample", "--config", str(path), "--output", str(out)]) == code
         if code == 2:
@@ -337,11 +337,13 @@ class TestSample:
         p = report.params
         grid = build_grid(p["eta"], target.kappa)
         assert (grid.h, grid.M, grid.N) == (p["h"], p["M"], p["N"])
-        law = {"exact": lambda: law_of_alg1(target, grid),
-               "independent": lambda: law_of_alg2(target, grid),
-               "quantized": lambda: law_of_alg3_ideal(target, grid, p["sigma2"]),
-               "uncentered": lambda: law_of_alg1(target, grid)}[algorithm]()
-        assert certificate == tv_bound(law)
+        # The closed forms written out, not read from SamplerParams.law.
+        lam = target.eigvals
+        ratios = {"exact": lambda: lam * eval_r(grid, lam) ** 2,
+                  "independent": lambda: lam * eval_sq_sum(grid, lam) / grid.L_h,
+                  "quantized": lambda: lam * (eval_r(grid, lam) ** 2 + p["sigma2"]),
+                  "uncentered": lambda: lam * eval_r(grid, lam) ** 2}[algorithm]()
+        assert certificate == tv_bound(CoDiagonalLawPair(ratios))
 
 
     @pytest.mark.parametrize("rotated, algorithm, d, kappa, eigvals, runs, digest", [

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from smoothscore import (CoDiagonalLawPair, GaussianTarget, ParameterError,
-                         build_grid, empirical_covariance, eval_sq_sum,
-                         exact_accuracy, independent_accuracy, kl_codiagonal,
-                         law_of_alg1, law_of_alg2, law_of_alg3_ideal,
-                         sampler_params, tv_bound)
+                         SamplerParams, build_grid, empirical_covariance, eval_r,
+                         eval_sq_sum, exact_accuracy, independent_accuracy,
+                         kl_codiagonal, sampler_params, tv_bound)
 from smoothscore.diagnostics import summary
 from smoothscore.quadrature import SincGrid
 
@@ -192,20 +191,22 @@ def test_certificates_reject_non_finite_input(call):
 
 
 class TestLawConstructors:
+    """Each sampler's output law, read off its spec: SamplerParams.law."""
+
     def test_alg1_unit_ratio_on_exact_pole(self):
         # Single pole at alpha=1 with c=2 gives r(1) = 1 exactly.
         grid = SincGrid(eta=0.1, kappa=1.0, h=1.0, M=0, N=0,
                         alphas=np.array([1.0]), coeffs=np.array([2.0]),
                         L_h=2.0 / math.pi**2)
         t = GaussianTarget(eigvals=[1.0], kappa=1.0)
-        assert law_of_alg1(t, grid).ratios[0] == pytest.approx(1.0, rel=1e-15)
+        assert SamplerParams("exact", grid).law(t).ratios[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_alg1_adversarial_eigenvalues(self):
         kap = 1e4
         eta = exact_accuracy(4, 0.1)
         grid = build_grid(eta, kap)
         t = GaussianTarget(eigvals=[1.0, kap, 1.0, kap], kappa=kap)
-        ratios = law_of_alg1(t, grid).ratios
+        ratios = SamplerParams("exact", grid).law(t).ratios
         assert np.all(np.abs(np.sqrt(ratios) - 1.0) <= eta)
 
     def test_alg1_ratio_interval_on_random_ladder(self):
@@ -215,7 +216,7 @@ class TestLawConstructors:
         grid = build_grid(eta, kap)
         lam = np.sort(np.clip(np.exp(rng.uniform(0, np.log(kap), 10)), 1.0, kap))
         t = GaussianTarget(eigvals=lam, kappa=kap)
-        ratios = law_of_alg1(t, grid).ratios
+        ratios = SamplerParams("exact", grid).law(t).ratios
         assert np.all(ratios >= (1 - eta) ** 2 - 1e-15)
         assert np.all(ratios <= (1 + eta) ** 2 + 1e-15)
 
@@ -224,7 +225,7 @@ class TestLawConstructors:
         grid = build_grid(independent_accuracy(3, 0.2), kap)
         lam = np.array([1.0, 31.0, 1e3])
         t = GaussianTarget(eigvals=lam, kappa=kap)
-        ratios = law_of_alg2(t, grid).ratios
+        ratios = SamplerParams("independent", grid).law(t).ratios
         for i, x in enumerate(lam):
             direct = x * eval_sq_sum(grid, x) / grid.L_h
             assert abs(ratios[i] - direct) <= 1e-14
@@ -233,29 +234,45 @@ class TestLawConstructors:
         eta = independent_accuracy(2, 0.3)
         grid = build_grid(eta, 50.0)
         t = GaussianTarget(eigvals=[1.0, 50.0], kappa=50.0)
-        assert law_of_alg2(t, grid).max_deviation <= 2 * eta / grid.L_h
+        assert SamplerParams("independent", grid).law(t).max_deviation <= 2 * eta / grid.L_h
 
     def test_alg2_kappa_one_single_ratio(self):
         grid = build_grid(0.01, 1.0)
         t = GaussianTarget(eigvals=[1.0], kappa=1.0)
-        pair = law_of_alg2(t, grid)
+        pair = SamplerParams("independent", grid).law(t)
         assert pair.ratios.shape == (1,)
 
     def test_alg3_sigma_zero_reduces_to_alg1(self):
         grid = build_grid(0.02, 30.0)
         t = GaussianTarget(eigvals=[1.0, 30.0], kappa=30.0)
-        a = law_of_alg3_ideal(t, grid, 0.0).ratios
-        b = law_of_alg1(t, grid).ratios
+        a = SamplerParams("quantized", grid, sigma2=0.0).law(t).ratios
+        b = SamplerParams("exact", grid).law(t).ratios
         assert np.array_equal(a, b)
 
     def test_alg3_deviation_bound_and_parameter_identity(self):
         d, kap, dtv = 4, 100.0, 0.3
         p = sampler_params("quantized", d, kap, dtv)
         t = GaussianTarget(eigvals=[1.0, kap, 1.0, kap], kappa=kap)
-        pair = law_of_alg3_ideal(t, p.grid, p.sigma2)
+        pair = p.law(t)
         budget = 3 * p.grid.eta + kap * p.sigma2
         assert pair.max_deviation <= budget
         assert budget == pytest.approx(dtv / (3 * math.sqrt(d)), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    @pytest.mark.parametrize("kappa", [1.0, 1e2, 1e8])
+    def test_every_algorithm_matches_its_closed_form_bit_for_bit(self, d, kappa):
+        lam = np.geomspace(1.0, kappa, d)
+        t = GaussianTarget(eigvals=lam, kappa=kappa)
+        for algorithm in ("exact", "independent", "quantized", "uncentered"):
+            p = sampler_params(algorithm, d, kappa, 0.1)
+            g = p.grid
+            if algorithm == "independent":
+                want = lam * eval_sq_sum(g, lam) / g.L_h
+            elif algorithm == "quantized":
+                want = lam * (eval_r(g, lam) ** 2 + p.sigma2)
+            else:
+                want = lam * eval_r(g, lam) ** 2
+            assert np.array_equal(p.law(t).ratios, want), algorithm
 
 
 class TestCertificateSurfaces:

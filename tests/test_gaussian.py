@@ -384,15 +384,15 @@ class TestTapeAccounting:
         assert o.tape.bits_sent == 0
 
     def test_quantizer_encoder_sends_d_times_b_bits(self):
-        from smoothscore import QuantizerConfig, decode_vector, quantize_vector
+        from smoothscore import QuantizerConfig, quantize_vector
         d, bits = 3, 5
         cfg = QuantizerConfig(bits=bits, clip_radius=2.0)
         o = ScoreOracle(GaussianTarget(eigvals=[1.0, 2.0, 4.0], kappa=4.0))
         taus = [0.5, 2.0]
-        values, msgs = o.finite_bit_query(taus, np.array([0.4, -1.0, 2.0]),
-                                          lambda g: quantize_vector(cfg, g), d * bits)
+        scores, msgs = o.finite_bit_query(taus, np.array([0.4, -1.0, 2.0]),
+                                          lambda g: (g, quantize_vector(cfg, g)), d * bits)
         assert msgs.shape == (2, d) and msgs.dtype == np.uint64
-        assert np.array_equal(decode_vector(cfg, msgs), values)
+        assert np.array_equal(msgs, quantize_vector(cfg, scores))
         assert o.tape.bits_sent == 2 * d * bits
         assert [tau for tau, _ in o.tape.queries] == taus
 

@@ -7,10 +7,8 @@ from smoothscore.quantizer import MAX_BITS
 
 
 def roundtrip(cfg, t):
-    """Quantized values of t, checked to survive the wire format unchanged."""
-    values, message = quantize_vector(cfg, t)
-    assert np.array_equal(decode_vector(cfg, message), values)
-    return values
+    """Quantized values of t: its level fields, decoded."""
+    return decode_vector(cfg, quantize_vector(cfg, t))
 
 
 @pytest.fixture
@@ -58,9 +56,7 @@ class TestConfig:
     def test_widest_bit_depth_is_exact(self):
         cfg = QuantizerConfig(bits=52, clip_radius=1.0)
         w = np.array([0.3, -1.0, 1.0, -0.7])
-        values, message = quantize_vector(cfg, w)
-        assert np.max(np.abs(values - w)) <= cfg.step / 2
-        assert np.array_equal(decode_vector(cfg, message), values)
+        assert np.max(np.abs(roundtrip(cfg, w) - w)) <= cfg.step / 2
 
 
 class TestQuantizeScalar:
@@ -89,12 +85,11 @@ class TestQuantizeScalar:
 
 class TestQuantizeVector:
     def test_zero_vector_takes_lower_neighbor(self, cfg23):
-        qw, _ = quantize_vector(cfg23, np.zeros(4))
-        assert np.array_equal(qw, [-1.0, -1.0, -1.0, -1.0])
+        assert np.array_equal(roundtrip(cfg23, np.zeros(4)), [-1.0, -1.0, -1.0, -1.0])
 
     def test_fields_are_one_uint64_per_coordinate(self):
         cfg = QuantizerConfig(bits=7, clip_radius=1.0)
-        _, fields = quantize_vector(cfg, np.linspace(-2, 2, 5))
+        fields = quantize_vector(cfg, np.linspace(-2, 2, 5))
         assert fields.dtype == np.uint64
         assert fields.shape == (5,)
 
@@ -102,14 +97,14 @@ class TestQuantizeVector:
         rng = np.random.default_rng(1)
         cfg = QuantizerConfig(bits=4, clip_radius=2.0)
         w = rng.uniform(-2.0, 2.0, size=64)
-        qw, _ = quantize_vector(cfg, w)
+        qw = roundtrip(cfg, w)
         assert np.max(np.abs(qw - w)) <= cfg.step / 2 + 1e-15
 
     def test_l2_bound_without_clipping(self):
         rng = np.random.default_rng(2)
         cfg = QuantizerConfig(bits=3, clip_radius=1.0)
         w = rng.uniform(-1.0, 1.0, size=16)
-        qw, _ = quantize_vector(cfg, w)
+        qw = roundtrip(cfg, w)
         assert np.linalg.norm(qw - w) <= np.sqrt(16) * cfg.step / 2 + 1e-12
 
     def test_roundtrip_bit_exact(self):
@@ -120,40 +115,37 @@ class TestQuantizeVector:
             d = int(rng.integers(1, 9))
             cfg = QuantizerConfig(bits=bits, clip_radius=radius)
             w = rng.standard_normal(d) * radius * 1.5
-            qw, msg = quantize_vector(cfg, w)
-            assert np.array_equal(decode_vector(cfg, msg), qw)
+            qw = roundtrip(cfg, w)
+            # Decoded values lie on the grid, within half a step of the
+            # clipped input.
+            assert np.array_equal(roundtrip(cfg, qw), qw)
+            err = np.abs(qw - np.clip(w, -radius, radius))
+            assert np.max(err) <= cfg.step / 2 + 1e-12 * radius
 
     def test_fields_are_the_level_indices_in_coordinate_order(self):
         cfg = QuantizerConfig(bits=2, clip_radius=3.0)
         # indices: 0.4 -> 2, 5 -> 3, -7 -> 0, 0 -> 1
-        _, fields = quantize_vector(cfg, np.array([0.4, 5.0, -7.0, 0.0]))
+        fields = quantize_vector(cfg, np.array([0.4, 5.0, -7.0, 0.0]))
         assert fields.tolist() == [2, 3, 0, 1]
 
     def test_rows_encode_one_field_row_per_row(self):
         cfg = QuantizerConfig(bits=7, clip_radius=2.0)
         rows = np.random.default_rng(4).standard_normal((5, 3)) * 2.5
-        values, fields = quantize_vector(cfg, rows)
-        per_row = [quantize_vector(cfg, row) for row in rows]
+        fields = quantize_vector(cfg, rows)
         assert fields.shape == (5, 3) and fields.dtype == np.uint64
-        assert np.array_equal(fields, np.array([f for _, f in per_row]))
-        assert np.array_equal(values, np.array([v for v, _ in per_row]))
-        assert np.array_equal(decode_vector(cfg, fields), values)
+        assert np.array_equal(fields, np.array([quantize_vector(cfg, row) for row in rows]))
+        assert np.array_equal(decode_vector(cfg, fields),
+                              np.array([roundtrip(cfg, row) for row in rows]))
 
     def test_decode_keeps_the_shape(self, cfg23):
         # Each field decodes to one value: rows row by row, the joined rows
         # to the joined values, a block of runs to a block.
-        values, fields = quantize_vector(cfg23, np.array([[0.3, -1.2], [2.0, 0.0]]))
-        assert np.array_equal(decode_vector(cfg23, fields), values)
+        fields = quantize_vector(cfg23, np.array([[0.3, -1.2], [2.0, 0.0]]))
+        values = decode_vector(cfg23, fields)
+        assert np.array_equal(values, [[1.0, -1.0], [1.0, -1.0]])
         assert np.array_equal(decode_vector(cfg23, fields.ravel()), values.ravel())
         block = fields.reshape(2, 1, 2)
         assert np.array_equal(decode_vector(cfg23, block), values.reshape(2, 1, 2))
-
-    def test_values_false_sends_only_the_fields(self, cfg23):
-        w = np.array([[0.3, -1.2], [2.0, 0.0]])
-        values, fields = quantize_vector(cfg23, w)
-        skipped, same = quantize_vector(cfg23, w, values=False)
-        assert skipped is None
-        assert np.array_equal(same, fields) and same.dtype == np.uint64
 
     def test_decode_rejects_ragged_message(self, cfg23):
         with pytest.raises(ParameterError):
@@ -216,10 +208,9 @@ class TestFieldFormat:
             levels = rng.integers(0, 2**bits, size=shape, dtype=np.uint64)
             levels.flat[0], levels.flat[-1] = 0, 2**bits - 1
             w = levels - cfg.clip_radius
-            values, fields = quantize_vector(cfg, w)
+            fields = quantize_vector(cfg, w)
             assert fields.dtype == np.uint64 and fields.shape == shape
             assert np.array_equal(fields, levels)
-            assert np.array_equal(values, w)
             assert np.array_equal(decode_vector(cfg, fields), w)
         # The two extreme fields, alone and in a block of runs.
         top = np.array([0, 2**bits - 1], dtype=np.uint64)

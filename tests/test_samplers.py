@@ -50,7 +50,7 @@ def loop_quantized(target, delta_tv, rng):
     for alpha, c in zip(p.grid.alphas, p.grid.coeffs):
         tau = 1.0 / alpha
         w = c * (tau * z + tau**2 * oracle.smoothed_score(tau, z))
-        w_hat = decode_vector(cfg, quantize_vector(cfg, w)[1])
+        w_hat = decode_vector(cfg, quantize_vector(cfg, w))
         clipped = clipped or bool(np.any(np.abs(w) > cfg.clip_radius))
         y_hat += w_hat
         quant_error += w_hat - w
@@ -141,7 +141,8 @@ class TestSampleExact:
         with pytest.raises(ParameterError):
             sample_exact(t, 1.0, np.random.default_rng(0))
         shifted = GaussianTarget(eigvals=[1.0], kappa=1.0, mean=[2.0])
-        with pytest.raises(ParameterError):
+        # The message names the algorithm a CLI user can ask for.
+        with pytest.raises(ParameterError, match="use the 'uncentered' algorithm"):
             sample_exact(shifted, 0.2, np.random.default_rng(0))
 
 
