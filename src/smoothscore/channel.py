@@ -35,9 +35,13 @@ errs with probability 1 - I_T(r/2, (d-r)/2)^(m-1), and an error decodes to
 a uniform other message.  Trial i draws, interleaved per trial, its message
 and one index among the m - 1 others from the message stream, chi^2_r and
 chi^2_(d-r) from the noise stream, and one uniform that decides the error
-from the codebook stream.  A fixed codebook is one (m, d, r) normal array,
-orthonormalized by one vectorized Gram-Schmidt, drawn from the caller's
-generator before the blocks are spawned; a single code is studied through
+from the codebook stream.  Each block makes these draws as one array per
+stream; the draws of ``CHUNK_ENTRIES // (8 * BLOCK_TRIALS)`` consecutive
+blocks (16384 trials) are then decided together, by one :func:`betainc_reg`
+call, which gives each entry the same bits in any batch.  A fixed codebook
+is one (m, d, r) normal array, orthonormalized by one vectorized
+Gram-Schmidt, drawn from the caller's generator before the blocks are
+spawned; a single code is studied through
 ``run_coding_experiment(fresh_codebook=False)``.  Its trials draw their
 messages as one array per block and their noise (G, H) in R^(r+d) in trial
 order, and each output is decoded in closed form to the codeword maximizing
@@ -61,6 +65,7 @@ from that contract.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -338,14 +343,23 @@ def _check_trials(trials, d: int | None = None) -> int:
     return n
 
 
-def _map_trials(block_fn, rng: np.random.Generator, trials: int) -> ExperimentResult:
+def _map_trials(block_fn, rng: np.random.Generator, trials: int,
+                decide=None) -> ExperimentResult:
     """Pool the (messages, decoded) of ``block_fn`` over the blocks of at most
     ``BLOCK_TRIALS`` consecutive trials, run in order on the calling thread.
     Block b draws from the b-th child spawned from rng: ``block_fn`` gets its
     trial count and the child's codebook, message and noise streams, built
-    by :func:`~.streams.spawn_tree` with numpy's states."""
+    by :func:`~.streams.spawn_tree` with numpy's states.  With ``decide``,
+    ``block_fn`` returns arrays of draws instead, and ``decide`` maps them,
+    joined over chunks of ``CHUNK_ENTRIES // (8 * BLOCK_TRIALS)`` blocks."""
     sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
-    outcomes = [block_fn(n, *streams) for streams, n in zip(spawn_tree(rng, len(sizes), 3), sizes)]
+    blocks = (block_fn(n, *streams) for streams, n in zip(spawn_tree(rng, len(sizes), 3), sizes))
+    if decide is None:
+        outcomes = list(blocks)
+    else:
+        step = max(1, CHUNK_ENTRIES // (8 * BLOCK_TRIALS))
+        outcomes = [decide(*map(np.concatenate, zip(*itertools.islice(blocks, step))))
+                    for _ in range(0, len(sizes), step)]
     messages = np.concatenate([m for m, _ in outcomes])
     decoded = np.concatenate([g for _, g in outcomes])
     return ExperimentResult(trials=trials, errors=int(np.sum(messages != decoded)),
@@ -360,7 +374,9 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
     average), drawn through its sufficient statistics; with
     ``fresh_codebook=False`` one codebook is drawn up front from ``rng`` and
     reused, for studying a single code.  Trials draw by the module's block
-    contract and depend only on the seed, i and the shape.  At r = d, or
+    contract and depend only on the seed, i and the shape; fresh trials are
+    decided in chunks of ``CHUNK_ENTRIES // (8 * BLOCK_TRIALS)`` blocks, one
+    incomplete-beta call each, which changes no outcome.  At r = d, or
     with one codeword, every codeword scores ||y||^2, so every trial decodes
     to index 0 by the decoder's tie rule.  ``trials`` must be an integer in
     [1, ``MAX_TRIALS``], and m_code * d * r at most ``CODE_MAX_ENTRIES`` on
@@ -374,10 +390,14 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
     def tied_trials(n, _code_rng, message_rng, _noise_rng):
         return message_rng.integers(m_code, size=n), np.zeros(n, dtype=np.int64)
 
-    def fresh_trials(n, code_rng, message_rng, noise_rng):
+    def fresh_draws(n, code_rng, message_rng, noise_rng):
         # Drawn interleaved in trial order, so trial i's values do not depend on n.
-        messages, other = message_rng.integers([m_code, m_code - 1], size=(n, 2)).T
-        g2, h2 = noise_rng.chisquare([r, d - r], size=(n, 2)).T
+        return (message_rng.integers([m_code, m_code - 1], size=(n, 2)),
+                noise_rng.chisquare([r, d - r], size=(n, 2)), code_rng.random(n))
+
+    def fresh_decide(picks, chi2, uniform):
+        messages, other = picks.T
+        g2, h2 = chi2.T
         h2 /= kappa
         # A wrong codeword scores ||y||^2 B, B ~ Beta(r/2, (d-r)/2), and the
         # sent one ||y||^2 T with T = g2 / (g2 + h2); at least one of the
@@ -386,7 +406,7 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
         with np.errstate(divide="ignore"):  # tail = 1 when g2 = 0
             p_error = -np.expm1((m_code - 1) * np.log1p(-tail))
         # On an error the decoded index is uniform over the other messages.
-        wrong = code_rng.random(n) < p_error
+        wrong = uniform < p_error
         return messages, np.where(wrong, other + (other >= messages), messages)
 
     def fixed_trials(n, _code_rng, message_rng, noise_rng):
@@ -404,7 +424,7 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
     if r == d or m_code == 1:
         return _map_trials(tied_trials, rng, trials)
     if fresh_codebook:
-        return _map_trials(fresh_trials, rng, trials)
+        return _map_trials(fresh_draws, rng, trials, fresh_decide)
     fixed = _draw_code(rng, m_code, d, r)
     return _map_trials(fixed_trials, rng, trials)
 

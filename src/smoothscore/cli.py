@@ -40,6 +40,8 @@ SAMPLE_MAX_ENTRIES = 2**20
 # call and the layout mask, 15-30 us with cold caches) exceeds repr's.
 FORMAT_CHUNK_ENTRIES = 2**16
 FORMAT_MIN_ENTRIES = 128
+# Rows are written in batches of about this much text, one write each.
+WRITE_CHUNK_CHARS = 2**20
 
 
 def _fmt(value) -> str:
@@ -102,11 +104,22 @@ def _float_rows(values: np.ndarray):
 
 
 def _write_lines(path: str, header: list[str], lines) -> None:
+    """The comment, header and ``lines``, about ``WRITE_CHUNK_CHARS`` of text a
+    write; the lines before one that raises are still written."""
     with _open_output(path) as fh:
         fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         fh.write(",".join(header) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+        batch, held = [], 0
+        try:
+            for line in lines:
+                batch.append(line)
+                held += len(line)
+                if held >= WRITE_CHUNK_CHARS:
+                    text, batch, held = "\n".join(batch), [], 0
+                    fh.write(text + "\n")
+        finally:
+            if batch:
+                fh.write("\n".join(batch) + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:

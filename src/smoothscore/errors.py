@@ -49,15 +49,30 @@ def check_real(name: str, value, low: float, high: float, *,
 _FLOAT64 = np.dtype(np.float64)
 
 
+def _holds_bool(items) -> bool:
+    """Whether the nested lists and tuples ``items`` hold a bool at any depth."""
+    if set(map(type, items)) <= {float, int}:  # a flat list, as JSON gives one
+        return False
+    return any(isinstance(v, (bool, np.bool_))
+               or (isinstance(v, np.ndarray) and v.dtype.kind == "b")
+               or (isinstance(v, (list, tuple)) and _holds_bool(v)) for v in items)
+
+
 def as_real_array(name: str, value) -> np.ndarray:
     """``value`` as a float64 array; anything but real numbers, numeric
-    strings, bools and ragged nests included, is refused."""
+    strings, bools and ragged nests included, is refused.  A bool among
+    numbers converts to an exact 0 or 1, so a list or tuple is scanned for
+    bools only when its array holds one of those."""
     try:
         a = np.asarray(value)
     except ValueError as exc:
         raise ParameterError(f"{name} must be an array of real numbers: {exc}") from None
     if a.dtype.kind not in "iuf":
         raise ParameterError(f"{name} must hold real numbers only, got dtype {a.dtype}")
+    if (isinstance(value, (list, tuple))
+            and ((a == 0) | (a == 1)).any()
+            and _holds_bool(value)):
+        raise ParameterError(f"{name} must hold real numbers only, got a bool among them")
     return a if a.dtype == _FLOAT64 else a.astype(_FLOAT64)
 
 

@@ -92,6 +92,9 @@ def independent_accuracy(dim: int, delta_tv: float) -> float:
     return delta_tv / (8.0 * rd * math.log(C0 * rd / delta_tv))
 
 
+_ALGORITHMS = ("exact", "independent", "quantized", "uncentered")
+
+
 @dataclass(frozen=True)
 class SamplerParams:
     """Realized parameter tuple of one sampler: its quadrature grid (which
@@ -103,6 +106,23 @@ class SamplerParams:
     sigma2: float | None = None
     r_clip: float | None = None
     bits: int | None = None
+
+    def __post_init__(self):
+        """Refuse an unknown algorithm, a quantized spec without sigma^2 >= 0,
+        R_clip > 0 and B >= 1, and any other spec that sets one of them."""
+        if self.algorithm not in _ALGORITHMS:
+            raise ParameterError(f"unknown algorithm {self.algorithm!r}")
+        given = [v is not None for v in (self.sigma2, self.r_clip, self.bits)]
+        if not (all(given) if self.algorithm == "quantized" else not any(given)):
+            raise ParameterError(
+                "sigma2, r_clip and bits are set for the quantized sampler, all three, and "
+                f"only for it; got {self.sigma2!r}, {self.r_clip!r} and {self.bits!r} for "
+                f"{self.algorithm!r}")
+        if self.algorithm == "quantized":
+            object.__setattr__(self, "sigma2", check_real("sigma2", self.sigma2, 0.0, math.inf))
+            object.__setattr__(self, "r_clip", check_real("r_clip", self.r_clip, 0.0, math.inf,
+                                                          open_low=True))
+            object.__setattr__(self, "bits", check_count("bits", self.bits, 1, sys.maxsize))
 
     def total_bits(self, dim: int) -> int:
         """Q = d*B*q, zero for the exact-query samplers."""
@@ -118,8 +138,7 @@ class SamplerParams:
         g, lam = self.grid, target.eigvals
         if self.algorithm == "independent":
             return diagnostics.CoDiagonalLawPair(lam * eval_sq_sum(g, lam) / g.L_h)
-        sigma2 = 0.0 if self.sigma2 is None else check_real("sigma2", self.sigma2, 0.0, math.inf)
-        return diagnostics.CoDiagonalLawPair(lam * (eval_r(g, lam) ** 2 + sigma2))
+        return diagnostics.CoDiagonalLawPair(lam * (eval_r(g, lam) ** 2 + (self.sigma2 or 0.0)))
 
 
 def sampler_params(algorithm: str, dim: int, kappa: float, delta_tv: float) -> SamplerParams:

@@ -253,11 +253,30 @@ def test_coding_experiment_takes_no_worker_count():
     lambda: smoothscore.GaussianTarget.from_covariance([[1, 0], [0]]),
     lambda: smoothscore.GaussianTarget.from_covariance(np.diag([1.0, 0.2]), kappa="5"),
     lambda: smoothscore.SamplerParams("quantized", smoothscore.build_grid(0.1, 4.0),
-                                      sigma2="0.1").law(
+                                      sigma2="0.1", r_clip=1.0, bits=8).law(
         smoothscore.GaussianTarget([1.0, 4.0], 4.0)),
     lambda: smoothscore.SamplerParams("quantized", smoothscore.build_grid(0.1, 4.0),
-                                      sigma2=math.nan).law(
+                                      sigma2=math.nan, r_clip=1.0, bits=8).law(
         smoothscore.GaussianTarget([1.0, 4.0], 4.0)),
+    lambda: smoothscore.SamplerParams("bogus", smoothscore.build_grid(0.1, 4.0)),
+    lambda: smoothscore.SamplerParams("quantized", smoothscore.build_grid(0.1, 4.0)),
+    lambda: smoothscore.SamplerParams("quantized", smoothscore.build_grid(0.1, 4.0),
+                                      sigma2=0.1, r_clip=1.0),
+    lambda: smoothscore.SamplerParams("exact", smoothscore.build_grid(0.1, 4.0), sigma2=0.1),
+    lambda: smoothscore.SamplerParams("independent", smoothscore.build_grid(0.1, 4.0),
+                                      bits=8),
+    lambda: smoothscore.SamplerParams("uncentered", smoothscore.build_grid(0.1, 4.0),
+                                      r_clip=1.0),
+    lambda: smoothscore.SamplerParams("quantized", smoothscore.build_grid(0.1, 4.0),
+                                      sigma2=0.1, r_clip=0.0, bits=8),
+    lambda: smoothscore.SamplerParams("quantized", smoothscore.build_grid(0.1, 4.0),
+                                      sigma2=0.1, r_clip=1.0, bits=8.0),
+    lambda: errors.as_real_array("x", [1.0, True]),
+    lambda: errors.as_real_array("x", [[0.5, False]]),
+    lambda: errors.as_real_array("x", [np.True_, 2.0]),
+    lambda: errors.as_real_array("x", ((1.0, 0.5), (0.5, False))),
+    lambda: errors.as_real_array("x", [np.array([True, False]), np.array([0.5, 2.0])]),
+    lambda: errors.as_real_array("x", [[0.5] * 100, [0.5] * 99 + [True]]),
     lambda: smoothscore.empirical_covariance([["1"], ["2"]]),
     lambda: smoothscore.CoDiagonalLawPair(["1.0"]),
     lambda: smoothscore.eval_r(smoothscore.build_grid(0.1, 10.0), math.nan),
@@ -280,13 +299,32 @@ def test_coding_experiment_takes_no_worker_count():
         "betainc-a-str", "betainc-x-str", "betainc-x-bool", "mean-delta-mu-bool",
         "bit-depth-bool", "precision-ragged", "precision-str", "precision-kappa-str",
         "covariance-matrix-ragged", "covariance-matrix-kappa-str", "alg3-sigma2-str",
-        "quantized-law-sigma2-nan",
+        "quantized-law-sigma2-nan", "params-unknown-algorithm", "params-quantized-bare",
+        "params-quantized-no-bits", "params-exact-sigma2", "params-independent-bits",
+        "params-uncentered-r-clip", "params-quantized-zero-r-clip",
+        "params-quantized-float-bits", "array-bool-among-floats", "array-nested-bool",
+        "array-numpy-bool", "array-tuple-bool", "array-bool-subarray", "array-long-nest-bool",
         "empirical-covariance-str", "law-pair-str", "eval-r-nan", "eval-r-inf",
         "eval-sq-sum-nan", "eval-r-str", "exact-accuracy-fractional-dim",
         "independent-accuracy-bool-dim", "exact-accuracy-str-dim"])
 def test_bad_inputs_raise_parameter_error(call):
     with pytest.raises(ParameterError):
         call()
+
+
+@pytest.mark.parametrize("value", [[1, 2.5], [0.0, 1.0], [[0, 1], [1.0, 0.5]], (0.0,),
+                                   np.array([0.0, 1.0]), [[0.5] * 100, [0.5] * 99 + [1]]])
+def test_numbers_that_equal_0_or_1_are_accepted(value):
+    assert np.array_equal(errors.as_real_array("x", value), np.asarray(value, dtype=float))
+
+
+def test_sampler_params_keep_their_fields_as_checked_reals():
+    grid = smoothscore.build_grid(0.1, 4.0)
+    p = smoothscore.SamplerParams("quantized", grid, sigma2=0, r_clip=2, bits=np.int64(9))
+    assert (p.sigma2, p.r_clip, p.bits) == (0.0, 2.0, 9)
+    assert type(p.sigma2) is float and type(p.r_clip) is float and type(p.bits) is int
+    for algorithm in ("exact", "independent", "uncentered"):
+        assert smoothscore.SamplerParams(algorithm, grid).total_bits(3) == 0
 
 
 @pytest.mark.filterwarnings("error")

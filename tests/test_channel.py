@@ -410,13 +410,56 @@ class TestCodingExperiment:
 
         base = run()
         # 256 entries hold the sent bases and Q^T y of about two fixed-codebook
-        # trials; fresh trials do not chunk.
+        # trials; a fresh chunk holds CHUNK_ENTRIES // (8 * BLOCK_TRIALS)
+        # blocks, at least one, and these 150 trials are one block.
         for entries in (1, 256, 256 * 7, 2**30):
             monkeypatch.setattr(channel, "CHUNK_ENTRIES", entries)
             other = run()
             assert np.array_equal(other.messages, base.messages)
             assert np.array_equal(other.decoded, base.decoded)
             assert other.errors == base.errors
+
+    @pytest.mark.parametrize("kappa", [1.0, 16.0, 1e4])
+    def test_chunked_fresh_outcomes_equal_a_per_block_loop(self, kappa):
+        # Chunks of 64 blocks share one betainc_reg call; each block's draws
+        # and decisions are those of a loop that calls it once per block.
+        # At kappa = 1 and 16 the points of betainc_reg straddle its switch
+        # point, so both of its branches run; at 1e4 only one does.
+        d, r, m_code, block = 32, 3, 64, channel.BLOCK_TRIALS
+        a, b = (d - r) / 2.0, r / 2.0
+        branches = set()
+        for trials in (1, 255, 256, 257, 16383, 16384, 16385, 40000):
+            res = run_coding_experiment(d, r, kappa, m_code, trials, np.random.default_rng(23))
+            messages, decoded = [], []
+            for k, child in enumerate(np.random.default_rng(23).spawn(-(-trials // block))):
+                n = min(block, trials - k * block)
+                code_rng, message_rng, noise_rng = child.spawn(3)
+                m, other = message_rng.integers([m_code, m_code - 1], size=(n, 2)).T
+                g2, h2 = noise_rng.chisquare([r, d - r], size=(n, 2)).T
+                h2 = h2 / kappa
+                x = h2 / (g2 + h2)
+                branches.update((x < (a + 1.0) / (a + b + 2.0)).tolist())
+                with np.errstate(divide="ignore"):
+                    p_error = -np.expm1((m_code - 1) * np.log1p(-betainc_reg(a, b, x)))
+                wrong = code_rng.random(n) < p_error
+                messages.append(m)
+                decoded.append(np.where(wrong, other + (other >= m), m))
+            assert np.array_equal(res.messages, np.concatenate(messages)), trials
+            assert np.array_equal(res.decoded, np.concatenate(decoded)), trials
+        assert branches == ({True} if kappa == 1e4 else {True, False})
+
+    def test_fresh_trials_call_betainc_once_per_chunk(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(channel, "betainc_reg",
+                            lambda a, b, x, betainc=channel.betainc_reg:
+                            sizes.append(len(x)) or betainc(a, b, x))
+        chunk = channel.CHUNK_ENTRIES // (8 * channel.BLOCK_TRIALS) * channel.BLOCK_TRIALS
+        assert chunk == 16384
+        for trials in (1, 400, chunk, chunk + 1, 40000):
+            sizes.clear()
+            run_coding_experiment(32, 3, 1e4, 64, trials, np.random.default_rng(24))
+            assert len(sizes) == -(-trials // chunk)
+            assert max(sizes) <= chunk and sum(sizes) == trials
 
     @pytest.mark.parametrize("fresh", [True, False])
     def test_one_trial_calls_agree_with_the_batched_trials(self, fresh):

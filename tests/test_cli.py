@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -138,6 +139,28 @@ class TestFloatRows:
             assert len(sizes) == calls and max(sizes, default=0) <= cap
             assert sum(sizes) == (values.size if calls else 0)
 
+    def test_mostly_tiny_block(self):
+        # Every row of a 20 x 1024 block near 1e-5 is mostly fields that
+        # orjson lays out unlike repr, and each of them is rewritten.
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal((20, 1024)) * 1e-5
+        values[3, :400] = rng.standard_normal(400)  # 40% ordinary fields
+        assert list(cli._float_rows(values)) == repr_rows(values)
+
+    def test_salted_block(self):
+        # 8% of a 20 x 1024 block set to +-inf, NaN, 1e16, -1e16 or a tiny
+        # value: orjson writes the row and repr's text replaces each of its
+        # "null"s and misformatted numbers, also next to one another and at
+        # either end of a row.
+        rng = np.random.default_rng(13)
+        values = rng.standard_normal((20, 1024))
+        salt = np.array([np.inf, -np.inf, np.nan, 1e16, -1e16, 3e-7, -5e-324, 1.5e300])
+        cells = rng.choice(values.size, values.size * 8 // 100, replace=False)
+        values.flat[cells] = rng.choice(salt, cells.size)
+        values[:, [0, 1, 2, -2, -1]] = salt[:5]
+        assert list(cli._float_rows(values)) == repr_rows(values)
+        assert list(cli._float_rows(values[:, :130])) == repr_rows(values[:, :130])
+
 
 class TestValidateQuadrature:
     def test_default_grid_has_27_rows(self, tmp_path):
@@ -268,6 +291,9 @@ class TestSample:
         {"seed": 7.0},
         {"seed": 1e30},
         {"seed": -2**64 - 3},
+        # A bool among numbers would read as 1.0.
+        pytest.param({"target": {"dim": 2, "kappa": 100.0, "eigvals": [True, 100.0]}},
+                     id="eigvals-bool"),
     ])
     def test_domain_errors_exit_2(self, tmp_path, capsys, run_config, mutate):
         # A dict changes fields of a valid descriptor; a str is the whole file.
@@ -807,3 +833,44 @@ def test_failed_write_leaves_no_stale_tail(tmp_path):
     with pytest.raises(ParameterError):
         cli._write_lines(str(out), ["a", "b"], lines())
     assert data_rows(out) == ["a,b\n", "1,2\n"]
+
+
+@pytest.mark.parametrize("chunk_chars", [None, 1, 10])
+def test_failed_write_after_several_rows_keeps_them_all(tmp_path, monkeypatch, chunk_chars):
+    # Rows are joined into batched writes; the ones before a failing row are
+    # written whether the batch was flushed already or not.
+    if chunk_chars is not None:
+        monkeypatch.setattr(cli, "WRITE_CHUNK_CHARS", chunk_chars)
+    out = tmp_path / "t.csv"
+    out.write_text("stale\n" * 1000)
+
+    def lines():
+        for i in range(7):
+            yield f"{i},{i * i}"
+        raise ParameterError("bad row")
+
+    with pytest.raises(ParameterError):
+        cli._write_lines(str(out), ["a", "b"], lines())
+    assert data_rows(out) == ["a,b\n"] + [f"{i},{i * i}\n" for i in range(7)]
+
+
+def test_rows_are_written_in_batches(tmp_path, monkeypatch):
+    # A batch is flushed once it holds WRITE_CHUNK_CHARS of row text.
+    monkeypatch.setattr(cli, "WRITE_CHUNK_CHARS", 25)
+    writes = []
+    out = tmp_path / "t.csv"
+    real_open = cli._open_output
+
+    @contextlib.contextmanager
+    def spy(path):
+        with real_open(path) as fh:
+            write = fh.write
+            fh.write = lambda text: writes.append(text) or write(text)
+            yield fh
+
+    monkeypatch.setattr(cli, "_open_output", spy)
+    rows = [f"{i:09d}" for i in range(7)]  # nine characters each
+    cli._write_lines(str(out), ["a"], iter(rows))
+    assert data_rows(out) == ["a\n"] + [row + "\n" for row in rows]
+    assert writes[2:] == ["\n".join(rows[:3]) + "\n", "\n".join(rows[3:6]) + "\n",
+                          rows[6] + "\n"]

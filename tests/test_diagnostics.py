@@ -245,7 +245,7 @@ class TestLawConstructors:
     def test_alg3_sigma_zero_reduces_to_alg1(self):
         grid = build_grid(0.02, 30.0)
         t = GaussianTarget(eigvals=[1.0, 30.0], kappa=30.0)
-        a = SamplerParams("quantized", grid, sigma2=0.0).law(t).ratios
+        a = SamplerParams("quantized", grid, sigma2=0.0, r_clip=1.0, bits=8).law(t).ratios
         b = SamplerParams("exact", grid).law(t).ratios
         assert np.array_equal(a, b)
 
