@@ -166,9 +166,10 @@ def bit_lower_bound_table(kappa_list, delta_tv: float, empirical_errors) -> list
 _CF_TINY = 1e-300
 _CF_EPS = 1e-15
 _CF_MAXIT = 500
-# Cap on a + b: (a + b + 2 _CF_MAXIT)^2, the largest product the continued
-# fraction forms, stays below the float64 maximum, 1.8e308.
-BETAINC_MAX_AB = 1e154
+# Cap on a + b: the largest a + b = d/2 a caller passes, with d at most
+# DRAW_MAX_ENTRIES in the tube.  Beyond it the lgamma difference log B(a, b)
+# loses digits until, from about 1e11, values leave [0, 1].
+BETAINC_MAX_AB = DRAW_MAX_ENTRIES / 2
 
 
 def _betacf(a, b, x: np.ndarray) -> np.ndarray | None:
@@ -209,8 +210,9 @@ def _betacf(a, b, x: np.ndarray) -> np.ndarray | None:
 def betainc_reg(a: float, b: float, x) -> float | np.ndarray:
     """Regularized incomplete beta I_x(a, b) for a, b > 0, a + b <= ``BETAINC_MAX_AB``;
     absolute accuracy ~1e-14 up to a + b ~ 100, beyond which the lgamma
-    difference log B(a, b) loses digits.  Entries x >= (a + 1)/(a + b + 2)
-    are 1 - I_(1-x)(b, a), run in the same Lentz loop as the others."""
+    difference log B(a, b) loses digits, to ~1e-8 at the cap.  Entries
+    x >= (a + 1)/(a + b + 2) are 1 - I_(1-x)(b, a), run in the same Lentz
+    loop as the others."""
     a = check_real("a", a, 0.0, math.inf, open_low=True)
     b = check_real("b", b, 0.0, math.inf, open_low=True)
     if not a + b <= BETAINC_MAX_AB:
@@ -344,22 +346,20 @@ def _check_trials(trials, d: int | None = None) -> int:
 
 
 def _map_trials(block_fn, rng: np.random.Generator, trials: int,
-                decide=None) -> ExperimentResult:
-    """Pool the (messages, decoded) of ``block_fn`` over the blocks of at most
-    ``BLOCK_TRIALS`` consecutive trials, run in order on the calling thread.
-    Block b draws from the b-th child spawned from rng: ``block_fn`` gets its
-    trial count and the child's codebook, message and noise streams, built
-    by :func:`~.streams.spawn_tree` with numpy's states.  With ``decide``,
-    ``block_fn`` returns arrays of draws instead, and ``decide`` maps them,
-    joined over chunks of ``CHUNK_ENTRIES // (8 * BLOCK_TRIALS)`` blocks."""
+                decide=lambda messages, decoded: (messages, decoded)) -> ExperimentResult:
+    """Pool the (messages, decoded) of the blocks of at most ``BLOCK_TRIALS``
+    consecutive trials, run in order on the calling thread.  Block b draws
+    from the b-th child spawned from rng: ``block_fn`` gets its trial count
+    and the child's codebook, message and noise streams, built by
+    :func:`~.streams.spawn_tree` with numpy's states, and returns arrays that
+    ``decide`` maps to (messages, decoded), joined over chunks of
+    ``CHUNK_ENTRIES // (8 * BLOCK_TRIALS)`` blocks; by default a block's
+    arrays are its outcomes."""
     sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
     blocks = (block_fn(n, *streams) for streams, n in zip(spawn_tree(rng, len(sizes), 3), sizes))
-    if decide is None:
-        outcomes = list(blocks)
-    else:
-        step = max(1, CHUNK_ENTRIES // (8 * BLOCK_TRIALS))
-        outcomes = [decide(*map(np.concatenate, zip(*itertools.islice(blocks, step))))
-                    for _ in range(0, len(sizes), step)]
+    step = max(1, CHUNK_ENTRIES // (8 * BLOCK_TRIALS))
+    outcomes = [decide(*map(np.concatenate, zip(*itertools.islice(blocks, step))))
+                for _ in range(0, len(sizes), step)]
     messages = np.concatenate([m for m, _ in outcomes])
     decoded = np.concatenate([g for _, g in outcomes])
     return ExperimentResult(trials=trials, errors=int(np.sum(messages != decoded)),

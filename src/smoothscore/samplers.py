@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -213,20 +212,12 @@ def _resolvent_terms(grid: SincGrid, z: np.ndarray, g: np.ndarray) -> np.ndarray
 _BLOCK_ENTRIES = 2**17
 
 
-def _encode_terms(cfg: QuantizerConfig, grid: SincGrid, z: np.ndarray, g: np.ndarray):
-    """Finite-bit encoder: the resolvent terms W_j of every run, quantized
-    into one message of level fields per query; their values are left to
-    the decoder.  W itself stays off the channel, kept for the run
-    reports."""
-    w = _resolvent_terms(grid, z, g)
-    return w, quantize_vector(cfg, w.reshape(-1, w.shape[-1]))
-
-
 @dataclass
 class SampleBlock:
     """n runs of one sampler on one target.  Row i of ``outputs`` and entry
-    i of each per-run array belong to run i; ``spec``, ``params`` and
-    ``noise_levels`` are shared by every run."""
+    i of each per-run array belong to run i; ``spec`` and ``mu_hat`` (the
+    uncentered sampler's mean estimate, else None) are shared by every
+    run."""
 
     outputs: np.ndarray
     query_counts: np.ndarray
@@ -234,18 +225,20 @@ class SampleBlock:
     clip_overflow: np.ndarray
     quant_error_norms: np.ndarray | None
     spec: SamplerParams
-    params: dict
-    noise_levels: np.ndarray
+    mu_hat: np.ndarray | None
 
     def report(self, run: int) -> SampleReport:
-        """Run ``run`` as the report of a run of its own."""
-        errors = self.quant_error_norms
+        """Run ``run`` as the report of a run of its own, its ``params`` and
+        ``noise_levels`` read off the spec."""
+        spec, g, errors = self.spec, self.spec.grid, self.quant_error_norms
+        params = {"eta": g.eta, "h": g.h, "M": g.M, "N": g.N, "sigma2": spec.sigma2,
+                  "r_clip": spec.r_clip, "bits": spec.bits, "mu_hat": self.mu_hat}
         return SampleReport(output=self.outputs[run],
                             query_count=int(self.query_counts[run]),
                             bits_total=int(self.bits_totals[run]),
                             clip_overflow=bool(self.clip_overflow[run]),
-                            params=self.params,
-                            noise_levels=self.noise_levels,
+                            params=params,
+                            noise_levels=1.0 / g.alphas,
                             quant_error_norm=None if errors is None else float(errors[run]))
 
 
@@ -280,14 +273,11 @@ def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float, streams
                              "use the 'uncentered' algorithm for nonzero means")
     cfg = None if spec.bits is None else QuantizerConfig(bits=spec.bits, clip_radius=spec.r_clip)
     g = spec.grid
-    params = {"eta": g.eta, "h": g.h, "M": g.M, "N": g.N, "sigma2": spec.sigma2,
-              "r_clip": spec.r_clip, "bits": spec.bits, "delta_tv": float(delta_tv)}
     shift, shared = None, 0
     if algorithm == "uncentered" and n:
         mean_oracle = ScoreOracle(target)
         shift = estimate_mean(target, delta_mu, oracle=mean_oracle)
         shared = mean_oracle.tape.query_count
-        params.update(delta_mu=delta_mu, mu_hat=shift)
     # The queries are made at z + shift, so the floor scales with it.
     taus = _shift_levels(g, 1.0 if shift is None else max(1.0, float(np.abs(shift).max())))
     y = np.empty((n, d))
@@ -298,20 +288,24 @@ def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float, streams
     # The quantized sampler's blocks are B times narrower (see _BLOCK_ENTRIES).
     width = taus.size * d * (1 if cfg is None else cfg.bits)
     step = max(1, _BLOCK_ENTRIES // max(1, width))
+    # One Z_j per shift for the independent sampler, one Z for the others.
+    z_rows = taus.size if algorithm == "independent" else 1
     for lo in range(0, n, step):
         part = streams[lo:lo + step]
         rows = slice(lo, lo + len(part))
-        if algorithm == "independent":
-            z = np.stack([s.standard_normal((taus.size, d)) for s in part])
-        else:
-            z = np.stack([s.standard_normal(d) for s in part])[:, None]
+        z = np.stack([s.standard_normal((z_rows, d)) for s in part])
         oracle = ScoreOracle(target)
         if cfg is None:
             scores = oracle.smoothed_scores(taus, z if shift is None else z + shift)
             y[rows] = np.sum(_resolvent_terms(g, z, scores), axis=1)
         else:
-            w, messages = oracle.finite_bit_query(taus, z, partial(_encode_terms, cfg, g, z),
-                                                  d * cfg.bits)
+            def encode(scores):
+                # The resolvent terms W_j of every run, quantized into one
+                # message of level fields per query; W itself stays off the
+                # channel, kept for the run reports.
+                w = _resolvent_terms(g, z, scores)
+                return w, quantize_vector(cfg, w.reshape(-1, d))
+            w, messages = oracle.finite_bit_query(taus, z, encode, d * cfg.bits)
             w_hat = decode_vector(cfg, messages).reshape(w.shape)
             dither = np.stack([s.standard_normal(d) for s in part])
             y[rows] = np.sum(w_hat, axis=1) + math.sqrt(spec.sigma2) * dither
@@ -324,7 +318,7 @@ def sample_many(algorithm: str, target: GaussianTarget, delta_tv: float, streams
         y /= math.sqrt(g.L_h)
     if shift is not None:
         y += shift
-    return SampleBlock(y, query_counts, bits_totals, clip, quant_errors, spec, params, taus)
+    return SampleBlock(y, query_counts, bits_totals, clip, quant_errors, spec, shift)
 
 
 def sample_exact(target: GaussianTarget, delta_tv: float,

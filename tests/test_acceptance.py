@@ -94,7 +94,7 @@ def test_criterion_04_quantized_sampler_decomposition():
     block = ss.sample_many("quantized", target, dtv, ss.run_streams(20_240_817, n))
     clips = int(np.sum(block.clip_overflow))
     part_c = bool(np.all(block.quant_error_norms[~block.clip_overflow] <= sigma * dtv))
-    part_d = bool(np.all(block.bits_totals == d * block.params["bits"] * block.query_counts))
+    part_d = bool(np.all(block.bits_totals == d * block.spec.bits * block.query_counts))
     p_budget = dtv / 3
     se = math.sqrt(p_budget * (1 - p_budget) / n)
     part_b = clips / n <= p_budget + 3 * se

@@ -152,8 +152,8 @@ class TestBetaInc:
         for x in (math.nan, [0.5, math.nan], np.array([[math.nan]])):
             with pytest.raises(ParameterError):
                 betainc_reg(2.0, 3.0, x)
-        # Beyond a + b = 1e154 the continued fraction's products overflow,
-        # and beyond about 2.6e305 lgamma does.
+        # a + b beyond BETAINC_MAX_AB = 2**22 is refused; there log B(a, b)
+        # loses digits, and beyond about 2.6e305 lgamma overflows.
         for a, b in [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
                      (1e300, 1.0), (1.0, 1e300), (1e308, 1e308)]:
             with pytest.raises(ParameterError):
@@ -161,8 +161,31 @@ class TestBetaInc:
 
     @pytest.mark.filterwarnings("error")
     def test_largest_parameters_still_compute(self):
-        assert betainc_reg(1e154, 1.0, 0.5) == 0.0
-        assert betainc_reg(1e17, 2.0, 0.999999) == 0.0
+        cap = channel.BETAINC_MAX_AB
+        assert cap == 2.0**22
+        assert betainc_reg(cap - 1.0, 1.0, 0.5) == 0.0
+        sd = math.sqrt(3.0 / 16.0 / (cap + 1.0))  # of Beta(cap / 4, 3 cap / 4)
+        for a, x in [(cap - 2.0, 0.999999), (1e-3, 1e-7), (cap / 4.0, 0.25 + 6.0 * sd)]:
+            assert abs(betainc_reg(a, cap - a, x) - scipy_betainc(a, cap - a, x)) <= 1e-8
+        # Far beyond the cap log B(a, b) cancelled and this call returned 319.85.
+        with pytest.raises(ParameterError, match="exceeds"):
+            betainc_reg(0.0028, 5.7e16, 1.7e-17)
+        with pytest.raises(ParameterError, match="exceeds"):
+            betainc_reg(cap, 1e-3, 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_seeded_sweep_stays_in_range_monotone_and_near_scipy(self):
+        # Log-uniform (a, b) over the callers' range, at the mean +- 6 sd
+        # and at uniform points.
+        rng = np.random.default_rng(28)
+        for a, b in np.exp(rng.uniform(math.log(1e-3), math.log(2.0**21), (400, 2))):
+            mean, sd = a / (a + b), math.sqrt(a * b / (a + b + 1.0)) / (a + b)
+            xs = np.concatenate([mean + np.array([-6.0, 6.0]) * sd, rng.random(8)])
+            xs = np.sort(np.clip(xs, 0.0, 1.0))
+            got = betainc_reg(a, b, xs)
+            assert np.all((got >= 0.0) & (got <= 1.0)), (a, b)
+            assert np.all(np.diff(got) >= 0.0), (a, b)
+            assert np.max(np.abs(got - scipy_betainc(a, b, xs))) <= 2e-8, (a, b)
 
     @pytest.mark.filterwarnings("error")
     def test_one_loop_matches_scalar_calls(self):

@@ -19,9 +19,9 @@ class FixedNormals:
     def __init__(self, z):
         self.z = np.asarray(z, dtype=np.float64)
 
-    def standard_normal(self, d):
-        assert d == self.z.size
-        return self.z.copy()
+    def standard_normal(self, shape):
+        assert np.prod(shape) == self.z.size
+        return self.z.reshape(shape).copy()
 
 
 def loop_combine(query, grid, points):
@@ -314,7 +314,7 @@ class TestSampleMany:
         streams = np.random.default_rng(9).spawn(20)
         blocks = {alg: run_block(alg, shifted if alg == "uncentered" else t,
                                  np.random.default_rng(9).spawn(20)) for alg in self.ALGORITHMS}
-        mu_hat = blocks["uncentered"].params["mu_hat"]
+        mu_hat = blocks["uncentered"].mu_hat
         for i, s in enumerate(streams):
             state = s.bit_generator.state
             z = s.standard_normal(d)
@@ -343,6 +343,31 @@ class TestSampleMany:
         p = sampler_params("quantized", 3, t.kappa, 0.1)
         assert block.query_counts.tolist() == [p.grid.query_budget] * 4
         assert block.bits_totals.tolist() == [p.total_bits(3)] * 4
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_mu_hat_is_the_mean_estimate_of_uncentered_blocks_only(self, rotated):
+        t = block_target(3, rotated, centered=False)
+        block = run_block("uncentered", t, run_streams(0, 4))
+        assert block.mu_hat.tobytes() == estimate_mean(t, 1e-6).tobytes()
+        assert run_block("uncentered", t, []).mu_hat is None
+        for algorithm in ("exact", "independent", "quantized"):
+            assert run_block(algorithm, block_target(3, rotated), run_streams(0, 2)).mu_hat is None
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_report_params_are_read_off_the_spec(self, algorithm):
+        t = block_target(3, rotated=False, centered=algorithm != "uncentered")
+        block = run_block(algorithm, t, run_streams(0, 2))
+        spec, g = block.spec, block.spec.grid
+        for i in range(2):
+            rep = block.report(i)
+            assert list(rep.params) == ["eta", "h", "M", "N", "sigma2", "r_clip", "bits",
+                                        "mu_hat"]
+            assert (rep.params["eta"], rep.params["h"], rep.params["M"], rep.params["N"]) == (
+                g.eta, g.h, g.M, g.N)
+            assert (rep.params["sigma2"], rep.params["r_clip"], rep.params["bits"]) == (
+                spec.sigma2, spec.r_clip, spec.bits)
+            assert rep.params["mu_hat"] is block.mu_hat
+            assert rep.noise_levels.tobytes() == (1.0 / g.alphas).tobytes()
 
     def test_rejects_what_the_per_run_samplers_reject(self):
         t = block_target(2, rotated=False)
