@@ -37,8 +37,12 @@ and one index among the m - 1 others from the message stream, chi^2_r and
 chi^2_(d-r) from the noise stream, and one uniform that decides the error
 from the codebook stream.  Each block makes these draws as one array per
 stream; the draws of ``CHUNK_ENTRIES // (8 * BLOCK_TRIALS)`` consecutive
-blocks (16384 trials) are then decided together, by one :func:`betainc_reg`
-call, which gives each entry the same bits in any batch.  A fixed codebook
+blocks (16384 trials) are then decided together.  The union bound
+(m - 1) I_x(a, b) <= (m - 1) x^a (1 - x)^min(b-1, 0) / (a B(a, b)), with
+x = 1 - T, a = (d-r)/2 and b = r/2, screens out every trial whose uniform is
+at least twice it, which cannot err; one :func:`betainc_reg` call, which
+gives each entry the same bits in any batch, decides the others, so the
+screen changes no outcome.  A fixed codebook
 is one (m, d, r) normal array, orthonormalized by one vectorized
 Gram-Schmidt, drawn from the caller's generator before the blocks are
 spawned; a single code is studied through
@@ -375,8 +379,9 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
     ``fresh_codebook=False`` one codebook is drawn up front from ``rng`` and
     reused, for studying a single code.  Trials draw by the module's block
     contract and depend only on the seed, i and the shape; fresh trials are
-    decided in chunks of ``CHUNK_ENTRIES // (8 * BLOCK_TRIALS)`` blocks, one
-    incomplete-beta call each, which changes no outcome.  At r = d, or
+    decided in chunks of ``CHUNK_ENTRIES // (8 * BLOCK_TRIALS)`` blocks, each
+    by at most one incomplete-beta call on the trials a union bound leaves
+    (see the module docstring), which changes no outcome.  At r = d, or
     with one codeword, every codeword scores ||y||^2, so every trial decodes
     to index 0 by the decoder's tie rule.  ``trials`` must be an integer in
     [1, ``MAX_TRIALS``], and m_code * d * r at most ``CODE_MAX_ENTRIES`` on
@@ -401,12 +406,23 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
         h2 /= kappa
         # A wrong codeword scores ||y||^2 B, B ~ Beta(r/2, (d-r)/2), and the
         # sent one ||y||^2 T with T = g2 / (g2 + h2); at least one of the
-        # m - 1 wrong ones beats it with probability 1 - (1 - P(B > T))^(m-1).
-        tail = betainc_reg((d - r) / 2.0, r / 2.0, h2 / (g2 + h2))
-        with np.errstate(divide="ignore"):  # tail = 1 when g2 = 0
-            p_error = -np.expm1((m_code - 1) * np.log1p(-tail))
+        # m - 1 wrong ones beats it with probability 1 - (1 - P(B > T))^(m-1),
+        # with P(B > T) = I_x(a, b) at x = 1 - T.
+        x = h2 / (g2 + h2)
+        # Only a trial whose uniform lies below twice the union bound on that
+        # probability can err; NaN bounds and u = 0 stay candidates.
+        with np.errstate(divide="ignore"):  # log 0 at u = 0, x = 0 or x = 1
+            log_bound = a * np.log(x) + log_scale
+            if b < 1.0:
+                log_bound += (b - 1.0) * np.log1p(-x)
+            candidates = np.flatnonzero(~((uniform > 0.0) & (np.log(uniform) >= log_bound)))
+        wrong = np.zeros(len(uniform), dtype=bool)
+        if candidates.size:
+            tail = betainc_reg(a, b, x[candidates])
+            with np.errstate(divide="ignore"):  # tail = 1 when g2 = 0
+                p_error = -np.expm1((m_code - 1) * np.log1p(-tail))
+            wrong[candidates] = uniform[candidates] < p_error
         # On an error the decoded index is uniform over the other messages.
-        wrong = uniform < p_error
         return messages, np.where(wrong, other + (other >= messages), messages)
 
     def fixed_trials(n, _code_rng, message_rng, noise_rng):
@@ -424,6 +440,12 @@ def run_coding_experiment(d: int, r: int, kappa: float, m_code: int, trials: int
     if r == d or m_code == 1:
         return _map_trials(tied_trials, rng, trials)
     if fresh_codebook:
+        # I_x(a, b) <= x^a (1 - x)^min(b-1, 0) / (a B(a, b)), bounding the
+        # integrand's (1 - t)^(b-1) by its largest value on [0, x]; the screen
+        # doubles (m - 1) times that bound, a margin for the exact path's rounding.
+        a, b = (d - r) / 2.0, r / 2.0
+        log_scale = (math.log(2.0 * (m_code - 1)) - math.log(a)
+                     - math.lgamma(a) - math.lgamma(b) + math.lgamma(a + b))
         return _map_trials(fresh_draws, rng, trials, fresh_decide)
     fixed = _draw_code(rng, m_code, d, r)
     return _map_trials(fixed_trials, rng, trials)

@@ -103,6 +103,19 @@ def _float_rows(values: np.ndarray):
         yield from lines
 
 
+def _trial_rows(messages: np.ndarray, decoded: np.ndarray):
+    """Yield the rows ``trial,message,decoded,correct`` of a coding
+    experiment, ``FORMAT_CHUNK_ENTRIES`` rows a text joined by newlines, as
+    ``_fmt`` writes them: integers by str, flags as true/false.  orjson lays
+    out ints and bools as str does, so its text needs no fix-ups."""
+    for lo in range(0, len(messages), FORMAT_CHUNK_ENTRIES):
+        m = messages[lo:lo + FORMAT_CHUNK_ENTRIES]
+        g = decoded[lo:lo + FORMAT_CHUNK_ENTRIES]
+        text = orjson.dumps(list(zip(range(lo, lo + len(m)), m.tolist(), g.tolist(),
+                                     (m == g).tolist())))
+        yield text[2:-2].replace(b"],[", b"\n").decode()
+
+
 def _write_lines(path: str, header: list[str], lines) -> None:
     """The comment, header and ``lines``, about ``WRITE_CHUNK_CHARS`` of text a
     write; the lines before one that raises are still written."""
@@ -219,10 +232,8 @@ def _cmd_channel_exp(args) -> int:
         args.d, args.r, args.kappa, args.mcode, args.trials,
         np.random.default_rng(check_count("seed", args.seed, 0, math.inf)),
         fresh_codebook=not args.fixed_codebook)
-    # Written as _fmt writes them: integers by str, flags as true/false.
-    lines = (f"{t},{m},{g},{'true' if m == g else 'false'}"
-             for t, (m, g) in enumerate(zip(result.messages.tolist(), result.decoded.tolist())))
-    _write_lines(args.output, ["trial", "message", "decoded", "correct"], lines)
+    _write_lines(args.output, ["trial", "message", "decoded", "correct"],
+                 _trial_rows(result.messages, result.decoded))
 
     k_prime = int(math.floor(math.log2(args.mcode)))
     q_lower = channel.converse_bound(k_prime, args.delta_tv, result.error_rate)

@@ -383,6 +383,39 @@ class TestDecode:
             assert channel._decode(cols, y[None])[0] == int(np.argmin(residual)), pair
 
 
+class Fixed:
+    """A generator whose every draw is passed through ``fix``."""
+
+    def __init__(self, rng, fix):
+        self.rng, self.fix = rng, fix
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+        return lambda *args, **kwargs: self.fix(draw(*args, **kwargs))
+
+
+def unscreened_fresh_trials(d, r, kappa, m_code, trials, seed,
+                            fix_u=lambda u: u, fix_chi2=lambda chi2: chi2):
+    """Per fresh-codebook trial of ``run_coding_experiment``: x = 1 - T, the
+    uniform u, the error probability 1 - (1 - I_x((d-r)/2, r/2))^(m-1) and
+    the decoded index, from a loop over the blocks' streams that calls
+    betainc_reg on every trial.  ``fix_u`` and ``fix_chi2`` act on a block's
+    uniforms and chi-square pairs as stub streams would."""
+    a, b, block = (d - r) / 2.0, r / 2.0, channel.BLOCK_TRIALS
+    x, u, p_error, decoded = [], [], [], []
+    for k, child in enumerate(np.random.default_rng(seed).spawn(-(-trials // block))):
+        n = min(block, trials - k * block)
+        code_rng, message_rng, noise_rng = child.spawn(3)
+        m, other = message_rng.integers([m_code, m_code - 1], size=(n, 2)).T
+        g2, h2 = fix_chi2(noise_rng.chisquare([r, d - r], size=(n, 2))).T
+        x.append(h2 / kappa / (g2 + h2 / kappa))
+        with np.errstate(divide="ignore"):
+            p_error.append(-np.expm1((m_code - 1) * np.log1p(-betainc_reg(a, b, x[-1]))))
+        u.append(fix_u(code_rng.random(n)))
+        decoded.append(np.where(u[-1] < p_error[-1], other + (other >= m), m))
+    return tuple(map(np.concatenate, (x, u, p_error, decoded)))
+
+
 class TestCodingExperiment:
     def test_single_message_never_errs(self):
         res = run_coding_experiment(8, 2, 100.0, 1, 200, np.random.default_rng(14))
@@ -472,6 +505,9 @@ class TestCodingExperiment:
         assert branches == ({True} if kappa == 1e4 else {True, False})
 
     def test_fresh_trials_call_betainc_once_per_chunk(self, monkeypatch):
+        # At most one call a chunk, on the chunk's candidates only, and none
+        # for a chunk without any: at kappa = 1e4 the union bound leaves
+        # fewer than 1% of the trials.
         sizes = []
         monkeypatch.setattr(channel, "betainc_reg",
                             lambda a, b, x, betainc=channel.betainc_reg:
@@ -481,8 +517,70 @@ class TestCodingExperiment:
         for trials in (1, 400, chunk, chunk + 1, 40000):
             sizes.clear()
             run_coding_experiment(32, 3, 1e4, 64, trials, np.random.default_rng(24))
-            assert len(sizes) == -(-trials // chunk)
-            assert max(sizes) <= chunk and sum(sizes) == trials
+            assert len(sizes) <= -(-trials // chunk)
+            assert 0 < min(sizes, default=1) and max(sizes, default=0) <= chunk
+        assert sum(sizes) < 40000 // 100
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kappa", [1.0, 16.0, 1e4, 1e8])
+    def test_screened_out_trials_cannot_err(self, monkeypatch, kappa):
+        # betainc_reg sees only the screen's candidates; every other trial
+        # must have u >= its unscreened error probability, so the screen
+        # decides it as the unscreened rule does.
+        passed = []
+        monkeypatch.setattr(channel, "betainc_reg",
+                            lambda a, b, x, betainc=channel.betainc_reg:
+                            passed.append(x) or betainc(a, b, x))
+        d, trials = 32, 3000
+        for r in (1, d - 1):  # b = r/2 below and above 1
+            for m_code in (2, 64, 1024):
+                passed.clear()
+                res = run_coding_experiment(d, r, kappa, m_code, trials,
+                                            np.random.default_rng(31))
+                x, u, p_error, decoded = unscreened_fresh_trials(d, r, kappa, m_code,
+                                                                 trials, 31)
+                candidate = np.isin(x, np.concatenate([[], *passed]))
+                assert candidate.sum() == sum(map(len, passed))
+                assert not np.any(~candidate & (u < p_error)), (r, m_code)
+                assert np.array_equal(res.decoded, decoded), (r, m_code)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r", [1, 31])
+    @pytest.mark.parametrize("kappa", [1.0, 1e4])
+    def test_zero_draws_decide_as_the_unscreened_rule(self, monkeypatch, r, kappa):
+        # Stub streams zero u on every fifth trial of a block, g2 (x = 1) on
+        # trials 1 mod 6 and h2 (x = 0) on trials 2 mod 6, so u = 0 meets
+        # each of the others too.
+        def zero_u(u):
+            u[::5] = 0.0
+            return u
+
+        def zero_chi2(chi2):
+            chi2[1::6, 0] = 0.0
+            chi2[2::6, 1] = 0.0
+            return chi2
+
+        monkeypatch.setattr(channel, "spawn_tree",
+                            lambda rng, n, k, tree=channel.spawn_tree:
+                            [(Fixed(code, zero_u), message, Fixed(noise, zero_chi2))
+                             for code, message, noise in tree(rng, n, k)])
+        passed = []
+        monkeypatch.setattr(channel, "betainc_reg",
+                            lambda a, b, x, betainc=channel.betainc_reg:
+                            passed.append(x) or betainc(a, b, x))
+        d, m_code, trials = 32, 64, 600
+        res = run_coding_experiment(d, r, kappa, m_code, trials, np.random.default_rng(37))
+        x, u, p_error, decoded = unscreened_fresh_trials(d, r, kappa, m_code, trials, 37,
+                                                         zero_u, zero_chi2)
+        assert np.array_equal(res.decoded, decoded)
+        # Every u = 0 is a candidate, the x = 0 ones too.
+        assert np.all(np.isin(x[u == 0.0], np.concatenate(passed)))
+        t = np.arange(trials) % channel.BLOCK_TRIALS
+        assert np.all(x[t % 6 == 1] == 1.0) and np.all(x[t % 6 == 2] == 0.0)
+        # u = 0 errs wherever x > 0, and x = 1 errs always.
+        wrong = res.decoded != res.messages
+        assert np.array_equal(wrong[t % 5 == 0], x[t % 5 == 0] > 0.0)
+        assert np.all(wrong[t % 6 == 1]) and not np.any(wrong[t % 6 == 2])
 
     @pytest.mark.parametrize("fresh", [True, False])
     def test_one_trial_calls_agree_with_the_batched_trials(self, fresh):

@@ -162,6 +162,36 @@ class TestFloatRows:
         assert list(cli._float_rows(values[:, :130])) == repr_rows(values[:, :130])
 
 
+def fstring_trial_rows(messages, decoded):
+    return [f"{t},{m},{g},{'true' if m == g else 'false'}"
+            for t, (m, g) in enumerate(zip(messages.tolist(), decoded.tolist()))]
+
+
+class TestTrialRows:
+    """cli._trial_rows writes the rows a per-trial f-string would."""
+
+    @pytest.mark.parametrize("cap", [None, 64])
+    def test_rows_match_the_fstring_rows(self, monkeypatch, cap):
+        sizes = []
+        monkeypatch.setattr(orjson, "dumps",
+                            lambda obj, *a, dumps=orjson.dumps, **k:
+                            sizes.append(len(obj)) or dumps(obj, *a, **k))
+        if cap is not None:
+            monkeypatch.setattr(cli, "FORMAT_CHUNK_ENTRIES", cap)
+        cap = cli.FORMAT_CHUNK_ENTRIES
+        rng = np.random.default_rng(14)
+        for n in (1, 400, cap - 1, cap, cap + 1):
+            sizes.clear()
+            # Indices up to the largest m_code a codebook allows, about half
+            # decoded right.
+            messages = rng.integers(channel.CODE_MAX_ENTRIES, size=n)
+            decoded = np.where(rng.random(n) < 0.5, messages, rng.integers(3, size=n))
+            texts = list(cli._trial_rows(messages, decoded))
+            assert "\n".join(texts) == "\n".join(fstring_trial_rows(messages, decoded))
+            assert sizes == [min(cap, n - lo) for lo in range(0, n, cap)]
+            assert len(texts) == len(sizes)
+
+
 class TestValidateQuadrature:
     def test_default_grid_has_27_rows(self, tmp_path):
         out = tmp_path / "vq.csv"
