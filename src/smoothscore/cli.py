@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 import orjson
 
-from . import channel, diagnostics, samplers
+from . import channel, samplers
 from .errors import ParameterError, check_count, check_real, parse_json
 from .gaussian import ScoreOracle, lambda_norm, target_from_dict, target_from_json
 from .quadrature import build_grid, sup_error_E1, sup_error_E2
@@ -36,12 +36,8 @@ DEFAULT_KAPPAS = [1.0, 100.0, 10000.0]
 # run's stream is built (each costs about 3 us and 0.8 KB).
 SAMPLE_MAX_ENTRIES = 2**20
 # Entries formatted by one orjson call, so the text held at once stays a few
-# MB whatever the block's size.  Below the minimum, orjson's fixed cost (the
-# call and the layout mask, 15-30 us with cold caches) exceeds repr's.
+# MB whatever the block's size; a longer row is a call of its own.
 FORMAT_CHUNK_ENTRIES = 2**16
-FORMAT_MIN_ENTRIES = 128
-# Rows are written in batches of about this much text, one write each.
-WRITE_CHUNK_CHARS = 2**20
 
 
 def _fmt(value) -> str:
@@ -78,17 +74,13 @@ def _float_rows(values: np.ndarray):
     zero and every |v| in [1e-4, 1e16), in 2-3 ms against repr's 22 ms on a
     20 x 1024 block.  It writes 0.00001 for 1e-05, 1e16 for 1e+16 and null for NaN
     and +-inf, so those fields are rewritten from the array's own values.
-    Chunks of rows between ``FORMAT_MIN_ENTRIES`` and
-    ``FORMAT_CHUNK_ENTRIES`` entries go through orjson; smaller ones and
-    longer rows go through repr.
+    Each chunk of rows, at most ``FORMAT_CHUNK_ENTRIES`` entries or one row,
+    is one orjson call.
     """
     n, d = values.shape
     step = max(1, FORMAT_CHUNK_ENTRIES // max(d, 1))
     for start in range(0, n, step):
         chunk = np.ascontiguousarray(values[start:start + step], dtype=np.float64)
-        if not FORMAT_MIN_ENTRIES <= chunk.size <= FORMAT_CHUNK_ENTRIES:
-            yield from (",".join(map(repr, row)) for row in chunk.tolist())
-            continue
         text = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)
         lines = text[2:-2].decode().split("],[")
         a = np.abs(chunk)
@@ -117,22 +109,13 @@ def _trial_rows(messages: np.ndarray, decoded: np.ndarray):
 
 
 def _write_lines(path: str, header: list[str], lines) -> None:
-    """The comment, header and ``lines``, about ``WRITE_CHUNK_CHARS`` of text a
-    write; the lines before one that raises are still written."""
+    """The comment, header and ``lines`` through the file's own buffer; the
+    lines before one that raises are still written."""
     with _open_output(path) as fh:
         fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         fh.write(",".join(header) + "\n")
-        batch, held = [], 0
-        try:
-            for line in lines:
-                batch.append(line)
-                held += len(line)
-                if held >= WRITE_CHUNK_CHARS:
-                    text, batch, held = "\n".join(batch), [], 0
-                    fh.write(text + "\n")
-        finally:
-            if batch:
-                fh.write("\n".join(batch) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -199,7 +182,7 @@ def _cmd_sample(args) -> int:
     block = samplers.sample_many(cfg.get("algorithm"), target, cfg["delta_tv"], streams,
                                  delta_mu=cfg.get("delta_mu"))
     # Written as _fmt writes them: floats by repr, flags as true/false.
-    tail = f",{diagnostics.tv_bound(block.spec.law(target))!r}"
+    tail = f",{block.spec.certificate(target, cfg.get('delta_mu'))!r}"
     lines = (f"{run},{y},{q},{bits},{_fmt(clip)}{tail}"
              for run, (y, q, bits, clip) in enumerate(zip(
                  _float_rows(block.outputs), block.query_counts.tolist(),

@@ -101,30 +101,18 @@ class GaussianTarget:
     @classmethod
     def from_precision(cls, precision, kappa=None, mean=None) -> "GaussianTarget":
         """Build a target from a dense symmetric precision matrix."""
-        P = as_real_array("precision", precision)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ParameterError("precision must be a square matrix")
-        if np.max(np.abs(P - P.T)) > _SYM_TOL:
-            raise ParameterError("precision matrix is not symmetric")
-        lam, Q = np.linalg.eigh(P)
-        if kappa is None:
-            kappa = max(float(lam.max()), 1.0)
+        lam, Q = _symmetric_eigh("precision", precision)
+        kappa = max(float(lam.max()), 1.0) if kappa is None else kappa
         return cls(eigvals=lam, kappa=kappa, mean=mean, basis=Q)
 
     @classmethod
     def from_covariance(cls, covariance, kappa=None, mean=None) -> "GaussianTarget":
         """Build a target from a dense symmetric covariance matrix."""
-        S = as_real_array("covariance", covariance)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ParameterError("covariance must be a square matrix")
-        if np.max(np.abs(S - S.T)) > _SYM_TOL:
-            raise ParameterError("covariance matrix is not symmetric")
-        sig, Q = np.linalg.eigh(S)
+        sig, Q = _symmetric_eigh("covariance", covariance)
         if np.any(sig <= 0):
             raise ParameterError("covariance must be positive definite")
         lam = 1.0 / sig
-        if kappa is None:
-            kappa = max(float(lam.max()), 1.0)
+        kappa = max(float(lam.max()), 1.0) if kappa is None else kappa
         return cls(eigvals=lam, kappa=kappa, mean=mean, basis=Q)
 
     def to_eigenbasis(self, v: np.ndarray) -> np.ndarray:
@@ -132,6 +120,18 @@ class GaussianTarget:
 
     def from_eigenbasis(self, v: np.ndarray) -> np.ndarray:
         return v if self.basis is None else self.basis @ v
+
+
+def _symmetric_eigh(name: str, matrix):
+    """``np.linalg.eigh`` of a dense square symmetric matrix, else ParameterError."""
+    a = as_real_array(name, matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ParameterError(f"{name} must be a square matrix")
+    if not (a.size and np.isfinite(a).all()):
+        raise ParameterError(f"{name} must be a nonempty finite matrix")
+    if np.max(np.abs(a - a.T)) > _SYM_TOL:
+        raise ParameterError(f"{name} matrix is not symmetric")
+    return np.linalg.eigh(a)
 
 
 class OracleTape:

@@ -106,12 +106,12 @@ def build_grid(eta: float, kappa: float) -> SincGrid:
 
 
 def _pole_sum(grid: SincGrid, x, name: str, square: bool):
-    """sum_j t_j over the poles for each finite x > 0, t_j = c_j / (x + alpha_j),
+    """sum_j t_j over the poles for each x > 0, t_j = c_j / (x + alpha_j),
     or t_j^2 when ``square``.  Points run in chunks of at most
     ``EVAL_CHUNK_ENTRIES`` terms; each point's sum is the same in any chunk."""
     xs = as_real_array("x", x)
-    if not np.all((xs > 0.0) & (xs < math.inf)):
-        raise ParameterError(f"{name} requires finite x > 0")
+    if not np.all((xs > 0.0) & (xs < sys.float_info.max - grid.alphas[-1])):
+        raise ParameterError(f"{name} requires x > 0 with x + alpha_max finite")
     flat = xs.reshape(-1)
     out = np.empty(flat.shape)
     rows = max(1, EVAL_CHUNK_ENTRIES // grid.query_budget)
@@ -127,7 +127,7 @@ def _pole_sum(grid: SincGrid, x, name: str, square: bool):
 
 
 def eval_r(grid: SincGrid, x):
-    """Evaluate r(x) = sum_j c_j / (x + alpha_j) for finite x > 0.
+    """Evaluate r(x) = sum_j c_j / (x + alpha_j) for x > 0, x + alpha_max finite.
 
     Accepts scalars or arrays; strictly positive and strictly decreasing.
     """
@@ -135,7 +135,7 @@ def eval_r(grid: SincGrid, x):
 
 
 def eval_sq_sum(grid: SincGrid, x):
-    """Evaluate sum_j c_j^2 / (x + alpha_j)^2 for finite x > 0 (scalar or array)."""
+    """Evaluate sum_j c_j^2 / (x + alpha_j)^2 for x > 0, x + alpha_max finite."""
     return _pole_sum(grid, x, "eval_sq_sum", square=True)
 
 

@@ -11,6 +11,7 @@ exactly d * bits bits; a batch of rows is one such message per row.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +42,10 @@ class QuantizerConfig:
         object.__setattr__(self, "bits", int(self.bits))
         object.__setattr__(self, "clip_radius", check_real(
             "clip_radius", self.clip_radius, 0.0, math.inf, open_low=True))
-        # The grid -R, -R + step, ..., R must be finite with a nonzero step.
-        if not (self.step > 0.0 and math.isfinite(self.step * (self.levels - 1))):
-            raise ParameterError("clip_radius must give a finite grid with a nonzero "
+        # The grid -R, -R + step, ..., R must be finite, and its step normal:
+        # a subnormal step loses the digits that make the top level reach R.
+        if not (self.step >= sys.float_info.min and math.isfinite(self.step * (self.levels - 1))):
+            raise ParameterError("clip_radius must give a finite grid with a normal "
                                  f"step, got {self.clip_radius} at {self.bits} bits")
 
     @property

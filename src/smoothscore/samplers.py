@@ -139,6 +139,20 @@ class SamplerParams:
             return diagnostics.CoDiagonalLawPair(lam * eval_sq_sum(g, lam) / g.L_h)
         return diagnostics.CoDiagonalLawPair(lam * (eval_r(g, lam) ** 2 + (self.sigma2 or 0.0)))
 
+    def certificate(self, target: GaussianTarget, delta_mu: float | None = None) -> float:
+        """TV certificate of a run on ``target``: tv_bound(law), but for the
+        uncentered sampler, whose mean offset (see :func:`sample_uncentered`)
+        adds up to A^2 delta_mu^2 / 2 to the KL, sqrt((KL + A^2 delta_mu^2 /
+        2) / 2) = hypot(tv_bound(law), A delta_mu / 2)."""
+        if self.algorithm != "uncentered":
+            return diagnostics.tv_bound(self.law(target))
+        delta_mu = check_real("delta_mu", delta_mu, 0.0, math.inf, open_low=True)
+        g, lam = self.grid, target.eigvals
+        r = eval_r(g, lam)
+        a = float(np.max(np.abs(1.0 - np.sum(g.coeffs / g.alphas) + r)))
+        return math.hypot(diagnostics.tv_bound(diagnostics.CoDiagonalLawPair(lam * r**2)),
+                          a * delta_mu / 2.0)
+
 
 def sampler_params(algorithm: str, dim: int, kappa: float, delta_tv: float) -> SamplerParams:
     """Derive the parameter tuple of ``algorithm`` ("exact", "independent",
@@ -418,10 +432,9 @@ def sample_uncentered(target: GaussianTarget, delta_tv: float, delta_mu: float,
 
     Conditioned on mu_hat the output is Gaussian with covariance r(Lambda)^2
     and mean mu + (1 - r(0) + r(Lambda)) e, where e = mu_hat - mu and r(0) =
-    sum_j c_j tau_j.  The reported tv_bound (of the centered law) and the
-    mean certificate ||e||_Lambda <= delta_mu together do not bound this
-    law: e reaches the output amplified by up to A = max_i |1 - r(0) +
-    r(lam_i)|, about 1.4e3 to 1.4e4 for d <= 64 and 4.7e4 at d = 1024 at
-    delta_tv = 0.1.
+    sum_j c_j tau_j.  So ||e||_Lambda <= delta_mu reaches the output amplified
+    by up to A = max_i |1 - r(0) + r(lam_i)|, about 1.4e3 to 1.4e4 for d <= 64
+    and 4.7e4 at d = 1024 at delta_tv = 0.1.  delta_tv bounds the centered
+    law only; :meth:`SamplerParams.certificate` bounds the whole one.
     """
     return sample_many("uncentered", target, delta_tv, [rng], delta_mu=delta_mu).report(0)

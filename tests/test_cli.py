@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,12 +11,14 @@ import numpy as np
 import orjson
 import pytest
 
-from smoothscore import (CoDiagonalLawPair, build_grid, eval_r, eval_sq_sum,
-                         sample_exact, sample_independent, sample_quantized,
-                         sample_uncentered, sampler_params, target_from_dict, tv_bound)
+from smoothscore import (CoDiagonalLawPair, ScoreOracle, build_grid, estimate_mean, eval_r,
+                         eval_sq_sum, kl_codiagonal, sample_exact, sample_independent,
+                         sample_quantized, sample_uncentered, sampler_params, target_from_dict,
+                         tv_bound)
 from smoothscore import channel, cli, samplers, streams
 from smoothscore.cli import main
 from smoothscore.errors import ParameterError
+from test_diagnostics import tv_by_quadrature, tv_gaussians_1d
 
 
 def data_rows(path):
@@ -81,7 +84,8 @@ class TestFloatRows:
     def test_random_bit_patterns(self, shape):
         # Whole float64 bit patterns lie mostly outside [1e-4, 1e16), so most
         # of their fields are rewritten; banded ones are mostly written by
-        # orjson.  The 1 x 10**5 row is longer than a chunk and goes to repr.
+        # orjson.  The 1 x 10**5 row is longer than a chunk and is an orjson
+        # call of its own.
         rng = np.random.default_rng(sum(shape))
         x = np.frombuffer(rng.bytes(8 * 101_000), np.float64)
         x = x[np.isfinite(x)][:100_000]
@@ -91,8 +95,8 @@ class TestFloatRows:
 
     @pytest.mark.parametrize("rows", [1, 3, 40])
     def test_edge_values_inside_and_outside_orjson_chunks(self, rows):
-        # Among normal values a chunk is written by orjson and only the edge
-        # fields are rewritten; alone they are written by repr.
+        # Among normal values orjson writes most of a chunk and only the edge
+        # fields are rewritten; alone, nearly every field is rewritten.
         rng = np.random.default_rng(rows)
         block = rng.standard_normal((rows, 200))
         for k, v in enumerate(EDGE_FLOATS):
@@ -115,29 +119,26 @@ class TestFloatRows:
 
     @pytest.mark.parametrize("cap", [None, 64])
     def test_each_orjson_call_is_capped(self, monkeypatch, cap):
-        # Blocks many chunks long never reach orjson in more than
-        # FORMAT_CHUNK_ENTRIES entries at once, rows longer than that never
-        # reach it, and neither do blocks below FORMAT_MIN_ENTRIES.
+        # Every block reaches orjson, in calls of at most FORMAT_CHUNK_ENTRIES
+        # entries; a row longer than that is a call of its own.
         sizes = []
         monkeypatch.setattr(orjson, "dumps",
                             lambda obj, *a, dumps=orjson.dumps, **k:
                             sizes.append(obj.size) or dumps(obj, *a, **k))
-        rng = np.random.default_rng(9)
-        assert list(cli._float_rows(rng.standard_normal((4, 3)))) and sizes == []
-        monkeypatch.setattr(cli, "FORMAT_MIN_ENTRIES", 1)
         if cap is not None:
             monkeypatch.setattr(cli, "FORMAT_CHUNK_ENTRIES", cap)
         cap = cli.FORMAT_CHUNK_ENTRIES
-        for (n, d), calls in [((3 * cap // 5 + 7, 5), 4), ((cap + 1, 1), 2),
-                              ((cap // 2, 2), 1), ((3, cap + 1), 0)]:
+        rng = np.random.default_rng(9)
+        for (n, d), calls in [((1, 1), 1), ((4, 3), 1), ((3 * cap // 5 + 7, 5), 4),
+                              ((cap + 1, 1), 2), ((cap // 2, 2), 1), ((3, cap + 1), 3)]:
             sizes.clear()
             values = rng.standard_normal((n, d))
             lines = cli._float_rows(values)
             first = next(lines)
-            assert len(sizes) == min(calls, 1)  # lines are yielded chunk by chunk
+            assert len(sizes) == 1  # lines are yielded chunk by chunk
             assert [first, *lines] == repr_rows(values)
-            assert len(sizes) == calls and max(sizes, default=0) <= cap
-            assert sum(sizes) == (values.size if calls else 0)
+            assert len(sizes) == calls and max(sizes) <= max(cap, d)
+            assert sum(sizes) == values.size
 
     def test_mostly_tiny_block(self):
         # Every row of a 20 x 1024 block near 1e-5 is mostly fields that
@@ -399,14 +400,57 @@ class TestSample:
                   "independent": lambda: lam * eval_sq_sum(grid, lam) / grid.L_h,
                   "quantized": lambda: lam * (eval_r(grid, lam) ** 2 + p["sigma2"]),
                   "uncentered": lambda: lam * eval_r(grid, lam) ** 2}[algorithm]()
-        assert certificate == tv_bound(CoDiagonalLawPair(ratios))
+        if algorithm != "uncentered":
+            assert certificate == tv_bound(CoDiagonalLawPair(ratios))
+        else:
+            # The mean offset (1 - r(0) + r(lam_i)) e, ||e||_Lambda <= delta_mu,
+            # adds at most A^2 delta_mu^2 / 2 to the KL.
+            a = np.max(np.abs(1.0 - np.sum(grid.coeffs / grid.alphas) + eval_r(grid, lam)))
+            kl = kl_codiagonal(CoDiagonalLawPair(ratios))
+            assert certificate == pytest.approx(math.sqrt((kl + 0.5 * (a * 0.1) ** 2) / 2.0),
+                                                rel=1e-15)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    @pytest.mark.parametrize("d, kappa", [(5, 1e4), (8, 1e4), (16, 1e8)])
+    def test_uncentered_certificate_bounds_each_marginal_tv(self, tmp_path, rotated, d, kappa):
+        # A row's TV to the target is at least that of any 1-d marginal.
+        # Along eigendirection i a row is N(mu_i + m_i, r(lam_i)^2) against
+        # N(mu_i, 1/lam_i), where the mean offset m is the output at z = 0,
+        # mu_hat + sum_j c_j tau_j^2 s_j(mu_hat), less mu.  Up to delta_mu =
+        # 1e-2 the worst marginal's TV reaches about 1, while the centered
+        # law's bound stays near 3e-3.
+        rng = np.random.default_rng(d)
+        doc = {"dim": d, "kappa": kappa, "eigvals": np.geomspace(1.0, kappa, d).tolist(),
+               "mean": (3.0 * rng.standard_normal(d)).tolist()}
+        if rotated:
+            doc["basis"] = np.linalg.qr(rng.standard_normal((d, d)))[0].reshape(-1).tolist()
+        target = target_from_dict(doc)
+        grid = sampler_params("uncentered", d, kappa, 0.1).grid
+        taus, lam = 1.0 / grid.alphas, target.eigvals
+        r = eval_r(grid, lam)
+        path, out = tmp_path / "run.json", tmp_path / "s.csv"
+        for delta_mu in (1e-6, 1e-4, 1e-3, 1e-2):
+            path.write_text(json.dumps({"algorithm": "uncentered", "target": doc, "delta_tv": 0.1,
+                                        "delta_mu": delta_mu, "seed": 3, "runs": 4}))
+            assert main(["sample", "--config", str(path), "--output", str(out)]) == 0
+            certificates = {float(line.rsplit(",", 1)[1]) for line in data_rows(out)[1:]}
+
+            mu_hat = estimate_mean(target, delta_mu)
+            scores = ScoreOracle(target).smoothed_scores(taus, mu_hat)
+            offset = mu_hat + np.sum((grid.coeffs * taus**2)[:, None] * scores, axis=0)
+            m = target.to_eigenbasis(offset - target.mean)
+            tvs = [tv_gaussians_1d(mi, ri**2, 0.0, 1.0 / li) for mi, ri, li in zip(m, r, lam)]
+            i = int(np.argmax(tvs))
+            assert tv_by_quadrature(m[i], r[i] ** 2, 0.0, 1.0 / lam[i]) == pytest.approx(
+                tvs[i], abs=1e-8)
+            assert len(certificates) == 1 and certificates.pop() >= max(tvs), delta_mu
 
 
     @pytest.mark.parametrize("rotated, algorithm, d, kappa, eigvals, runs, digest", [
-        # d = 5, 12 runs: blocks of 60 entries, below FORMAT_MIN_ENTRIES.
+        # d = 5, 12 runs: blocks of 60 entries.
         *(pytest.param(rotated, alg, 5, 1e4, None, 12, None, id=f"{rotated}-{alg}")
           for rotated in (False, True) for alg in ALGORITHMS),
-        # d = 16, 12 runs: blocks of 192 entries, formatted by orjson.
+        # d = 16, 12 runs: blocks of 192 entries.
         *(pytest.param(rotated, alg, 16, 1e4, None, 12, None, id=f"{rotated}-{alg}-d16")
           for rotated in (False, True) for alg in ALGORITHMS),
         # At kappa = 1e8 most coordinates have standard deviations of 1e-4 to
@@ -438,7 +482,7 @@ class TestSample:
             assert hashlib.sha256("".join(rows).encode()).hexdigest() == digest
 
         target = target_from_dict(doc)
-        certificate = tv_bound(sampler_params(algorithm, d, kappa, 0.1).law(target))
+        certificate = sampler_params(algorithm, d, kappa, 0.1).certificate(target, 1e-6)
         run = {"exact": lambda s: sample_exact(target, 0.1, s),
                "independent": lambda s: sample_independent(target, 0.1, s),
                "quantized": lambda s: sample_quantized(target, 0.1, s),
@@ -865,12 +909,30 @@ def test_failed_write_leaves_no_stale_tail(tmp_path):
     assert data_rows(out) == ["a,b\n", "1,2\n"]
 
 
-@pytest.mark.parametrize("chunk_chars", [None, 1, 10])
-def test_failed_write_after_several_rows_keeps_them_all(tmp_path, monkeypatch, chunk_chars):
-    # Rows are joined into batched writes; the ones before a failing row are
-    # written whether the batch was flushed already or not.
-    if chunk_chars is not None:
-        monkeypatch.setattr(cli, "WRITE_CHUNK_CHARS", chunk_chars)
+@pytest.mark.parametrize("flush_chars", [None, 1, 10])
+def test_failed_write_after_several_rows_keeps_them_all(tmp_path, monkeypatch, flush_chars):
+    # The rows before a failing one are kept whether the file's buffer was
+    # flushed already (every ``flush_chars`` characters) or only when the
+    # block is left (None).
+    if flush_chars is not None:
+        real_open = cli._open_output
+
+        @contextlib.contextmanager
+        def flushing(path):
+            with real_open(path) as fh:
+                write, pending = fh.write, [0]
+
+                def write_and_flush(text):
+                    write(text)
+                    pending[0] += len(text)
+                    if pending[0] >= flush_chars:
+                        fh.flush()
+                        pending[0] = 0
+
+                fh.write = write_and_flush
+                yield fh
+
+        monkeypatch.setattr(cli, "_open_output", flushing)
     out = tmp_path / "t.csv"
     out.write_text("stale\n" * 1000)
 
@@ -882,25 +944,3 @@ def test_failed_write_after_several_rows_keeps_them_all(tmp_path, monkeypatch, c
     with pytest.raises(ParameterError):
         cli._write_lines(str(out), ["a", "b"], lines())
     assert data_rows(out) == ["a,b\n"] + [f"{i},{i * i}\n" for i in range(7)]
-
-
-def test_rows_are_written_in_batches(tmp_path, monkeypatch):
-    # A batch is flushed once it holds WRITE_CHUNK_CHARS of row text.
-    monkeypatch.setattr(cli, "WRITE_CHUNK_CHARS", 25)
-    writes = []
-    out = tmp_path / "t.csv"
-    real_open = cli._open_output
-
-    @contextlib.contextmanager
-    def spy(path):
-        with real_open(path) as fh:
-            write = fh.write
-            fh.write = lambda text: writes.append(text) or write(text)
-            yield fh
-
-    monkeypatch.setattr(cli, "_open_output", spy)
-    rows = [f"{i:09d}" for i in range(7)]  # nine characters each
-    cli._write_lines(str(out), ["a"], iter(rows))
-    assert data_rows(out) == ["a\n"] + [row + "\n" for row in rows]
-    assert writes[2:] == ["\n".join(rows[:3]) + "\n", "\n".join(rows[3:6]) + "\n",
-                          rows[6] + "\n"]

@@ -79,6 +79,25 @@ class TestTargetValidation:
         recon = t.basis @ np.diag(t.eigvals) @ t.basis.T
         assert np.max(np.abs(recon - P)) < 1e-10
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("matrix, message", [
+        (np.ones((2, 3)), "must be a square matrix"),
+        (np.ones(4), "must be a square matrix"),
+        (np.zeros((0, 0)), "must be a nonempty finite matrix"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), "must be a nonempty finite matrix"),
+        (np.array([[np.inf]]), "must be a nonempty finite matrix"),
+        (np.array([[2.0, 0.1], [0.0, 2.0]]), "matrix is not symmetric"),
+    ])
+    def test_dense_constructors_share_their_checks(self, matrix, message):
+        # Both name their argument in the same texts; only from_covariance
+        # adds the positive-definite check.
+        for name, build in (("precision", GaussianTarget.from_precision),
+                            ("covariance", GaussianTarget.from_covariance)):
+            with pytest.raises(ParameterError, match=f"^{name} {message}"):
+                build(matrix)
+        with pytest.raises(ParameterError, match="positive definite"):
+            GaussianTarget.from_covariance(np.diag([1.0, -1.0]))
+
     def test_from_covariance_roundtrip(self):
         rng = np.random.default_rng(2)
         q = random_rotation(3, rng)
