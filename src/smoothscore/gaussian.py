@@ -77,7 +77,9 @@ class GaussianTarget:
                 raise ParameterError(f"basis must be {d}x{d}, got {basis.shape}")
             if not np.all(np.isfinite(basis)):
                 raise ParameterError("basis must be finite")
-            resid = np.max(np.abs(basis.T @ basis - np.eye(d)))
+            gram = basis.T @ basis  # max |Q^T Q - I| without d x d temporaries
+            gram.flat[::d + 1] -= 1.0
+            resid = np.max(np.abs(gram, out=gram))
             if resid > _ORTHO_TOL:
                 raise ParameterError(
                     f"basis is not orthogonal: max |Q^T Q - I| = {resid:.3e}")
@@ -115,11 +117,13 @@ class GaussianTarget:
         kappa = max(float(lam.max()), 1.0) if kappa is None else kappa
         return cls(eigvals=lam, kappa=kappa, mean=mean, basis=Q)
 
+    # Both act on the last axis of a (..., d) array, whose rows are points:
+    # row by row Q^T v and Q v.
     def to_eigenbasis(self, v: np.ndarray) -> np.ndarray:
-        return v if self.basis is None else self.basis.T @ v
+        return v if self.basis is None else v @ self.basis
 
     def from_eigenbasis(self, v: np.ndarray) -> np.ndarray:
-        return v if self.basis is None else self.basis @ v
+        return v if self.basis is None else v @ self.basis.T
 
 
 def _symmetric_eigh(name: str, matrix):
@@ -212,16 +216,15 @@ class ScoreOracle:
             bits = check_count("bits", bits, 0, sys.maxsize)
             if bits % d:
                 raise ParameterError(f"bits must be a multiple of d={d}, got {bits}")
-        # Rows are points and the basis acts on columns, hence the swaps; a
-        # stacked matmul applies the basis to each run's (d, k) block with the
-        # BLAS call a single run makes, so a block of runs is answered bit for
-        # bit as the runs one at a time.
+        # A stacked matmul rotates each run's rows with the BLAS call a single
+        # run makes, so a block of runs is answered bit for bit as the runs
+        # one at a time; one product over the block's flattened rows is not.
         t = self.target
         # Finite points far from the mean, or at tiny tau, can overflow; such
         # answers are refused below instead of warned about.
         with np.errstate(over="ignore", invalid="ignore"):
-            w = _swap(t.to_eigenbasis(_swap(y - t.mean)))
-            g = _swap(t.from_eigenbasis(_swap(w / -(self._cov + taus[..., None]))))
+            w = t.to_eigenbasis(y - t.mean)
+            g = t.from_eigenbasis(w / -(self._cov + taus[..., None]))
         if not np.isfinite(g).all():
             raise ParameterError("the score at these query points overflows float64")
         lead = y.shape[:-2] + taus.shape  # run-major: run 0's q queries first
@@ -271,10 +274,6 @@ class ScoreOracle:
         caller's report.
         """
         return self._query(taus, y, encoder, bits)
-
-
-def _swap(a: np.ndarray) -> np.ndarray:
-    return a if a.ndim < 2 else np.swapaxes(a, -1, -2)
 
 
 def lambda_norm(target: GaussianTarget, v: np.ndarray) -> float:

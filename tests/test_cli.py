@@ -453,6 +453,10 @@ class TestSample:
         # d = 16, 12 runs: blocks of 192 entries.
         *(pytest.param(rotated, alg, 16, 1e4, None, 12, None, id=f"{rotated}-{alg}-d16")
           for rotated in (False, True) for alg in ALGORITHMS),
+        # Rotated d = 17 and 33, odd widths where row and column layouts round
+        # differently; one product over a whole block's rows changes rows here.
+        *(pytest.param(True, alg, d, 1e4, None, 12, None, id=f"True-{alg}-d{d}")
+          for d in (17, 33) for alg in ALGORITHMS),
         # At kappa = 1e8 most coordinates have standard deviations of 1e-4 to
         # 3e-4, so 98 of the 240 fields are in repr's exponent layout and are
         # rewritten.  The digest of the header and data rows was taken before

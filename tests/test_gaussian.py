@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,24 @@ class TestTargetValidation:
         bad = np.array([[1.0, 0.1], [0.0, 1.0]])
         with pytest.raises(ParameterError):
             GaussianTarget(eigvals=[1.0, 2.0], kappa=2.0, basis=bad)
+
+    @pytest.mark.parametrize("d", [1, 3, 17, 64])
+    @pytest.mark.parametrize("offset", [1e-12, 1e-9, 1e-3])
+    def test_orthogonality_residual_is_max_abs_gram_minus_identity(self, d, offset):
+        # The check forms Q^T Q once and subtracts I on its diagonal in place:
+        # a perturbed basis is refused with the residual max |Q^T Q - I| that
+        # the explicit formula gives, and the caller's basis is left as it was.
+        basis = random_rotation(d, np.random.default_rng(d))
+        basis[0, -1] += offset
+        given = basis.copy()
+        resid = np.max(np.abs(basis.T @ basis - np.eye(d)))
+        if offset < 1e-10:
+            GaussianTarget(eigvals=np.ones(d), kappa=1.0, basis=basis)
+        else:
+            with pytest.raises(ParameterError,
+                               match=re.escape(f"max |Q^T Q - I| = {resid:.3e}")):
+                GaussianTarget(eigvals=np.ones(d), kappa=1.0, basis=basis)
+        assert np.array_equal(basis, given)
 
     @pytest.mark.parametrize("field, value", [
         ("eigvals", [float("nan"), 2.0]), ("eigvals", [1.0, float("inf")]),
@@ -106,6 +125,41 @@ class TestTargetValidation:
         t = GaussianTarget.from_covariance(S)
         assert t.kappa == pytest.approx(8.0, rel=1e-12)
         assert sorted(t.eigvals) == pytest.approx([1.0, 2.0, 8.0], rel=1e-12)
+
+
+class TestEigenbasisRows:
+    # Both rotations act on the last axis: each row v of a (..., d) array
+    # becomes Q^T v (to_eigenbasis) or Q v (from_eigenbasis).
+    @pytest.mark.parametrize("shape", [(7,), (3, 7), (2, 5, 7)])
+    def test_each_row_is_rotated(self, shape):
+        rng = np.random.default_rng(5)
+        d = shape[-1]
+        t = GaussianTarget(eigvals=np.geomspace(1.0, 1e3, d), kappa=1e3,
+                           basis=random_rotation(d, rng))
+        v = rng.standard_normal(shape)
+        for rotate, matrix in ((t.to_eigenbasis, t.basis.T), (t.from_eigenbasis, t.basis)):
+            got = rotate(v)
+            want = np.array([matrix @ row for row in v.reshape(-1, d)]).reshape(shape)
+            assert got.shape == shape
+            assert np.max(np.abs(got - want)) <= 8 * EPS * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("d", [1, 2, 17, 64, 256])
+    def test_one_vector_is_rotated_as_a_matrix_vector_product(self, d):
+        rng = np.random.default_rng(d)
+        t = GaussianTarget(eigvals=np.ones(d), kappa=1.0, basis=random_rotation(d, rng))
+        v = rng.standard_normal(d)
+        assert t.to_eigenbasis(v).tobytes() == (t.basis.T @ v).tobytes()
+        assert t.from_eigenbasis(v).tobytes() == (t.basis @ v).tobytes()
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 7), (2, 5, 7)])
+    def test_round_trip_and_diagonal_pass_through(self, shape):
+        rng = np.random.default_rng(6)
+        d = shape[-1]
+        t = GaussianTarget(eigvals=np.ones(d), kappa=1.0, basis=random_rotation(d, rng))
+        v = rng.standard_normal(shape)
+        assert np.max(np.abs(t.from_eigenbasis(t.to_eigenbasis(v)) - v)) <= 1e-15 * np.max(np.abs(v))
+        diag = GaussianTarget(eigvals=np.ones(d), kappa=1.0)
+        assert diag.to_eigenbasis(v) is v and diag.from_eigenbasis(v) is v
 
 
 class TestSmoothedScore:
